@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mindful_core::pool::default_threads;
+use mindful_core::pool::Scheduler;
 use mindful_dnn::infer::Network;
 use mindful_dnn::kernels::{dense_into_at, transpose_dense};
 use mindful_dnn::models::{ModelFamily, BASE_CHANNELS};
@@ -81,23 +81,15 @@ fn bench_single_sample(c: &mut Criterion) {
 fn bench_batch(c: &mut Criterion) {
     let net = network(BATCH_CHANNELS);
     let inputs = batch(BATCH_CHANNELS as usize, BATCH_SAMPLES);
+    let serial = Scheduler::new(NonZeroUsize::MIN);
+    let pooled = Scheduler::with_default_threads();
     let mut group = c.benchmark_group("infer_batch");
     group.sample_size(10);
     group.bench_function("serial_mlp256x48", |b| {
-        b.iter(|| {
-            black_box(
-                net.forward_batch(black_box(&inputs), NonZeroUsize::MIN)
-                    .unwrap(),
-            )
-        })
+        b.iter(|| black_box(net.forward_batch(black_box(&inputs), &serial).unwrap()))
     });
     group.bench_function("pooled_mlp256x48", |b| {
-        b.iter(|| {
-            black_box(
-                net.forward_batch(black_box(&inputs), default_threads())
-                    .unwrap(),
-            )
-        })
+        b.iter(|| black_box(net.forward_batch(black_box(&inputs), &pooled).unwrap()))
     });
     group.finish();
 }
@@ -202,16 +194,17 @@ fn report_infer_acceptance(_c: &mut Criterion) {
     let batch_iters = if quick() { 7 } else { 21 };
     let big = network(BATCH_CHANNELS);
     let inputs = batch(BATCH_CHANNELS as usize, BATCH_SAMPLES);
-    let threads = default_threads();
-    black_box(big.forward_batch(&inputs, threads).unwrap());
+    let (serial, pooled) = (
+        Scheduler::new(NonZeroUsize::MIN),
+        Scheduler::with_default_threads(),
+    );
+    let threads = pooled.workers();
+    black_box(big.forward_batch(&inputs, &pooled).unwrap());
     let serial_ns = median_ns(batch_iters, || {
-        black_box(
-            big.forward_batch(black_box(&inputs), NonZeroUsize::MIN)
-                .unwrap(),
-        );
+        black_box(big.forward_batch(black_box(&inputs), &serial).unwrap());
     });
     let pooled_ns = median_ns(batch_iters, || {
-        black_box(big.forward_batch(black_box(&inputs), threads).unwrap());
+        black_box(big.forward_batch(black_box(&inputs), &pooled).unwrap());
     });
     let batch_speedup = serial_ns / pooled_ns;
     println!(

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mindful_core::pool::default_threads;
+use mindful_core::pool::{default_threads, Scheduler};
 use mindful_dnn::infer::Network;
 use mindful_dnn::models::{ModelFamily, BASE_CHANNELS};
 use mindful_pipeline::prelude::*;
@@ -35,12 +35,12 @@ fn quick() -> bool {
     mindful_core::env::bench_quick()
 }
 
-/// Pool workers for the serving comparison: the machine's parallelism,
-/// but at least two, so both engines actually fan over workers — the
-/// regime the comparison is about (streaming fans once per drive, the
-/// batched path re-fans every step).
-fn serving_threads() -> NonZeroUsize {
-    NonZeroUsize::new(default_threads().get().max(2)).expect("non-zero")
+/// The scheduler for the serving comparison: the machine's
+/// parallelism, but at least two workers, so both engines actually fan
+/// over workers — the regime the comparison is about (streaming fans
+/// once per drive, the batched path re-fans every step).
+fn serving() -> Scheduler {
+    Scheduler::new(NonZeroUsize::new(default_threads().get().max(2)).expect("non-zero"))
 }
 
 fn network() -> Network {
@@ -73,7 +73,7 @@ fn build_streams(net: &Arc<Network>, replay: &[Vec<f32>]) -> StreamSet {
 /// The streaming path: drive the warm set, every frame through reused
 /// buffers and workspaces.
 fn run_streaming(set: &mut StreamSet) -> u64 {
-    set.drive(STEPS, serving_threads())
+    set.drive(STEPS, &serving())
         .expect("streaming run succeeds")
         .iter()
         .map(|r| r.emitted)
@@ -83,11 +83,11 @@ fn run_streaming(set: &mut StreamSet) -> u64 {
 /// The batched path (PR 2): one `forward_batch` fan-out per step over
 /// the pre-assembled batch every stream would consume that step.
 fn run_batched(net: &Network, batches: &[Vec<Vec<f32>>]) -> u64 {
-    let threads = serving_threads();
+    let scheduler = serving();
     let mut decoded = 0_u64;
     for step in 0..STEPS {
         decoded += net
-            .forward_batch(&batches[step % batches.len()], threads)
+            .forward_batch(&batches[step % batches.len()], &scheduler)
             .expect("batched forward succeeds")
             .len() as u64;
     }
@@ -162,7 +162,7 @@ fn report_pipeline_acceptance(_c: &mut Criterion) {
         },
     );
     let speedup = batched_ns / streaming_ns;
-    let threads = serving_threads();
+    let threads = serving().workers();
     println!(
         "pipeline/mlp128x{STREAMS}x{STEPS} streaming {:.2} ms vs batched {:.2} ms \
          ({speedup:.2}x on {threads} threads)",

@@ -6,8 +6,9 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mindful_core::explore::{pareto_frontier, pareto_frontier_naive, CandidatePoint};
+use mindful_core::pool::Scheduler;
 use mindful_core::soc::wireless_socs;
-use mindful_core::sweep::{par_map, ProjectionCache, SweepGrid};
+use mindful_core::sweep::{ProjectionCache, SweepGrid};
 use mindful_core::units::{Area, Power};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,47 +85,40 @@ fn report_frontier_speedup(_c: &mut Criterion) {
 
 fn bench_sweep(c: &mut Criterion) {
     let grid = explore_grid();
+    let serial = Scheduler::new(NonZeroUsize::MIN);
+    let eight = Scheduler::new(NonZeroUsize::new(8).unwrap());
     let mut group = c.benchmark_group("sweep");
     group.sample_size(20);
     group.bench_function("evaluate_serial", |b| {
-        b.iter(|| black_box(grid.evaluate_with_threads(NonZeroUsize::MIN).unwrap()))
+        b.iter(|| black_box(grid.evaluate_on(&serial).unwrap()))
     });
     group.bench_function("evaluate_8_threads", |b| {
-        b.iter(|| {
-            black_box(
-                grid.evaluate_with_threads(NonZeroUsize::new(8).unwrap())
-                    .unwrap(),
-            )
-        })
+        b.iter(|| black_box(grid.evaluate_on(&eight).unwrap()))
     });
     group.bench_function("evaluate_warm_cache", |b| {
         let cache = ProjectionCache::new();
-        grid.evaluate_cached(&cache, NonZeroUsize::MIN).unwrap();
-        b.iter(|| black_box(grid.evaluate_cached(&cache, NonZeroUsize::MIN).unwrap()))
+        grid.evaluate_cached(&cache, &serial).unwrap();
+        b.iter(|| black_box(grid.evaluate_cached(&cache, &serial).unwrap()))
     });
     group.bench_function("feasible_frontier", |b| {
-        let result = grid.evaluate_with_threads(NonZeroUsize::MIN).unwrap();
+        let result = grid.evaluate_on(&serial).unwrap();
         b.iter(|| black_box(result.feasible_frontier().unwrap()))
     });
     group.finish();
 }
 
-fn bench_par_map(c: &mut Criterion) {
+fn bench_map_init(c: &mut Criterion) {
     let items: Vec<u64> = (0..4096).collect();
-    let mut group = c.benchmark_group("par_map");
+    let spin =
+        |(): &mut (), _, &x: &u64| (0..256).fold(x, |acc, k| acc.wrapping_mul(31).wrapping_add(k));
+    let mut group = c.benchmark_group("map_init");
     group.bench_function("spin_serial", |b| {
-        b.iter(|| {
-            black_box(par_map(&items, NonZeroUsize::MIN, |_, &x| {
-                (0..256).fold(x, |acc, k| acc.wrapping_mul(31).wrapping_add(k))
-            }))
-        })
+        let serial = Scheduler::new(NonZeroUsize::MIN);
+        b.iter(|| black_box(serial.map_init(&items, || (), spin)))
     });
     group.bench_function("spin_8_threads", |b| {
-        b.iter(|| {
-            black_box(par_map(&items, NonZeroUsize::new(8).unwrap(), |_, &x| {
-                (0..256).fold(x, |acc, k| acc.wrapping_mul(31).wrapping_add(k))
-            }))
-        })
+        let eight = Scheduler::new(NonZeroUsize::new(8).unwrap());
+        b.iter(|| black_box(eight.map_init(&items, || (), spin)))
     });
     group.finish();
 }
@@ -134,6 +128,6 @@ criterion_group!(
     bench_pareto,
     report_frontier_speedup,
     bench_sweep,
-    bench_par_map
+    bench_map_init
 );
 criterion_main!(benches);

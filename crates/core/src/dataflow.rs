@@ -17,7 +17,6 @@ use crate::units::{DataRate, Frequency};
 
 /// Where the implant reduces its data volume (Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Dataflow {
     /// Digitize, packetize, transmit everything.

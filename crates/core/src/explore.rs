@@ -13,7 +13,6 @@ use crate::units::{Area, Power};
 
 /// One candidate operating point in the design space.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CandidatePoint {
     /// A caller-chosen label (e.g., "BISC @2048, QAM 20%").
     pub label: String,

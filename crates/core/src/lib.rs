@@ -70,13 +70,13 @@ pub mod prelude {
     pub use crate::budget::{check_safety, power_budget, SAFE_POWER_DENSITY};
     pub use crate::dataflow::Dataflow;
     pub use crate::obs::{Registry, Snapshot};
-    pub use crate::pool::{default_threads, par_map, par_map_init, Scheduler, TaskSlot};
+    pub use crate::pool::{default_threads, Scheduler, TaskSlot};
     pub use crate::regimes::{ScalingRegime, SplitDesign};
     pub use crate::scaling::{scale_to_channels, scale_to_standard, ScaledSoc};
     pub use crate::soc::{
         published_socs, soc_by_id, wireless_socs, NiTechnology, SocSpec, STANDARD_CHANNELS,
     };
-    pub use crate::sweep::{sweep_threads, ProjectionCache, SweepGrid, SweepPoint, SweepResult};
+    pub use crate::sweep::{ProjectionCache, SweepGrid, SweepPoint, SweepResult};
     pub use crate::throughput::sensing_throughput;
     pub use crate::units::{Area, DataRate, Energy, Frequency, Power, PowerDensity, TimeSpan};
     pub use crate::{CoreError, Result};

@@ -1,33 +1,35 @@
-//! The shared worker [`Scheduler`] and deterministic fan-out wrappers.
+//! The worker [`Scheduler`] every parallel path in the reproduction
+//! dispatches on.
 //!
-//! Every parallel path in the reproduction — the design-space sweep
-//! engine ([`crate::sweep`]), batched DNN inference
-//! (`mindful_dnn::infer::Network::forward_batch`), block-sampled
-//! Monte-Carlo BER measurement (`mindful_rf::modem`), multi-stream
-//! serving (`mindful_pipeline::StreamSet`), and the fleet serving
-//! layer (`mindful_pipeline::serve`) — runs as a *client* of one
-//! [`Scheduler`]: a long-lived dispatch service that owns the worker
-//! budget, the claim queue, and the fairness/steal accounting. No
-//! consumer owns its own pool anymore; they differ only in which
-//! dispatch discipline they ask for:
+//! The design-space sweep engine ([`crate::sweep`]), batched DNN
+//! inference (`mindful_dnn::infer::Network::forward_batch`),
+//! block-sampled Monte-Carlo BER measurement (`mindful_rf::modem`),
+//! multi-stream serving (`mindful_pipeline::StreamSet`), and the fleet
+//! serving layer (`mindful_pipeline::serve`) each take a `&Scheduler`
+//! from their caller and fan out on it: the scheduler owns the worker
+//! budget and the dispatch accounting, the clients own only their
+//! data. There is no hidden process-wide scheduler — a caller builds
+//! one with [`Scheduler::new`] or [`Scheduler::with_default_threads`]
+//! (construction is four plain fields, no allocation) and its
+//! [`Scheduler::stats`] count every task it ran.
 //!
-//! * [`Scheduler::map_init_with`] (and the [`par_map`] /
-//!   [`par_map_init`] wrappers over the private shared scheduler) —
-//!   **chunked** dispatch: the input splits into contiguous chunks,
-//!   one per worker, each with private per-worker state, and results
-//!   land in pre-assigned slots. Output order — and any
-//!   state-dependent output — is byte-identical for every worker
-//!   count and schedule.
-//! * [`Scheduler::map_mut_with`] — the same chunked discipline over
-//!   `&mut` items (warm pipelines that must not be rebuilt per call).
-//! * [`Scheduler::dispatch`] — **epoch / work-stealing** dispatch
-//!   over claimable [`TaskSlot`]s: every ready task is claimed exactly
-//!   once per epoch through a shared cursor, so a worker that runs dry
-//!   steals the tail of a slower worker's share. This is the
-//!   discipline the fleet layer uses to multiplex heterogeneous
-//!   implant sessions; it is only appropriate for tasks whose output
-//!   is independent of *which* worker runs them (each task owns its
-//!   whole state).
+//! Two dispatch disciplines exist:
+//!
+//! * [`Scheduler::map_init`] — **chunked** dispatch: the input splits
+//!   into contiguous chunks, one per worker, each with private
+//!   per-worker state, and results land in pre-assigned slots. Output
+//!   order — and any state-dependent output — is byte-identical for
+//!   every worker count and schedule. Clients with long-lived warm
+//!   state (a `StreamSet`'s pipelines) map over per-item locks.
+//! * [`Scheduler::dispatch_phased`] — **work-stealing** dispatch over
+//!   claimable [`TaskSlot`]s: every ready task is claimed exactly once
+//!   per epoch through a shared cursor, so a worker that runs dry
+//!   steals the tail of a slower worker's share, and phases run
+//!   strictly one after another. This is the discipline the fleet
+//!   layer uses to multiplex heterogeneous implant sessions by
+//!   priority class; it is only appropriate for tasks whose output is
+//!   independent of *which* worker runs them (each task owns its whole
+//!   state). A flat epoch is a single phase.
 //!
 //! OS threads are scoped per call — the service is long-lived, the
 //! workers are not — so clients can hand the scheduler borrowed data
@@ -39,12 +41,12 @@
 //! (see [`default_threads`] for the precedence contract, and
 //! [`crate::env::parse_count`] for the one shared numeric-knob
 //! parser). The variable predates this module — it is named after the
-//! sweep engine that introduced it — and governs every consumer of
-//! [`default_threads`].
+//! sweep engine that introduced it — and governs every scheduler built
+//! by [`Scheduler::with_default_threads`].
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Environment variable that pins the worker count for every consumer
 /// of [`default_threads`] (historically named after the sweep engine).
@@ -56,8 +58,7 @@ pub const MAX_SWEEP_THREADS: usize = 256;
 /// Resolves the default worker count for parallel fan-outs.
 ///
 /// The one documented precedence for the thread knob, shared by every
-/// consumer (the sweep engine's `sweep_threads` alias, `forward_batch`
-/// defaults, the serving layers):
+/// scheduler built with [`Scheduler::with_default_threads`]:
 ///
 /// 1. An explicit integer in [`SWEEP_THREADS_ENV`] always wins,
 ///    clamped into `[1, MAX_SWEEP_THREADS]` by
@@ -91,73 +92,6 @@ pub fn thread_override(raw: &str) -> Option<NonZeroUsize> {
     crate::env::parse_count(raw, MAX_SWEEP_THREADS)
 }
 
-/// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// returning outputs in input order.
-///
-/// A thin wrapper over the private shared [`Scheduler`]
-/// ([`Scheduler::map_with`]): the slice is split into contiguous
-/// chunks, one per worker; each worker writes its outputs into the
-/// matching slots of the result vector, so the output order is
-/// independent of scheduling. `f` receives the item's index alongside
-/// the item. With one thread (or one item) no workers are spawned at
-/// all.
-pub fn par_map<I, T, F>(items: &[I], threads: NonZeroUsize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    shared().map_with(items, threads, f)
-}
-
-/// [`par_map`] with per-worker mutable state.
-///
-/// A thin wrapper over the private shared [`Scheduler`]
-/// ([`Scheduler::map_init_with`]). Each worker calls `init` exactly
-/// once before processing its chunk and threads the resulting state
-/// through every item it owns — the shape needed for reusable scratch
-/// buffers (e.g. an inference workspace) that must not be shared
-/// across threads nor rebuilt per item. On the serial path (one thread
-/// or at most one item) `init` is called once overall.
-///
-/// Results come back in input order for any worker count; the state is
-/// deterministically partitioned (worker `w` owns the `w`-th contiguous
-/// chunk), so any state-dependent output is reproducible too.
-pub fn par_map_init<I, T, S, G, F>(items: &[I], threads: NonZeroUsize, init: G, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &I) -> T + Sync,
-{
-    shared().map_init_with(items, threads, init, f)
-}
-
-/// [`par_map`] over `&mut` items.
-///
-/// A thin wrapper over the private shared [`Scheduler`]
-/// ([`Scheduler::map_mut_with`]) for clients whose tasks are long-lived
-/// warm state (a `StreamSet`'s pipelines) rather than inputs to copy
-/// from. Same chunk math and determinism guarantees as [`par_map`].
-pub fn par_map_mut<T, R, F>(items: &mut [T], threads: NonZeroUsize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    shared().map_mut_with(items, threads, f)
-}
-
-/// The process-wide scheduler behind [`par_map`] / [`par_map_init`].
-///
-/// Kept private to the wrappers; layers that want to share one
-/// scheduler explicitly (the fleet serving layer) construct and pass
-/// their own [`Scheduler`].
-fn shared() -> &'static Scheduler {
-    static SHARED: OnceLock<Scheduler> = OnceLock::new();
-    SHARED.get_or_init(Scheduler::with_default_threads)
-}
-
 /// A cumulative snapshot of a [`Scheduler`]'s dispatch accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
@@ -171,7 +105,7 @@ pub struct SchedulerStats {
     pub steals: u64,
 }
 
-/// A claimable work slot for [`Scheduler::dispatch`].
+/// A claimable work slot for [`Scheduler::dispatch_phased`].
 ///
 /// Interior-mutable so that *any* worker can take exclusive access to
 /// the task it claims: the dispatch cursor hands each ready index to
@@ -264,56 +198,18 @@ impl Scheduler {
         }
     }
 
-    /// Chunked map over `items` using the scheduler's own worker
-    /// budget. See [`Scheduler::map_init_with`].
-    pub fn map<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
-        self.map_with(items, self.workers, f)
-    }
-
-    /// Chunked map over `items` on up to `threads` workers (stateless
-    /// form of [`Scheduler::map_init_with`]).
-    pub fn map_with<I, T, F>(&self, items: &[I], threads: NonZeroUsize, f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
-        self.map_init_with(items, threads, || (), |(), i, x| f(i, x))
-    }
-
-    /// Chunked map with per-worker state using the scheduler's own
-    /// worker budget. See [`Scheduler::map_init_with`].
-    pub fn map_init<I, T, S, G, F>(&self, items: &[I], init: G, f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        G: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &I) -> T + Sync,
-    {
-        self.map_init_with(items, self.workers, init, f)
-    }
-
     /// Chunked, deterministic dispatch: maps `f` over `items` on up to
-    /// `threads` scoped workers, each with private state built once by
-    /// `init`, returning outputs in input order.
+    /// [`Scheduler::workers`] scoped workers, each with private state
+    /// built once by `init`, returning outputs in input order.
     ///
     /// The input splits into contiguous chunks, one per worker; worker
     /// `w` owns the `w`-th chunk and writes into the matching result
     /// slots, so the output — including any state-dependent output —
-    /// is byte-identical for every schedule. With one thread (or at
-    /// most one item) everything runs inline on the caller's thread.
-    pub fn map_init_with<I, T, S, G, F>(
-        &self,
-        items: &[I],
-        threads: NonZeroUsize,
-        init: G,
-        f: F,
-    ) -> Vec<T>
+    /// is byte-identical for every schedule. `f` receives the item's
+    /// index alongside the item. With one worker (or at most one item)
+    /// everything runs inline on the caller's thread and `init` is
+    /// called once overall. Stateless clients pass `|| ()`.
+    pub fn map_init<I, T, S, G, F>(&self, items: &[I], init: G, f: F) -> Vec<T>
     where
         I: Sync,
         T: Send,
@@ -322,7 +218,7 @@ impl Scheduler {
     {
         let n = items.len();
         self.account(n, 0);
-        let workers = threads.get().min(n);
+        let workers = self.workers.get().min(n);
         if workers <= 1 {
             let mut state = init();
             return items
@@ -354,143 +250,75 @@ impl Scheduler {
             .collect()
     }
 
-    /// Chunked dispatch over `&mut` items: maps `f` over `items` on up
-    /// to `threads` scoped workers, returning outputs in input order.
+    /// One epoch of phased work-stealing dispatch: runs `run` once for
+    /// every index in every phase, the phases strictly in order —
+    /// every task of phase `p` completes before any task of phase
+    /// `p + 1` starts — while tasks *within* a phase are claimed through
+    /// a shared cursor, so workers that finish their fair share steal
+    /// the remainder.
     ///
-    /// The `&mut` twin of [`Scheduler::map_with`] for clients whose
-    /// tasks are long-lived warm state (a `StreamSet`'s pipelines)
-    /// rather than inputs to copy from. Same chunk math, same
-    /// determinism guarantees.
-    pub fn map_mut_with<T, R, F>(&self, items: &mut [T], threads: NonZeroUsize, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut T) -> R + Sync,
-    {
-        let n = items.len();
-        self.account(n, 0);
-        let workers = threads.get().min(n);
-        if workers <= 1 {
-            return items.iter_mut().enumerate().map(|(i, x)| f(i, x)).collect();
-        }
-        let chunk = n.div_ceil(workers);
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        std::thread::scope(|scope| {
-            let f = &f;
-            for (ci, (in_chunk, out_chunk)) in items
-                .chunks_mut(chunk)
-                .zip(out.chunks_mut(chunk))
-                .enumerate()
-            {
-                let base = ci * chunk;
-                scope.spawn(move || {
-                    for (j, (item, slot)) in
-                        in_chunk.iter_mut().zip(out_chunk.iter_mut()).enumerate()
-                    {
-                        *slot = Some(f(base + j, item));
-                    }
-                });
-            }
-        });
-        out.into_iter()
-            .map(|slot| slot.expect("every slot is written by exactly one worker"))
-            .collect()
-    }
-
-    /// One epoch of work-stealing dispatch: runs `run` once for every
-    /// index in `ready`, claiming tasks through a shared cursor so
-    /// workers that finish their fair share steal the remainder.
-    ///
-    /// `ready` indexes into `slots`; each listed slot is claimed by
-    /// exactly one worker this epoch (listing an index twice runs it
-    /// twice, sequentially — the slot lock serializes the runs). Tasks
-    /// run in `ready` order *of claiming*, but which worker runs which
-    /// task is schedule-dependent, so this discipline is only for
-    /// tasks whose output is independent of the executing worker (each
-    /// task owns its whole state). With one worker (or at most one
-    /// ready task) the epoch runs inline, in `ready` order, without
-    /// spawning or allocating — the warm fleet path.
-    pub fn dispatch<T, F>(&self, slots: &[TaskSlot<T>], ready: &[usize], run: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let steals = self.dispatch_phase(slots, ready, &run);
-        self.account(ready.len(), steals);
-    }
-
-    /// One epoch of *phased* work-stealing dispatch: the phases run
-    /// strictly in order — every task of phase `p` completes before any
-    /// task of phase `p + 1` starts — while tasks *within* a phase keep
-    /// the full steal-balanced claiming of [`Scheduler::dispatch`].
+    /// Each phase indexes into `slots`; each listed slot is claimed by
+    /// exactly one worker (listing an index twice runs it twice,
+    /// sequentially — the slot lock serializes the runs). Which worker
+    /// runs which task is schedule-dependent, so this discipline is
+    /// only for tasks whose output is independent of the executing
+    /// worker (each task owns its whole state).
     ///
     /// This is the priority-class discipline the fleet serving layer
     /// uses: each phase is one priority class's ready list, so a
     /// realtime session can never be delayed behind best-effort work,
-    /// yet workers still steal freely inside a class. The barrier
-    /// between phases is the scoped-thread join itself. The whole call
-    /// accounts as **one** scheduling epoch (tasks and steals summed
-    /// over the phases); empty phases cost nothing. With one worker
-    /// every phase runs inline in ready order — phased serial dispatch
-    /// is exactly concatenated serial dispatch, which is what makes
-    /// fleet accounting worker-count invariant.
+    /// yet workers still steal freely inside a class; a flat epoch is
+    /// `&[ready]`. The barrier between phases is the scoped-thread join
+    /// itself. The whole call accounts as **one** scheduling epoch
+    /// (tasks and steals summed over the phases); empty phases cost
+    /// nothing. With one worker (or at most one task in a phase) the
+    /// phase runs inline, in ready order, without spawning or
+    /// allocating — so phased serial dispatch is exactly concatenated
+    /// serial dispatch, which is what makes fleet accounting
+    /// worker-count invariant.
     pub fn dispatch_phased<T, F>(&self, slots: &[TaskSlot<T>], phases: &[&[usize]], run: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
         let mut tasks = 0_usize;
-        let mut steals = 0_u64;
-        for ready in phases {
-            tasks += ready.len();
-            steals += self.dispatch_phase(slots, ready, &run);
-        }
-        self.account(tasks, steals);
-    }
-
-    /// Runs one dispatch phase (shared by [`Scheduler::dispatch`] and
-    /// [`Scheduler::dispatch_phased`]) and returns its steal count.
-    fn dispatch_phase<T, F>(&self, slots: &[TaskSlot<T>], ready: &[usize], run: &F) -> u64
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let n = ready.len();
-        let workers = self.workers.get().min(n);
-        if workers <= 1 {
-            for &idx in ready {
-                run(idx, &mut slots[idx].lock());
-            }
-            return 0;
-        }
-        // Fair share per worker; claims beyond it are steals.
-        let share = n.div_ceil(workers);
-        let cursor = AtomicUsize::new(0);
         let stolen = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let stolen = &stolen;
-            for _ in 0..workers {
-                scope.spawn(move || {
-                    let mut claimed = 0_u64;
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
-                            break;
-                        }
-                        claimed += 1;
-                        let idx = ready[k];
-                        run(idx, &mut slots[idx].lock());
-                    }
-                    let over = claimed.saturating_sub(share as u64);
-                    if over > 0 {
-                        stolen.fetch_add(over, Ordering::Relaxed);
-                    }
-                });
+        for ready in phases {
+            let n = ready.len();
+            tasks += n;
+            let workers = self.workers.get().min(n);
+            if workers <= 1 {
+                for &idx in *ready {
+                    run(idx, &mut slots[idx].lock());
+                }
+                continue;
             }
-        });
-        stolen.load(Ordering::Relaxed)
+            // Fair share per worker; claims beyond it are steals.
+            let share = n.div_ceil(workers) as u64;
+            let cursor = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                let (cursor, stolen, run) = (&cursor, &stolen, &run);
+                for _ in 0..workers {
+                    scope.spawn(move || {
+                        let mut claimed = 0_u64;
+                        loop {
+                            let k = cursor.fetch_add(1, Ordering::Relaxed);
+                            if k >= n {
+                                break;
+                            }
+                            claimed += 1;
+                            let idx = ready[k];
+                            run(idx, &mut slots[idx].lock());
+                        }
+                        let over = claimed.saturating_sub(share);
+                        if over > 0 {
+                            stolen.fetch_add(over, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+        }
+        self.account(tasks, stolen.into_inner());
     }
 }
 
@@ -502,35 +330,49 @@ mod tests {
         NonZeroUsize::new(n).unwrap()
     }
 
+    /// Stateless chunked map of `f` over `items` on `workers` workers.
+    fn map<I: Sync, T: Send>(
+        items: &[I],
+        workers: usize,
+        f: impl Fn(usize, &I) -> T + Sync,
+    ) -> Vec<T> {
+        Scheduler::new(threads(workers)).map_init(items, || (), |(), i, x| f(i, x))
+    }
+
     #[test]
     fn par_map_preserves_order_for_any_thread_count() {
         let items: Vec<usize> = (0..97).collect();
         let expect: Vec<usize> = items.iter().map(|x| x * 3).collect();
         for workers in [1, 2, 3, 8, 64, 200] {
-            let got = par_map(&items, threads(workers), |i, &x| {
-                assert_eq!(i, x);
-                x * 3
-            });
+            let scheduler = Scheduler::new(threads(workers));
+            let got = scheduler.map_init(
+                &items,
+                || (),
+                |(), i, &x| {
+                    assert_eq!(i, x);
+                    x * 3
+                },
+            );
             assert_eq!(got, expect, "{workers} workers");
+            let stats = scheduler.stats();
+            assert_eq!((stats.epochs, stats.tasks, stats.steals), (1, 97, 0));
         }
     }
 
     #[test]
     fn par_map_handles_empty_and_single_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, threads(8), |_, &x| x).is_empty());
-        assert_eq!(par_map(&[7_u32], threads(8), |_, &x| x + 1), vec![8]);
+        assert!(map(&empty, 8, |_, &x| x).is_empty());
+        assert_eq!(map(&[7_u32], 8, |_, &x| x + 1), vec![8]);
     }
 
     #[test]
     fn par_map_init_builds_one_state_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let items: Vec<u32> = (0..64).collect();
         for workers in [1, 2, 4, 16] {
             let inits = AtomicUsize::new(0);
-            let got = par_map_init(
+            let got = Scheduler::new(threads(workers)).map_init(
                 &items,
-                threads(workers),
                 || {
                     inits.fetch_add(1, Ordering::Relaxed);
                     Vec::<u32>::new()
@@ -555,25 +397,36 @@ mod tests {
         // Each worker's state sees exactly its contiguous chunk, so a
         // stateful fold over the chunk is deterministic per slot.
         let items: Vec<u64> = (0..40).collect();
-        let serial = par_map_init(
-            &items,
-            threads(1),
-            || 0_u64,
-            |acc, i, &x| {
-                *acc += x;
-                (i as u64, x)
-            },
-        );
-        let parallel = par_map_init(
-            &items,
-            threads(4),
-            || 0_u64,
-            |acc, i, &x| {
-                *acc += x;
-                (i as u64, x)
-            },
-        );
-        assert_eq!(serial, parallel);
+        let fold = |workers| {
+            Scheduler::new(threads(workers)).map_init(
+                &items,
+                || 0_u64,
+                |acc, i, &x| {
+                    *acc += x;
+                    (i as u64, x)
+                },
+            )
+        };
+        assert_eq!(fold(1), fold(4));
+    }
+
+    #[test]
+    fn map_mut_matches_map_over_the_same_items() {
+        // Warm `&mut` state (a stream set's pipelines) goes through the
+        // chunked map as per-item locks; every item is visited once.
+        let base: Vec<u32> = (0..37).collect();
+        for workers in [1, 2, 4, 16] {
+            let items: Vec<Mutex<u32>> = base.iter().map(|&x| Mutex::new(x)).collect();
+            let got = map(&items, workers, |i, x| {
+                let mut x = x.lock().unwrap();
+                *x += 1;
+                (i, *x)
+            });
+            let expect: Vec<(usize, u32)> = map(&base, 1, |i, &x| (i, x + 1));
+            assert_eq!(got, expect, "{workers} workers");
+            let after: Vec<u32> = items.into_iter().map(|m| m.into_inner().unwrap()).collect();
+            assert!(after.iter().zip(&base).all(|(a, b)| *a == b + 1));
+        }
     }
 
     #[test]
@@ -619,57 +472,13 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_map_matches_the_wrappers_byte_for_byte() {
-        let items: Vec<u64> = (0..53).collect();
-        let scheduler = Scheduler::new(threads(4));
-        for workers in [1, 2, 4, 9] {
-            let via_wrapper = par_map_init(
-                &items,
-                threads(workers),
-                || 1_u64,
-                |s, i, &x| {
-                    *s = s.wrapping_mul(31).wrapping_add(x);
-                    (i as u64, *s)
-                },
-            );
-            let via_scheduler = scheduler.map_init_with(
-                &items,
-                threads(workers),
-                || 1_u64,
-                |s, i, &x| {
-                    *s = s.wrapping_mul(31).wrapping_add(x);
-                    (i as u64, *s)
-                },
-            );
-            assert_eq!(via_wrapper, via_scheduler, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn map_mut_matches_map_over_the_same_items() {
-        let base: Vec<u32> = (0..37).collect();
-        let scheduler = Scheduler::new(threads(4));
-        for workers in [1, 2, 4, 16] {
-            let mut items = base.clone();
-            let got = scheduler.map_mut_with(&mut items, threads(workers), |i, x| {
-                *x += 1;
-                (i, *x)
-            });
-            let expect: Vec<(usize, u32)> =
-                base.iter().enumerate().map(|(i, &x)| (i, x + 1)).collect();
-            assert_eq!(got, expect, "{workers} workers");
-            assert!(items.iter().zip(&base).all(|(a, b)| *a == b + 1));
-        }
-    }
-
-    #[test]
     fn dispatch_runs_every_ready_task_exactly_once() {
         for workers in [1, 2, 3, 8] {
             let scheduler = Scheduler::new(threads(workers));
             let slots: Vec<TaskSlot<u64>> = (0..29).map(|_| TaskSlot::new(0)).collect();
             let ready: Vec<usize> = (0..slots.len()).collect();
             for epoch in 1..=3_u64 {
-                scheduler.dispatch(&slots, &ready, |_, count| *count += 1);
+                scheduler.dispatch_phased(&slots, &[&ready], |_, count| *count += 1);
                 for (i, slot) in slots.iter().enumerate() {
                     assert_eq!(*slot.lock(), epoch, "slot {i} on {workers} workers");
                 }
@@ -685,13 +494,13 @@ mod tests {
         let scheduler = Scheduler::new(threads(4));
         let mut slots: Vec<TaskSlot<u64>> = (0..10).map(|_| TaskSlot::new(0)).collect();
         let ready = [1_usize, 4, 7];
-        scheduler.dispatch(&slots, &ready, |idx, count| *count += idx as u64 + 1);
+        scheduler.dispatch_phased(&slots, &[&ready], |idx, count| *count += idx as u64 + 1);
         for (i, slot) in slots.iter_mut().enumerate() {
             let expect = if ready.contains(&i) { i as u64 + 1 } else { 0 };
             assert_eq!(*slot.get_mut(), expect, "slot {i}");
         }
         // An empty epoch is a no-op.
-        scheduler.dispatch(&slots, &[], |_, _: &mut u64| unreachable!());
+        scheduler.dispatch_phased(&slots, &[&[]], |_, _: &mut u64| unreachable!());
     }
 
     #[test]
@@ -701,7 +510,7 @@ mod tests {
         let scheduler = Scheduler::new(threads(2));
         let slots: Vec<TaskSlot<u64>> = (0..8).map(|_| TaskSlot::new(0)).collect();
         let ready: Vec<usize> = (0..slots.len()).collect();
-        scheduler.dispatch(&slots, &ready, |idx, count| {
+        scheduler.dispatch_phased(&slots, &[&ready], |idx, count| {
             if idx == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(30));
             }
@@ -721,7 +530,6 @@ mod tests {
 
     #[test]
     fn phased_dispatch_is_a_strict_barrier_between_phases() {
-        use std::sync::atomic::AtomicUsize;
         // Phase 1 tasks sleep; phase 2 tasks assert every phase-1 task
         // already ran. Any overlap across the barrier trips the assert.
         for workers in [1, 2, 4] {
@@ -779,12 +587,13 @@ mod tests {
 
     #[test]
     fn phased_dispatch_still_steals_within_a_phase() {
-        // 2 workers over one 8-task phase with a straggler: the free
-        // worker must steal the remainder, exactly like flat dispatch.
+        // An inline one-task phase, then 2 workers over an 8-task phase
+        // with a straggler: the free worker must steal the remainder of
+        // the later phase, exactly like a flat epoch.
         let scheduler = Scheduler::new(threads(2));
-        let slots: Vec<TaskSlot<u64>> = (0..8).map(|_| TaskSlot::new(0)).collect();
-        let ready: Vec<usize> = (0..slots.len()).collect();
-        scheduler.dispatch_phased(&slots, &[&ready], |idx, count| {
+        let slots: Vec<TaskSlot<u64>> = (0..9).map(|_| TaskSlot::new(0)).collect();
+        let ready: Vec<usize> = (0..8).collect();
+        scheduler.dispatch_phased(&slots, &[&[8], &ready], |idx, count| {
             if idx == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(30));
             }
@@ -793,6 +602,7 @@ mod tests {
         for slot in &slots {
             assert_eq!(*slot.lock(), 1);
         }
+        assert_eq!(scheduler.stats().tasks, 9);
         assert!(
             scheduler.stats().steals >= 2,
             "steal balance survives inside a phase (got {})",

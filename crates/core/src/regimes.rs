@@ -25,7 +25,6 @@ use crate::units::{Area, Power};
 
 /// The two communication-centric scaling hypotheses of Section 5.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ScalingRegime {
     /// Every channel carries its own non-sensing increment.
@@ -46,7 +45,6 @@ impl fmt::Display for ScalingRegime {
 /// A 1024-channel reference design split into sensing and non-sensing
 /// parts (Eq. 2), the anchor for all beyond-1024 projections.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SplitDesign {
     scaled: ScaledSoc,
     sensing_power: Power,
@@ -184,7 +182,6 @@ impl SplitDesign {
 
 /// A projected design point at a channel count beyond the reference.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Projection {
     channels: u64,
     regime: ScalingRegime,

@@ -36,7 +36,6 @@ use crate::units::{Area, Power, PowerDensity};
 
 /// The adjustment rules applied while scaling a design (Section 4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Adjustment {
     /// Baseline Eq. 1 scaling: power linear, area ∝ √n.
@@ -73,7 +72,6 @@ impl fmt::Display for Adjustment {
 /// Carries the original specification plus the scaled totals and a record
 /// of the adjustments applied.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScaledSoc {
     spec: SocSpec,
     display_name: String,

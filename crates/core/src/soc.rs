@@ -33,7 +33,6 @@ pub const DEFAULT_SAMPLE_BITS: u8 = 10;
 
 /// The sensing technology of a neural interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum NiTechnology {
     /// Micro-electrode sensing (penetrating, surface, or endovascular).
@@ -58,7 +57,6 @@ impl fmt::Display for NiTechnology {
 /// (Eq. 2) but does not publish the split per design; these are the
 /// documented assumptions of `DESIGN.md` §3.1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensingFractions {
     power: f64,
     area: f64,
@@ -105,7 +103,6 @@ impl Default for SensingFractions {
 /// Construct custom designs with [`SocSpec::builder`]; the paper's rows are
 /// available from [`published_socs`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SocSpec {
     id: u8,
     name: String,

@@ -8,52 +8,34 @@
 //! the worker count, so sweep output (and anything derived from it,
 //! such as CSV artifacts) is byte-for-byte reproducible.
 //!
-//! Three layers are exposed:
+//! Two layers are exposed, both clients of a caller-supplied
+//! [`Scheduler`] (the chunked, order-preserving
+//! [`Scheduler::map_init`] discipline):
 //!
-//! * [`crate::pool::par_map`] — the generic deterministic fan-out
-//!   primitive (re-exported here as [`par_map`] for compatibility):
-//!   map a function over a slice on `n` scoped threads, preserving
-//!   order. The sweep engine shares it with batched DNN inference and
-//!   the block-sampled Monte-Carlo BER path.
-//! * [`SweepGrid::map`] / [`SweepGrid::map_with_threads`] — enumerate
-//!   the grid and apply an arbitrary per-cell function (used by the
-//!   RF- and DNN-aware experiment sweeps, which bring their own
-//!   models).
-//! * [`SweepGrid::evaluate`] — the built-in power/area evaluation:
-//!   project every cell under its regime (memoized in a thread-safe
-//!   [`ProjectionCache`]), derate non-sensing power by the cell's
-//!   communication efficiency, and report budget utilization.
+//! * [`SweepGrid::map`] — enumerate the grid and apply an arbitrary
+//!   per-cell function (used by the RF- and DNN-aware experiment
+//!   sweeps, which bring their own models).
+//! * [`SweepGrid::evaluate_on`] / [`SweepGrid::evaluate_cached`] — the
+//!   built-in power/area evaluation: project every cell under its
+//!   regime (memoized in a thread-safe [`ProjectionCache`]), derate
+//!   non-sensing power by the cell's communication efficiency, and
+//!   report budget utilization.
 //!
-//! Worker count defaults to the machine's available parallelism and can
-//! be pinned with the `MINDFUL_SWEEP_THREADS` environment variable
-//! (values are clamped to `[1, 256]`; unparsable values fall back to
-//! the default). See [`crate::pool`] for the resolution rules.
+//! The worker count is the scheduler's; see [`crate::pool`] for how
+//! [`Scheduler::with_default_threads`] resolves it from the machine
+//! and the `MINDFUL_SWEEP_THREADS` environment variable.
 
 use std::collections::HashMap;
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::error::{CoreError, Result};
 use crate::explore::{pareto_frontier, CandidatePoint};
+use crate::pool::Scheduler;
 use crate::regimes::{Projection, ScalingRegime, SplitDesign};
 use crate::scaling::scale_to_standard;
 use crate::soc::SocSpec;
 use crate::units::{Area, Power};
-
-pub use crate::pool::{par_map, MAX_SWEEP_THREADS, SWEEP_THREADS_ENV};
-
-/// Resolves the worker count for parallel sweeps.
-///
-/// Alias of [`crate::pool::default_threads`], kept under the name the
-/// sweep engine introduced: honors [`SWEEP_THREADS_ENV`] when set to a
-/// positive integer (clamped to [`MAX_SWEEP_THREADS`]); otherwise uses
-/// the machine's available parallelism, falling back to 1 if that
-/// cannot be queried.
-#[must_use]
-pub fn sweep_threads() -> NonZeroUsize {
-    crate::pool::default_threads()
-}
 
 /// One cell of a [`SweepGrid`], handed to per-cell functions.
 #[derive(Debug, Clone, Copy)]
@@ -93,7 +75,7 @@ pub struct SweepCoord<'g> {
 ///     .build()?;
 /// // 8 SoCs x 2 regimes (default) x 4 channel counts x 1 efficiency.
 /// assert_eq!(grid.len(), 64);
-/// let result = grid.evaluate()?;
+/// let result = grid.evaluate_on(&Scheduler::with_default_threads())?;
 /// assert_eq!(result.len(), 64);
 /// # Ok::<(), mindful_core::CoreError>(())
 /// ```
@@ -261,76 +243,25 @@ impl SweepGrid {
         }
     }
 
-    /// Maps `f` over every cell using the default worker count
-    /// ([`sweep_threads`]), returning results in grid order.
-    pub fn map<T, F>(&self, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(SweepCoord<'_>) -> T + Sync,
-    {
-        self.map_with_threads(sweep_threads(), f)
-    }
-
-    /// Maps `f` over every cell on up to `threads` workers, returning
-    /// results in grid order regardless of the worker count.
-    ///
-    /// A client of the shared [`crate::pool::Scheduler`] (via
-    /// [`par_map`]); use [`Self::map_on`] to target an explicit
-    /// scheduler instead.
-    pub fn map_with_threads<T, F>(&self, threads: NonZeroUsize, f: F) -> Vec<T>
+    /// Maps `f` over every cell as a client of `scheduler`, returning
+    /// results in grid order regardless of its worker count.
+    pub fn map<T, F>(&self, scheduler: &Scheduler, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(SweepCoord<'_>) -> T + Sync,
     {
         let indices: Vec<usize> = (0..self.len()).collect();
-        par_map(&indices, threads, |_, &i| f(self.coord(i)))
+        scheduler.map_init(&indices, || (), |(), _, &i| f(self.coord(i)))
     }
 
-    /// Maps `f` over every cell as a client of an explicit
-    /// `scheduler`, using its full worker budget, returning results in
-    /// grid order.
-    ///
-    /// Output is byte-identical to [`Self::map_with_threads`] at the
-    /// same worker count — the sweep does not own a pool either way,
-    /// it only chooses which scheduler to enqueue on.
-    pub fn map_on<T, F>(&self, scheduler: &crate::pool::Scheduler, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(SweepCoord<'_>) -> T + Sync,
-    {
-        let indices: Vec<usize> = (0..self.len()).collect();
-        scheduler.map(&indices, |_, &i| f(self.coord(i)))
-    }
-
-    /// Evaluates every cell with the built-in power/area model and the
-    /// default worker count.
+    /// Evaluates every cell on `scheduler` with a fresh projection
+    /// cache.
     ///
     /// # Errors
     ///
     /// See [`Self::evaluate_cached`].
-    pub fn evaluate(&self) -> Result<SweepResult> {
-        self.evaluate_with_threads(sweep_threads())
-    }
-
-    /// Evaluates every cell on up to `threads` workers with a fresh
-    /// projection cache.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::evaluate_cached`].
-    pub fn evaluate_with_threads(&self, threads: NonZeroUsize) -> Result<SweepResult> {
-        self.evaluate_cached(&ProjectionCache::new(), threads)
-    }
-
-    /// Evaluates every cell as a client of an explicit `scheduler`
-    /// with a fresh projection cache; byte-identical to
-    /// [`Self::evaluate_with_threads`] at the same worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::evaluate_cached`].
-    pub fn evaluate_on(&self, scheduler: &crate::pool::Scheduler) -> Result<SweepResult> {
-        self.evaluate_with_threads(scheduler.workers())
+    pub fn evaluate_on(&self, scheduler: &Scheduler) -> Result<SweepResult> {
+        self.evaluate_cached(&ProjectionCache::new(), scheduler)
     }
 
     /// Evaluates every cell, memoizing projections in `cache`.
@@ -355,10 +286,10 @@ impl SweepGrid {
     pub fn evaluate_cached(
         &self,
         cache: &ProjectionCache,
-        threads: NonZeroUsize,
+        scheduler: &Scheduler,
     ) -> Result<SweepResult> {
         let splits = self.splits()?;
-        let rows = self.map_with_threads(threads, |coord| {
+        let rows = self.map(scheduler, |coord| {
             let projection = cache.project(
                 coord.soc_index,
                 &splits[coord.soc_index],
@@ -395,13 +326,13 @@ impl SweepGrid {
     pub fn evaluate_observed(
         &self,
         cache: &ProjectionCache,
-        threads: NonZeroUsize,
+        scheduler: &Scheduler,
         registry: &crate::obs::Registry,
         prefix: &str,
     ) -> Result<SweepResult> {
         let _span = crate::obs::span("sweep.evaluate");
         let start = std::time::Instant::now();
-        let result = self.evaluate_cached(cache, threads);
+        let result = self.evaluate_cached(cache, scheduler);
         let elapsed = start.elapsed();
         registry
             .histogram(&format!("{prefix}.eval_ns"))
@@ -432,30 +363,21 @@ impl SweepGrid {
         result
     }
 
-    /// Projects every cell under its regime with the default worker
-    /// count, returning raw [`Projection`]s in grid order.
+    /// Projects every cell under its regime on `scheduler`, returning
+    /// raw [`Projection`]s in grid order.
     ///
     /// Projections do not depend on the efficiency axis, so grids with
     /// a non-trivial efficiency axis get one (cached) projection per
     /// `(SoC, regime, channels)` repeated across efficiencies; use
-    /// [`Self::evaluate`] when efficiency should derate power.
+    /// [`Self::evaluate_on`] when efficiency should derate power.
     ///
     /// # Errors
     ///
     /// Same as [`Self::evaluate_cached`].
-    pub fn project(&self) -> Result<Vec<Projection>> {
-        self.project_with_threads(sweep_threads())
-    }
-
-    /// [`Self::project`] with an explicit worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::evaluate_cached`].
-    pub fn project_with_threads(&self, threads: NonZeroUsize) -> Result<Vec<Projection>> {
+    pub fn project(&self, scheduler: &Scheduler) -> Result<Vec<Projection>> {
         let splits = self.splits()?;
         let cache = ProjectionCache::new();
-        self.map_with_threads(threads, |coord| {
+        self.map(scheduler, |coord| {
             cache.project(
                 coord.soc_index,
                 &splits[coord.soc_index],
@@ -617,7 +539,7 @@ impl SweepPoint {
     }
 }
 
-/// The outcome of [`SweepGrid::evaluate`]: one [`SweepPoint`] per cell,
+/// The outcome of [`SweepGrid::evaluate_on`]: one [`SweepPoint`] per cell,
 /// in grid order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
@@ -723,12 +645,13 @@ impl SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroUsize;
+
+    use crate::pool::{MAX_SWEEP_THREADS, SWEEP_THREADS_ENV};
     use crate::soc::{soc_by_id, wireless_socs};
 
-    const ONE: NonZeroUsize = NonZeroUsize::MIN;
-
-    fn threads(n: usize) -> NonZeroUsize {
-        NonZeroUsize::new(n).unwrap()
+    fn sched(workers: usize) -> Scheduler {
+        Scheduler::new(NonZeroUsize::new(workers).unwrap())
     }
 
     fn toy_grid() -> SweepGrid {
@@ -746,9 +669,9 @@ mod tests {
         let registry = crate::obs::Registry::new();
         let cache = ProjectionCache::new();
         let observed = grid
-            .evaluate_observed(&cache, ONE, &registry, "sweep")
+            .evaluate_observed(&cache, &sched(1), &registry, "sweep")
             .unwrap();
-        let plain = grid.evaluate_with_threads(ONE).unwrap();
+        let plain = grid.evaluate_on(&sched(1)).unwrap();
         assert_eq!(observed.points(), plain.points());
         let s = registry.snapshot();
         assert_eq!(s.counter("sweep.points"), Some(grid.len() as u64));
@@ -766,7 +689,7 @@ mod tests {
         // A second sweep through the same warm cache accumulates the
         // counters and refreshes the gauges.
         let again = grid
-            .evaluate_observed(&cache, ONE, &registry, "sweep")
+            .evaluate_observed(&cache, &sched(1), &registry, "sweep")
             .unwrap();
         let s = registry.snapshot();
         assert_eq!(s.counter("sweep.points"), Some(2 * grid.len() as u64));
@@ -858,27 +781,28 @@ mod tests {
     #[test]
     fn parallel_evaluation_matches_serial_exactly() {
         let grid = toy_grid();
-        let serial = grid.evaluate_with_threads(ONE).unwrap();
+        let serial = grid.evaluate_on(&sched(1)).unwrap();
         for workers in [2, 5, 8] {
-            let parallel = grid.evaluate_with_threads(threads(workers)).unwrap();
+            let parallel = grid.evaluate_on(&sched(workers)).unwrap();
             assert_eq!(serial.points(), parallel.points(), "{workers} workers");
             assert_eq!(serial.to_csv(), parallel.to_csv(), "{workers} workers");
         }
     }
 
+    /// Regression: `evaluate_on` once forwarded only the worker count
+    /// to a hidden process-wide scheduler, so the scheduler it was
+    /// given ran nothing.
     #[test]
-    fn scheduler_client_entry_points_match_the_thread_forms() {
+    fn evaluate_on_dispatches_on_the_given_scheduler() {
         let grid = toy_grid();
-        let baseline = grid.evaluate_with_threads(threads(3)).unwrap();
-        let scheduler = crate::pool::Scheduler::new(threads(3));
-        let via_scheduler = grid.evaluate_on(&scheduler).unwrap();
-        assert_eq!(baseline.points(), via_scheduler.points());
-        assert_eq!(baseline.to_csv(), via_scheduler.to_csv());
-
-        let mapped = grid.map_with_threads(threads(3), |c| (c.index, c.channels));
-        let mapped_on = grid.map_on(&scheduler, |c| (c.index, c.channels));
-        assert_eq!(mapped, mapped_on);
-        assert!(scheduler.stats().tasks >= grid.len() as u64);
+        for workers in [1, 3] {
+            let scheduler = sched(workers);
+            grid.evaluate_on(&scheduler).unwrap();
+            let stats = scheduler.stats();
+            assert_eq!((stats.epochs, stats.tasks), (1, grid.len() as u64));
+            grid.project(&scheduler).unwrap();
+            assert_eq!(scheduler.stats().tasks, 2 * grid.len() as u64);
+        }
     }
 
     #[test]
@@ -889,7 +813,7 @@ mod tests {
             .channels([4096])
             .build()
             .unwrap();
-        let result = grid.evaluate_with_threads(ONE).unwrap();
+        let result = grid.evaluate_on(&sched(1)).unwrap();
         assert_eq!(result.len(), 1);
         let point = &result.points()[0];
 
@@ -910,7 +834,7 @@ mod tests {
             .efficiencies([1.0, 0.5])
             .build()
             .unwrap();
-        let result = grid.evaluate_with_threads(ONE).unwrap();
+        let result = grid.evaluate_on(&sched(1)).unwrap();
         let [nominal, derated] = result.points() else {
             panic!("expected two points");
         };
@@ -933,7 +857,7 @@ mod tests {
     #[test]
     fn projection_cache_memoizes_across_efficiencies() {
         let grid = toy_grid();
-        let result = grid.evaluate_with_threads(ONE).unwrap();
+        let result = grid.evaluate_on(&sched(1)).unwrap();
         // 3 efficiencies share each (soc, regime, channels) projection.
         let unique = (grid.len() / grid.efficiencies().len()) as u64;
         assert_eq!(result.cache_misses(), unique);
@@ -944,9 +868,9 @@ mod tests {
     fn reused_cache_serves_every_projection_the_second_time() {
         let grid = toy_grid();
         let cache = ProjectionCache::new();
-        let first = grid.evaluate_cached(&cache, ONE).unwrap();
+        let first = grid.evaluate_cached(&cache, &sched(1)).unwrap();
         let misses_after_first = cache.misses();
-        let second = grid.evaluate_cached(&cache, ONE).unwrap();
+        let second = grid.evaluate_cached(&cache, &sched(1)).unwrap();
         assert_eq!(cache.misses(), misses_after_first);
         assert_eq!(cache.len() as u64, misses_after_first);
         assert!(!cache.is_empty());
@@ -962,7 +886,7 @@ mod tests {
             .build()
             .unwrap();
         for workers in [1, 4] {
-            let err = grid.evaluate_with_threads(threads(workers)).unwrap_err();
+            let err = grid.evaluate_on(&sched(workers)).unwrap_err();
             assert_eq!(
                 err,
                 CoreError::BelowReferenceChannels {
@@ -981,7 +905,7 @@ mod tests {
             .channels([1024, 2048, 4096, 8192])
             .build()
             .unwrap();
-        let result = grid.evaluate_with_threads(threads(4)).unwrap();
+        let result = grid.evaluate_on(&sched(4)).unwrap();
         let feasible = result.feasible();
         assert!(!feasible.is_empty());
         let frontier = result.feasible_frontier().unwrap();
@@ -1001,7 +925,7 @@ mod tests {
             .channels([1024, 2048])
             .build()
             .unwrap();
-        let csv = grid.evaluate_with_threads(ONE).unwrap().to_csv();
+        let csv = grid.evaluate_on(&sched(1)).unwrap().to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + grid.len());
         assert!(lines[0].starts_with("soc,regime,channels,efficiency"));
@@ -1010,15 +934,16 @@ mod tests {
 
     #[test]
     fn sweep_threads_env_override_and_clamping() {
+        let workers = || Scheduler::with_default_threads().workers().get();
         std::env::set_var(SWEEP_THREADS_ENV, "3");
-        assert_eq!(sweep_threads().get(), 3);
+        assert_eq!(workers(), 3);
         std::env::set_var(SWEEP_THREADS_ENV, "100000");
-        assert_eq!(sweep_threads().get(), MAX_SWEEP_THREADS);
+        assert_eq!(workers(), MAX_SWEEP_THREADS);
         std::env::set_var(SWEEP_THREADS_ENV, "not-a-number");
-        assert!(sweep_threads().get() >= 1);
+        assert!(workers() >= 1);
         std::env::set_var(SWEEP_THREADS_ENV, "0");
-        assert!(sweep_threads().get() >= 1);
+        assert!(workers() >= 1);
         std::env::remove_var(SWEEP_THREADS_ENV);
-        assert!(sweep_threads().get() >= 1);
+        assert!(workers() >= 1);
     }
 }

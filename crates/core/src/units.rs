@@ -41,7 +41,6 @@ macro_rules! quantity {
     ) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct $name(f64);
 
         impl $name {

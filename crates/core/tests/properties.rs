@@ -4,6 +4,7 @@ use std::num::NonZeroUsize;
 
 use mindful_core::budget::{budget_utilization, minimum_safe_area, power_budget};
 use mindful_core::explore::{pareto_frontier, pareto_frontier_naive, CandidatePoint};
+use mindful_core::pool::Scheduler;
 use mindful_core::regimes::{ScalingRegime, SplitDesign};
 use mindful_core::scaling::{scale_baseline, scale_to_channels};
 use mindful_core::soc::{soc_by_id, wireless_socs, SensingFractions, SocSpec};
@@ -272,10 +273,10 @@ proptest! {
             .build()
             .unwrap();
         let serial = grid
-            .evaluate_with_threads(NonZeroUsize::MIN)
+            .evaluate_on(&Scheduler::new(NonZeroUsize::MIN))
             .unwrap();
         let parallel = grid
-            .evaluate_with_threads(NonZeroUsize::new(workers).unwrap())
+            .evaluate_on(&Scheduler::new(NonZeroUsize::new(workers).unwrap()))
             .unwrap();
         prop_assert_eq!(serial.points(), parallel.points());
         prop_assert_eq!(serial.to_csv(), parallel.to_csv());

@@ -21,20 +21,19 @@
 //!   borrows a thread-local workspace, so repeated calls allocate only
 //!   the returned output vector.
 //! * [`Network::forward_batch`] fans a batch of samples over the
-//!   shared worker pool (`mindful_core::pool`), one workspace per
-//!   worker, returning outputs in input order for any thread count.
+//!   caller's [`Scheduler`], one workspace per worker, returning
+//!   outputs in input order for any worker count.
 //! * [`Network::forward_naive`] retains the original per-layer
 //!   allocating loops as a property-test oracle and benchmark
 //!   baseline, mirroring the skyline/naive pairing of the sweep
 //!   engine.
 
 use std::cell::RefCell;
-use std::num::NonZeroUsize;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mindful_core::pool;
+use mindful_core::pool::Scheduler;
 
 use crate::arch::{Architecture, LayerSpec};
 use crate::error::{DnnError, Result};
@@ -266,68 +265,19 @@ impl Network {
         Ok(self.run_layers(input, self.arch.len(), false, workspace))
     }
 
-    /// Runs the network on a batch of samples, fanned over up to
-    /// `threads` workers from the shared pool
-    /// (`mindful_core::pool::par_map_init`), one warm workspace per
-    /// worker.
+    /// Runs the network on a batch of samples as a client of
+    /// `scheduler` (chunked [`Scheduler::map_init`] dispatch), one warm
+    /// workspace per worker.
     ///
     /// Outputs come back in input order and are bit-identical to
-    /// per-sample [`Network::forward`] calls for any thread count.
+    /// per-sample [`Network::forward`] calls for any worker count.
     ///
     /// # Errors
     ///
     /// Returns [`DnnError::ShapeMismatch`] if any sample has the wrong
     /// width (checked up front, so the error names the first offending
     /// sample deterministically).
-    pub fn forward_batch<S>(&self, inputs: &[S], threads: NonZeroUsize) -> Result<Vec<Vec<f32>>>
-    where
-        S: AsRef<[f32]> + Sync,
-    {
-        for sample in inputs {
-            self.check_input(sample.as_ref())?;
-        }
-        Ok(pool::par_map_init(
-            inputs,
-            threads,
-            || self.workspace(),
-            |ws, _, sample| {
-                self.run_layers(sample.as_ref(), self.arch.len(), false, ws)
-                    .to_vec()
-            },
-        ))
-    }
-
-    /// [`Network::forward_batch`] with the pool's default worker count
-    /// (`MINDFUL_SWEEP_THREADS` or the machine's parallelism).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::forward_batch`].
-    pub fn forward_batch_auto<S>(&self, inputs: &[S]) -> Result<Vec<Vec<f32>>>
-    where
-        S: AsRef<[f32]> + Sync,
-    {
-        self.forward_batch(inputs, pool::default_threads())
-    }
-
-    /// [`Network::forward_batch`] as a client of an explicit
-    /// `scheduler`, using its full worker budget and one warm workspace
-    /// per worker.
-    ///
-    /// Outputs are bit-identical to [`Network::forward_batch`] at the
-    /// same worker count — inference does not own a pool either way, it
-    /// only chooses which scheduler to enqueue on. The fleet serving
-    /// layer uses this form so batch inference and session stepping
-    /// share one worker budget.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::forward_batch`].
-    pub fn forward_batch_on<S>(
-        &self,
-        inputs: &[S],
-        scheduler: &pool::Scheduler,
-    ) -> Result<Vec<Vec<f32>>>
+    pub fn forward_batch<S>(&self, inputs: &[S], scheduler: &Scheduler) -> Result<Vec<Vec<f32>>>
     where
         S: AsRef<[f32]> + Sync,
     {
@@ -364,7 +314,7 @@ impl Network {
     pub fn forward_batch_observed<S>(
         &self,
         inputs: &[S],
-        threads: NonZeroUsize,
+        scheduler: &Scheduler,
         registry: &mindful_core::obs::Registry,
         prefix: &str,
     ) -> Result<Vec<Vec<f32>>>
@@ -379,7 +329,7 @@ impl Network {
             let batch_ns = registry.histogram(&format!("{prefix}.batch_ns"));
             queue_depth.set(inputs.len() as u64);
             let start = std::time::Instant::now();
-            let outputs = self.forward_batch(inputs, threads)?;
+            let outputs = self.forward_batch(inputs, scheduler)?;
             batch_ns.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
             samples.add(inputs.len() as u64);
             batches.increment();
@@ -388,7 +338,7 @@ impl Network {
         #[cfg(not(feature = "obs"))]
         {
             let _ = (registry, prefix);
-            self.forward_batch(inputs, threads)
+            self.forward_batch(inputs, scheduler)
         }
     }
 
@@ -648,6 +598,7 @@ fn apply_layer_naive(layer: &LayerSpec, input: &[f32], weights: &[f32], bias: &[
 mod tests {
     use super::*;
     use crate::models::{ModelFamily, BASE_CHANNELS, OUTPUT_LABELS};
+    use std::num::NonZeroUsize;
 
     #[test]
     fn mlp_forward_produces_forty_labels() {
@@ -723,6 +674,10 @@ mod tests {
         assert!(cold.width() >= 128);
     }
 
+    fn sched(workers: usize) -> Scheduler {
+        Scheduler::new(NonZeroUsize::new(workers).unwrap())
+    }
+
     #[test]
     fn forward_batch_matches_mapped_forward() {
         let arch = ModelFamily::Mlp.architecture(BASE_CHANNELS).unwrap();
@@ -732,33 +687,34 @@ mod tests {
             .collect();
         let expect: Vec<Vec<f32>> = batch.iter().map(|x| net.forward(x).unwrap()).collect();
         for workers in [1_usize, 2, 3, 8] {
-            let got = net
-                .forward_batch(&batch, NonZeroUsize::new(workers).unwrap())
-                .unwrap();
+            let got = net.forward_batch(&batch, &sched(workers)).unwrap();
             assert_eq!(got, expect, "{workers} workers");
         }
-        assert_eq!(net.forward_batch_auto(&batch).unwrap(), expect);
+        let default = Scheduler::with_default_threads();
+        assert_eq!(net.forward_batch(&batch, &default).unwrap(), expect);
         let empty: Vec<Vec<f32>> = Vec::new();
-        assert!(net.forward_batch_auto(&empty).unwrap().is_empty());
+        assert!(net.forward_batch(&empty, &default).unwrap().is_empty());
     }
 
     #[test]
-    fn forward_batch_on_matches_the_thread_form() {
+    fn forward_batch_dispatches_on_the_given_scheduler() {
         let arch = ModelFamily::Mlp.architecture(BASE_CHANNELS).unwrap();
         let net = Network::with_seeded_weights(arch, 21);
         let batch: Vec<Vec<f32>> = (0..7)
             .map(|s| (0..128).map(|i| ((i + s) as f32).sin()).collect())
             .collect();
         for workers in [1_usize, 3] {
-            let threads = NonZeroUsize::new(workers).unwrap();
-            let scheduler = pool::Scheduler::new(threads);
-            let got = net.forward_batch_on(&batch, &scheduler).unwrap();
-            assert_eq!(got, net.forward_batch(&batch, threads).unwrap());
-            assert_eq!(scheduler.stats().tasks, batch.len() as u64);
+            let scheduler = sched(workers);
+            net.forward_batch(&batch, &scheduler).unwrap();
+            let stats = scheduler.stats();
+            assert_eq!((stats.epochs, stats.tasks), (1, batch.len() as u64));
         }
-        let bad = vec![vec![0.0_f32; 127]];
-        let scheduler = pool::Scheduler::new(NonZeroUsize::MIN);
-        assert!(net.forward_batch_on(&bad, &scheduler).is_err());
+        // A rejected batch is refused before any dispatch.
+        let scheduler = sched(1);
+        assert!(net
+            .forward_batch(&[vec![0.0_f32; 127]], &scheduler)
+            .is_err());
+        assert_eq!(scheduler.stats().tasks, 0);
     }
 
     #[test]
@@ -767,7 +723,7 @@ mod tests {
         let net = Network::with_seeded_weights(arch, 2);
         let batch = vec![vec![0.0_f32; 128], vec![0.0_f32; 127]];
         assert!(matches!(
-            net.forward_batch_auto(&batch),
+            net.forward_batch(&batch, &Scheduler::with_default_threads()),
             Err(DnnError::ShapeMismatch {
                 expected: 128,
                 actual: 127
@@ -831,11 +787,11 @@ mod tests {
         let batch: Vec<Vec<f32>> = (0..5)
             .map(|s| (0..128).map(|i| ((i + s) as f32).sin()).collect())
             .collect();
-        let one = NonZeroUsize::new(1).unwrap();
+        let one = sched(1);
         let registry = Registry::new();
         clear_spans();
         let got = net
-            .forward_batch_observed(&batch, one, &registry, "infer")
+            .forward_batch_observed(&batch, &one, &registry, "infer")
             .unwrap();
         if spans_enabled() {
             // Single-threaded, so the per-layer spans landed on this
@@ -849,7 +805,7 @@ mod tests {
                 "one span per dense layer per sample"
             );
         }
-        assert_eq!(got, net.forward_batch(&batch, one).unwrap());
+        assert_eq!(got, net.forward_batch(&batch, &one).unwrap());
         let s = registry.snapshot();
         assert_eq!(s.counter("infer.samples"), Some(5));
         assert_eq!(s.counter("infer.batches"), Some(1));

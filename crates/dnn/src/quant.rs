@@ -34,9 +34,7 @@
 //! single `f32` multiplier `m_k = s_in·s_w / s_next` applied at
 //! requantization.
 
-use std::num::NonZeroUsize;
-
-use mindful_core::pool;
+use mindful_core::pool::Scheduler;
 
 use crate::arch::LayerSpec;
 use crate::error::{DnnError, Result};
@@ -479,17 +477,16 @@ impl QuantizedNetwork {
         Ok(&dequant[..width])
     }
 
-    /// Runs the int8 path on a batch of samples, fanned over up to
-    /// `threads` workers from the shared pool — the int8 twin of
-    /// [`Network::forward_batch`]. Outputs come back in input order and
-    /// are identical for any thread count (integer arithmetic is
-    /// exact).
+    /// Runs the int8 path on a batch of samples as a client of
+    /// `scheduler` — the int8 twin of [`Network::forward_batch`].
+    /// Outputs come back in input order and are identical for any
+    /// worker count (integer arithmetic is exact).
     ///
     /// # Errors
     ///
     /// Returns [`DnnError::ShapeMismatch`] if any sample has the wrong
     /// width (checked up front).
-    pub fn forward_batch<S>(&self, inputs: &[S], threads: NonZeroUsize) -> Result<Vec<Vec<f32>>>
+    pub fn forward_batch<S>(&self, inputs: &[S], scheduler: &Scheduler) -> Result<Vec<Vec<f32>>>
     where
         S: AsRef<[f32]> + Sync,
     {
@@ -501,9 +498,8 @@ impl QuantizedNetwork {
                 });
             }
         }
-        Ok(pool::par_map_init(
+        Ok(scheduler.map_init(
             inputs,
-            threads,
             || self.workspace(),
             |ws, _, sample| {
                 self.forward_into(sample.as_ref(), ws)
@@ -534,6 +530,7 @@ mod tests {
     use crate::models::ModelFamily;
     use mindful_accel::sim::{simulate_dense, DenseLayer};
     use mindful_accel::tech::TechnologyNode;
+    use std::num::NonZeroUsize;
 
     fn small_network(seed: u64) -> Network {
         let arch = Architecture::new(
@@ -675,7 +672,7 @@ mod tests {
             .collect();
         for workers in [1_usize, 2, 3] {
             let got = q
-                .forward_batch(&cal, NonZeroUsize::new(workers).unwrap())
+                .forward_batch(&cal, &Scheduler::new(NonZeroUsize::new(workers).unwrap()))
                 .unwrap();
             assert_eq!(got, expect, "{workers} workers");
         }
@@ -721,7 +718,7 @@ mod tests {
             })
         ));
         assert!(q
-            .forward_batch(&[vec![0.0_f32; 3]], NonZeroUsize::MIN)
+            .forward_batch(&[vec![0.0_f32; 3]], &Scheduler::new(NonZeroUsize::MIN))
             .is_err());
         // Empty calibration and non-finite samples are rejected.
         let empty: Vec<Vec<f32>> = Vec::new();

@@ -3,6 +3,7 @@
 
 use std::num::NonZeroUsize;
 
+use mindful_core::pool::Scheduler;
 use mindful_dnn::infer::{Network, Workspace};
 use mindful_dnn::kernels::{conv1d_into, conv1d_naive, dense_into, dense_naive, transpose_dense};
 use mindful_dnn::models::{ModelFamily, BASE_CHANNELS};
@@ -114,7 +115,7 @@ proptest! {
         let expect: Vec<Vec<f32>> =
             batch.iter().map(|x| net.forward(x).unwrap()).collect();
         let got = net
-            .forward_batch(&batch, NonZeroUsize::new(workers).unwrap())
+            .forward_batch(&batch, &Scheduler::new(NonZeroUsize::new(workers).unwrap()))
             .unwrap();
         // Bit-exact: the batched path runs the identical kernels.
         prop_assert_eq!(got, expect, "{} samples on {} workers", samples, workers);

@@ -12,8 +12,9 @@ use std::path::Path;
 
 use mindful_core::explore::{best_by_channels, CandidatePoint};
 use mindful_core::obs::{Registry, Snapshot};
+use mindful_core::pool::Scheduler;
 use mindful_core::soc::wireless_socs;
-use mindful_core::sweep::{sweep_threads, ProjectionCache, SweepGrid, SweepResult};
+use mindful_core::sweep::{ProjectionCache, SweepGrid, SweepResult};
 use mindful_plot::{Csv, LineChart, Series};
 
 use crate::error::Result;
@@ -61,8 +62,12 @@ pub fn grid() -> Result<SweepGrid> {
 /// grid).
 pub fn generate() -> Result<Explore> {
     let registry = Registry::new();
-    let result =
-        grid()?.evaluate_observed(&ProjectionCache::new(), sweep_threads(), &registry, "sweep")?;
+    let result = grid()?.evaluate_observed(
+        &ProjectionCache::new(),
+        &Scheduler::with_default_threads(),
+        &registry,
+        "sweep",
+    )?;
     let frontier = result.feasible_frontier()?;
     Ok(Explore {
         result,
@@ -162,7 +167,7 @@ pub fn render(fig: &Explore, dir: &Path) -> Result<Artifacts> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mindful_core::sweep::SWEEP_THREADS_ENV;
+    use mindful_core::pool::SWEEP_THREADS_ENV;
 
     #[test]
     fn sweep_covers_the_full_product_space() {

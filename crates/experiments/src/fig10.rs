@@ -3,9 +3,10 @@
 
 use std::path::Path;
 
+use mindful_core::pool::Scheduler;
 use mindful_core::regimes::{standard_split_designs, ScalingRegime};
 use mindful_core::soc::wireless_socs;
-use mindful_core::sweep::{par_map, sweep_threads, SweepGrid};
+use mindful_core::sweep::SweepGrid;
 use mindful_dnn::integration::{evaluate_full, max_channels, IntegrationConfig};
 use mindful_dnn::models::ModelFamily;
 use mindful_dnn::DnnError;
@@ -77,22 +78,27 @@ pub fn generate() -> Result<Fig10> {
         .regimes([ScalingRegime::Naive])
         .channels(channels.clone())
         .build()?;
+    let scheduler = Scheduler::with_default_threads();
     let mut fig = Fig10 {
         mlp: Vec::new(),
         dn_cnn: Vec::new(),
     };
     for family in ModelFamily::ALL {
-        let cells =
-            grid.map(
-                |c| match evaluate_full(&designs[c.soc_index], family, c.channels, &config) {
-                    Ok(point) => Ok(Some(point.budget_utilization())),
-                    Err(DnnError::Accel(_)) => Ok(None),
-                    Err(e) => Err(crate::ExperimentError::from(e)),
-                },
-            );
-        let maxima = par_map(&designs, sweep_threads(), |_, design| {
-            max_channels(design, family, &config, 64, 1 << 15).map_err(crate::ExperimentError::from)
+        let cells = grid.map(&scheduler, |c| {
+            match evaluate_full(&designs[c.soc_index], family, c.channels, &config) {
+                Ok(point) => Ok(Some(point.budget_utilization())),
+                Err(DnnError::Accel(_)) => Ok(None),
+                Err(e) => Err(crate::ExperimentError::from(e)),
+            }
         });
+        let maxima = scheduler.map_init(
+            &designs,
+            || (),
+            |(), _, design| {
+                max_channels(design, family, &config, 64, 1 << 15)
+                    .map_err(crate::ExperimentError::from)
+            },
+        );
         let mut cells = cells.into_iter();
         for (design, max) in designs.iter().zip(maxima) {
             let mut points = Vec::new();

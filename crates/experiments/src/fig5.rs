@@ -4,6 +4,7 @@
 
 use std::path::Path;
 
+use mindful_core::pool::Scheduler;
 use mindful_core::regimes::{Projection, ScalingRegime};
 use mindful_core::scaling::standard_design_points;
 use mindful_core::soc::wireless_socs;
@@ -44,7 +45,7 @@ fn soc_sweeps(regime: ScalingRegime) -> Result<Vec<SocSweep>> {
         .regimes([regime])
         .channels(SWEEP)
         .build()?;
-    let projections = grid.project()?;
+    let projections = grid.project(&Scheduler::with_default_threads())?;
     Ok(standard_design_points()
         .iter()
         .zip(projections.chunks(SWEEP.len()))

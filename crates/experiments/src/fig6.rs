@@ -3,6 +3,7 @@
 
 use std::path::Path;
 
+use mindful_core::pool::Scheduler;
 use mindful_core::regimes::ScalingRegime;
 use mindful_core::scaling::standard_design_points;
 use mindful_core::soc::wireless_socs;
@@ -44,7 +45,7 @@ fn fraction_curves(regime: ScalingRegime) -> Result<Vec<FractionCurve>> {
         .regimes([regime])
         .channels(SWEEP)
         .build()?;
-    let projections = grid.project()?;
+    let projections = grid.project(&Scheduler::with_default_threads())?;
     Ok(standard_design_points()
         .iter()
         .zip(projections.chunks(SWEEP.len()))

@@ -4,9 +4,10 @@
 
 use std::path::Path;
 
+use mindful_core::pool::Scheduler;
 use mindful_core::regimes::{standard_split_designs, ScalingRegime};
 use mindful_core::soc::wireless_socs;
-use mindful_core::sweep::{par_map, sweep_threads, SweepGrid};
+use mindful_core::sweep::SweepGrid;
 use mindful_plot::{Csv, LineChart, Series};
 use mindful_rf::efficiency::{
     max_channels_at_efficiency, qam_operating_point, SHORT_TERM_QAM_EFFICIENCY,
@@ -90,19 +91,24 @@ pub fn generate() -> Result<Fig7> {
         .regimes([ScalingRegime::Naive])
         .channels(channels.clone())
         .build()?;
-    let cells = grid.map(
-        |c| match qam_operating_point(&designs[c.soc_index], c.channels, &link) {
+    let scheduler = Scheduler::with_default_threads();
+    let cells = grid.map(&scheduler, |c| {
+        match qam_operating_point(&designs[c.soc_index], c.channels, &link) {
             Ok(point) => Ok(Some(point.min_efficiency())),
             Err(RfError::LinkInfeasible { .. }) => Ok(None),
             Err(e) => Err(crate::ExperimentError::from(e)),
+        }
+    });
+    let maxima = scheduler.map_init(
+        &designs,
+        || (),
+        |(), _, design| {
+            Ok::<_, crate::ExperimentError>((
+                max_channels_at_efficiency(design, SHORT_TERM_QAM_EFFICIENCY, &link, 64, 1 << 16)?,
+                max_channels_at_efficiency(design, 1.0, &link, 64, 1 << 16)?,
+            ))
         },
     );
-    let maxima = par_map(&designs, sweep_threads(), |_, design| {
-        Ok::<_, crate::ExperimentError>((
-            max_channels_at_efficiency(design, SHORT_TERM_QAM_EFFICIENCY, &link, 64, 1 << 16)?,
-            max_channels_at_efficiency(design, 1.0, &link, 64, 1 << 16)?,
-        ))
-    });
 
     let mut curves = Vec::new();
     let mut cells = cells.into_iter();

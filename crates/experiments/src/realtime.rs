@@ -9,10 +9,11 @@
 //!
 //! Alongside the analytic breakdown, the study *runs* each decoder two
 //! ways: the `f32` inference engine executes a batch of synthetic
-//! frames through `Network::forward_batch` on the shared worker pool
-//! (the PR 2 batched path), and the same network streams frame-by-frame
-//! through the unified [`mindful_pipeline`] `Stage` chain with several
-//! concurrent streams fanned over the pool — the zero-allocation
+//! frames through `Network::forward_batch` on a default-sized
+//! [`Scheduler`] (the batched path), and the same network streams
+//! frame-by-frame through the unified [`mindful_pipeline`] `Stage`
+//! chain with several concurrent streams fanned over the same kind of
+//! scheduler — the zero-allocation
 //! serving path a host-side decoder daemon would run.
 //!
 //! The streaming study runs each chain in two modes. `clean` is the
@@ -38,7 +39,7 @@ use std::time::Instant;
 
 use mindful_accel::alloc::best_allocation;
 use mindful_core::obs::{clear_spans, drain_spans, Registry, Snapshot};
-use mindful_core::pool::{default_threads, Scheduler};
+use mindful_core::pool::Scheduler;
 use mindful_core::regimes::standard_split_designs;
 use mindful_core::throughput::sensing_throughput;
 use mindful_core::units::TimeSpan;
@@ -92,7 +93,7 @@ impl LatencyBreakdown {
 }
 
 /// Measured batched-inference throughput for one model family, from
-/// actually executing the network on the shared worker pool.
+/// actually executing the network on a default-sized scheduler.
 #[derive(Debug, Clone)]
 pub struct MeasuredThroughput {
     /// Model family.
@@ -143,7 +144,7 @@ impl core::fmt::Display for StreamingMode {
 
 /// Measured streaming throughput for one model family: the same network
 /// driven frame-by-frame through the unified `Stage` pipeline, with
-/// several concurrent streams fanned over the shared worker pool.
+/// several concurrent streams fanned over one scheduler.
 #[derive(Debug, Clone)]
 pub struct MeasuredStreaming {
     /// Model family.
@@ -154,7 +155,7 @@ pub struct MeasuredStreaming {
     pub streams: usize,
     /// Frames each stream processed.
     pub steps: usize,
-    /// Worker threads used by `run_streams`.
+    /// Worker threads used by `StreamSet::drive`.
     pub threads: usize,
     /// Measured wall time per frame across all streams.
     pub per_frame: TimeSpan,
@@ -293,7 +294,8 @@ pub fn generate() -> Result<Realtime> {
 /// synthetic frames through `forward_batch` and times it.
 fn measure_throughput() -> Result<Vec<MeasuredThroughput>> {
     const BATCH: usize = 16;
-    let threads = default_threads();
+    let scheduler = Scheduler::with_default_threads();
+    let serial = Scheduler::new(NonZeroUsize::MIN);
     let mut measured = Vec::new();
     for family in ModelFamily::ALL {
         let arch = family.architecture(BASE_CHANNELS)?;
@@ -307,17 +309,16 @@ fn measure_throughput() -> Result<Vec<MeasuredThroughput>> {
             })
             .collect();
         // Warm the pool path once, then time one full batch.
-        let outputs = net.forward_batch(&frames, threads)?;
+        let outputs = net.forward_batch(&frames, &scheduler)?;
         let start = Instant::now();
-        let timed = net.forward_batch(&frames, threads)?;
+        let timed = net.forward_batch(&frames, &scheduler)?;
         let elapsed = start.elapsed();
         // One more batch, single-threaded and observed, so the per-layer
         // spans land on this thread's ring and can be counted — and the
         // observed path provably computes the same outputs.
         let registry = Registry::new();
         clear_spans();
-        let observed =
-            net.forward_batch_observed(&frames, NonZeroUsize::MIN, &registry, "infer")?;
+        let observed = net.forward_batch_observed(&frames, &serial, &registry, "infer")?;
         let mut spans = Vec::new();
         let overwritten = drain_spans(&mut spans);
         let layer_spans = spans.len() as u64 + overwritten;
@@ -331,7 +332,7 @@ fn measure_throughput() -> Result<Vec<MeasuredThroughput>> {
             family,
             precision: Precision::F32,
             batch: BATCH,
-            threads: threads.get(),
+            threads: scheduler.workers().get(),
             per_sample: TimeSpan::from_seconds(elapsed.as_secs_f64() / BATCH as f64),
             consistent,
             layer_spans,
@@ -343,9 +344,9 @@ fn measure_throughput() -> Result<Vec<MeasuredThroughput>> {
         let Ok(quantized) = QuantizedNetwork::from_network_default(&net) else {
             continue;
         };
-        let q_outputs = quantized.forward_batch(&frames, threads)?;
+        let q_outputs = quantized.forward_batch(&frames, &scheduler)?;
         let start = Instant::now();
-        let q_timed = quantized.forward_batch(&frames, threads)?;
+        let q_timed = quantized.forward_batch(&frames, &scheduler)?;
         let elapsed = start.elapsed();
         clear_spans();
         let mut ws = quantized.workspace();
@@ -359,7 +360,7 @@ fn measure_throughput() -> Result<Vec<MeasuredThroughput>> {
             family,
             precision: Precision::Int8,
             batch: BATCH,
-            threads: threads.get(),
+            threads: scheduler.workers().get(),
             per_sample: TimeSpan::from_seconds(elapsed.as_secs_f64() / BATCH as f64),
             consistent: q_timed == q_outputs && q_single == q_outputs,
             layer_spans: spans.len() as u64 + overwritten,
@@ -390,12 +391,12 @@ const STREAM_FAULT_SEED: u64 = 0xFA_17;
 
 /// Drives each decoder family through the unified `Stage` pipeline:
 /// several replayed streams at the 128-channel base scale, fanned over
-/// the shared pool with `run_streams`, timed end to end. Each family
+/// one scheduler with `StreamSet::drive`, timed end to end. Each family
 /// is measured twice — clean and with the fault layer inserted.
 fn measure_streaming() -> Result<Vec<MeasuredStreaming>> {
     const STREAMS: usize = 4;
     const STEPS: usize = 16;
-    let threads = default_threads();
+    let scheduler = Scheduler::with_default_threads();
     let mut streaming = Vec::new();
     for mode in [StreamingMode::Clean, StreamingMode::Faulted] {
         for family in ModelFamily::ALL {
@@ -424,9 +425,9 @@ fn measure_streaming() -> Result<Vec<MeasuredStreaming>> {
             // Warm the set once (buffers sized, workspaces grown), then
             // time one steady-state drive — the serving shape the
             // `pipeline` bench measures.
-            set.drive(STEPS, threads)?;
+            set.drive(STEPS, &scheduler)?;
             let start = Instant::now();
-            let reports = set.drive(STEPS, threads)?;
+            let reports = set.drive(STEPS, &scheduler)?;
             let elapsed = start.elapsed();
             let first = reports.first().expect("at least one stream");
             let dnn = first
@@ -444,7 +445,7 @@ fn measure_streaming() -> Result<Vec<MeasuredStreaming>> {
                 mode,
                 streams: STREAMS,
                 steps: STEPS,
-                threads: threads.get(),
+                threads: scheduler.workers().get(),
                 per_frame: TimeSpan::from_seconds(elapsed.as_secs_f64() / (STREAMS * STEPS) as f64),
                 dnn_latency: TimeSpan::from_seconds(dnn.mean_latency().as_secs_f64()),
                 peak_buffer_bytes: first.telemetry.iter().map(|t| t.peak_buffer_bytes).sum(),
@@ -495,8 +496,7 @@ const FLEET_DEMAND: u32 = 12;
 /// stages' degraded counts afterwards mirror the timed sheds
 /// field-exactly. One row lands per family × class.
 fn measure_fleet() -> Result<Vec<MeasuredFleet>> {
-    let workers = default_threads();
-    let scheduler = Scheduler::new(workers);
+    let scheduler = Scheduler::with_default_threads();
     let mut rows = Vec::new();
     for family in ModelFamily::ALL {
         let arch = family.architecture(BASE_CHANNELS)?;
@@ -575,7 +575,7 @@ fn measure_fleet() -> Result<Vec<MeasuredFleet>> {
                 family,
                 class,
                 sessions: FLEET_CLASS_SESSIONS[ci],
-                workers: workers.get(),
+                workers: scheduler.workers().get(),
                 epochs: FLEET_EPOCHS,
                 steps: by_class[ci].steps,
                 shed: by_class[ci].shed,

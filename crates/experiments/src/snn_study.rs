@@ -10,6 +10,7 @@
 use std::path::Path;
 
 use mindful_core::budget::power_budget;
+use mindful_core::pool::Scheduler;
 use mindful_core::regimes::{standard_split_designs, SplitDesign};
 use mindful_dnn::infer::Network;
 use mindful_dnn::integration::IntegrationConfig;
@@ -145,8 +146,8 @@ pub fn generate() -> Result<SnnStudy> {
 }
 
 /// Executes the rate-coded conversion's dense starting point — the MLP
-/// at the 128-channel base scale — through `forward_batch` on the
-/// shared pool and checks the outputs are finite and batch-invariant.
+/// at the 128-channel base scale — through `forward_batch` on a
+/// default-sized scheduler and checks the outputs are finite and batch-invariant.
 fn dense_reference_runs() -> Result<bool> {
     let arch = ModelFamily::Mlp.architecture(BASE_CHANNELS)?;
     let net = Network::with_seeded_weights(arch, 7);
@@ -158,7 +159,7 @@ fn dense_reference_runs() -> Result<bool> {
                 .collect()
         })
         .collect();
-    let batched = net.forward_batch_auto(&frames)?;
+    let batched = net.forward_batch(&frames, &Scheduler::with_default_threads())?;
     let ok = batched.len() == frames.len()
         && batched
             .iter()

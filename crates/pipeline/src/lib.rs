@@ -7,9 +7,10 @@
 //! a [`Pipeline`] chains stages so a frame flows through the whole
 //! implant with **zero heap allocations after warm-up** (the property
 //! an actual implant's fixed-memory firmware must have, proven here by
-//! a counting-allocator test), and [`run_streams`] / [`StreamSet`] fan
-//! independent streams over the shared scheduler for host-side
-//! serving (build once, drive repeatedly for the warm steady state).
+//! a counting-allocator test), and [`StreamSet`] fans independent
+//! streams over a caller's [`mindful_core::pool::Scheduler`] for
+//! host-side serving (build once, drive repeatedly for the warm steady
+//! state).
 //! The [`serve`] module generalizes the stream set into a dynamic
 //! [`Fleet`]: sessions are admitted and evicted at runtime, scheduled
 //! fairly over a shared [`mindful_core::pool::Scheduler`], held to a
@@ -62,7 +63,7 @@ pub use stages::{
     BinStage, DnnStage, IntentSchedule, KalmanStage, PacketizeStage, ReplaySource, SenseStage,
     SpikeStage, WienerStage,
 };
-pub use stream::{run_streams, StreamReport, StreamSet};
+pub use stream::{StreamReport, StreamSet};
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
@@ -73,7 +74,7 @@ pub mod prelude {
         BinStage, DnnStage, IntentSchedule, KalmanStage, PacketizeStage, ReplaySource, SenseStage,
         SpikeStage, WienerStage,
     };
-    pub use crate::stream::{run_streams, StreamReport, StreamSet};
+    pub use crate::stream::{StreamReport, StreamSet};
     pub use crate::{
         Frame, FrameBuf, FrameKind, Pipeline, PipelineError, Precision, Result, Stage, StageOutput,
         StageTelemetry,

@@ -1080,7 +1080,7 @@ mod tests {
         let report = fleet.evict(id).unwrap();
 
         let mut set = StreamSet::build(1, |_| Ok(sense_chain(7))).unwrap();
-        let baseline = &set.drive(24, NonZeroUsize::MIN).unwrap()[0];
+        let baseline = &set.drive(24, &scheduler(1)).unwrap()[0];
 
         assert_eq!(report.steps, baseline.steps);
         assert_eq!(report.emitted, baseline.emitted);

@@ -290,47 +290,30 @@ impl Pipeline {
             self.slots.len()
         );
         self.steps += 1;
+        if self.run_from(start, Some(input))? {
+            Ok(self.slots.last().map(|s| &s.out))
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// The one per-stage step loop: runs stages `start..`, stage
+    /// `start` reading `input` when given and otherwise the frame
+    /// already sitting in slot `start - 1`'s buffer (a flushed frame),
+    /// every later stage reading its predecessor's buffer. Returns
+    /// whether the frame reached the end of the chain.
+    fn run_from(&mut self, start: usize, input: Option<Frame<'_>>) -> Result<bool> {
         for i in start..self.slots.len() {
             let (before, rest) = self.slots.split_at_mut(i);
             let slot = &mut rest[0];
-            let frame = if i == start {
-                input
-            } else {
-                before
+            let frame = match input {
+                Some(frame) if i == start => frame,
+                _ => before
                     .last()
                     .expect("stages after the entry point follow an emitting slot")
                     .out
-                    .as_frame()
+                    .as_frame(),
             };
-            let t = Instant::now();
-            let outcome = slot.stage.process(&frame, &mut slot.out)?;
-            let elapsed = t.elapsed();
-            slot.telemetry.record(elapsed, outcome, &slot.out);
-            slot.telemetry.faults = slot.stage.fault_telemetry();
-            slot.telemetry.secure = slot.stage.secure_telemetry();
-            if let Some(obs) = &slot.obs {
-                obs.record(elapsed, outcome, &slot.out);
-                obs.record_faults(slot.telemetry.faults.as_ref());
-                obs.record_secure(slot.telemetry.secure.as_ref());
-            }
-            if outcome == StageOutput::Pending {
-                return Ok(None);
-            }
-        }
-        Ok(self.slots.last().map(|s| &s.out))
-    }
-
-    /// Cascades the frame already sitting in slot `start - 1`'s buffer
-    /// through stages `start..`. Returns whether it reached the end.
-    fn cascade(&mut self, start: usize) -> Result<bool> {
-        for i in start..self.slots.len() {
-            let (before, rest) = self.slots.split_at_mut(i);
-            let slot = &mut rest[0];
-            let frame = before
-                .last()
-                .expect("cascade starts after an emitting slot")
-                .out
-                .as_frame();
             let t = Instant::now();
             let outcome = slot.stage.process(&frame, &mut slot.out)?;
             let elapsed = t.elapsed();
@@ -385,7 +368,7 @@ impl Pipeline {
                 if let Some(obs) = &slot.obs {
                     obs.record_flush(elapsed, &slot.out);
                 }
-                if self.cascade(i + 1)? {
+                if self.run_from(i + 1, None)? {
                     completed += 1;
                 }
             }

@@ -1,24 +1,24 @@
-//! Fanning independent streams over the shared scheduler.
+//! Fanning independent streams over a caller's scheduler.
 //!
 //! Host-side serving runs many implant streams at once (one per
 //! patient-device link). Each stream gets its own [`Pipeline`] built by
-//! a caller-supplied factory, and the set runs as a *client* of the
-//! shared [`mindful_core::pool::Scheduler`] — it owns pipelines, never
-//! workers. Dispatch is deterministic, order-preserving chunking
-//! ([`mindful_core::pool::par_map_mut`]), and each stream comes back
-//! with its per-stage telemetry. For dynamic admission, eviction,
-//! backpressure, and load shedding over the same scheduler, see the
-//! fleet layer ([`crate::serve`]), which generalizes this set to
-//! heterogeneous sessions.
+//! a caller-supplied factory, and [`StreamSet::drive`] runs the set as
+//! a *client* of the [`Scheduler`] it is handed — it owns pipelines,
+//! never workers. Dispatch is the deterministic, order-preserving
+//! chunked [`Scheduler::map_init`], and each stream comes back with its
+//! per-stage telemetry. For dynamic admission, eviction, backpressure,
+//! and load shedding over the same scheduler, see the fleet layer
+//! ([`crate::serve`]), which generalizes this set to heterogeneous
+//! sessions.
 
-use std::num::NonZeroUsize;
+use std::sync::Mutex;
 
-use mindful_core::pool;
+use mindful_core::pool::Scheduler;
 
 use crate::error::Result;
 use crate::stage::{Pipeline, StageTelemetry};
 
-/// The outcome of driving one stream to completion.
+/// The outcome of driving one stream for one [`StreamSet::drive`].
 #[derive(Debug, Clone)]
 pub struct StreamReport {
     /// Stream index (`0..streams`).
@@ -29,32 +29,6 @@ pub struct StreamReport {
     pub emitted: u64,
     /// Per-stage counters, in chain order.
     pub telemetry: Vec<StageTelemetry>,
-}
-
-/// Builds one pipeline per stream with `build`, drives each for
-/// `steps` steps, and fans the streams over up to `threads` pool
-/// workers. Reports come back in stream order regardless of the thread
-/// count, and every counter except wall time is thread-count
-/// independent.
-///
-/// # Errors
-///
-/// Returns the first stage error in stream order.
-pub fn run_streams<B>(
-    streams: usize,
-    steps: usize,
-    threads: NonZeroUsize,
-    build: B,
-) -> Result<Vec<StreamReport>>
-where
-    B: Fn(usize) -> Result<Pipeline> + Sync,
-{
-    let indices: Vec<usize> = (0..streams).collect();
-    let results = pool::par_map(&indices, threads, |_, &stream| -> Result<StreamReport> {
-        let mut pipeline = build(stream)?;
-        drive_one(stream, &mut pipeline, steps)
-    });
-    results.into_iter().collect()
 }
 
 /// Drives one pipeline for `steps` steps and snapshots its counters.
@@ -78,12 +52,14 @@ fn drive_one(stream: usize, pipeline: &mut Pipeline, steps: usize) -> Result<Str
 ///
 /// This is the steady-state serving shape — after the first drive every
 /// pipeline is warm (buffers sized, workspaces grown), so subsequent
-/// drives stream frames without re-paying construction, unlike
-/// [`run_streams`] which builds fresh pipelines per call. Telemetry
+/// drives stream frames without re-paying construction. Telemetry
 /// accumulates across drives; [`StreamReport::emitted`] counts only the
 /// drive that produced it.
 pub struct StreamSet {
-    pipelines: Vec<Pipeline>,
+    /// One lock per stream so the chunked map can hand each worker
+    /// exclusive access to the pipelines of its chunk; every lock is
+    /// taken by exactly one worker per drive, so none is contended.
+    pipelines: Vec<Mutex<Pipeline>>,
 }
 
 impl StreamSet {
@@ -97,7 +73,9 @@ impl StreamSet {
         B: Fn(usize) -> Result<Pipeline>,
     {
         Ok(Self {
-            pipelines: (0..streams).map(build).collect::<Result<_>>()?,
+            pipelines: (0..streams)
+                .map(|k| build(k).map(Mutex::new))
+                .collect::<Result<_>>()?,
         })
     }
 
@@ -113,43 +91,25 @@ impl StreamSet {
         self.pipelines.is_empty()
     }
 
-    /// Drives every stream for `steps` steps, fanned over up to
-    /// `threads` workers of the shared scheduler (contiguous chunks,
-    /// so scheduling never reorders the reports).
-    ///
-    /// The set no longer owns the chunking or the threads — it is a
-    /// client of the shared [`mindful_core::pool::Scheduler`] via
-    /// [`pool::par_map_mut`], which preserves the exact pre-refactor
-    /// chunk math, so reports are byte-identical to earlier releases.
+    /// Drives every stream for `steps` steps on `scheduler`
+    /// (contiguous chunks, so scheduling never reorders the reports
+    /// and every counter except wall time is worker-count independent).
     ///
     /// # Errors
     ///
     /// Returns the first stage error in stream order.
-    pub fn drive(&mut self, steps: usize, threads: NonZeroUsize) -> Result<Vec<StreamReport>> {
-        pool::par_map_mut(&mut self.pipelines, threads, |stream, pipeline| {
-            drive_one(stream, pipeline, steps)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// [`StreamSet::drive`] as a client of an explicit `scheduler`,
-    /// using its full worker budget; byte-identical at the same worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stage error in stream order.
-    pub fn drive_on(
-        &mut self,
-        steps: usize,
-        scheduler: &mindful_core::pool::Scheduler,
-    ) -> Result<Vec<StreamReport>> {
-        let threads = scheduler.workers();
+    pub fn drive(&mut self, steps: usize, scheduler: &Scheduler) -> Result<Vec<StreamReport>> {
         scheduler
-            .map_mut_with(&mut self.pipelines, threads, |stream, pipeline| {
-                drive_one(stream, pipeline, steps)
-            })
+            .map_init(
+                &self.pipelines,
+                || (),
+                |(), stream, pipeline| {
+                    let mut pipeline = pipeline
+                        .lock()
+                        .expect("a stream panicked during an earlier drive");
+                    drive_one(stream, &mut pipeline, steps)
+                },
+            )
             .into_iter()
             .collect()
     }
@@ -158,6 +118,8 @@ impl StreamSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroUsize;
+
     use crate::stages::{IntentSchedule, PacketizeStage, SenseStage};
 
     fn build(stream: usize) -> Result<Pipeline> {
@@ -172,9 +134,19 @@ mod tests {
             .with_stage(PacketizeStage::new(10)?))
     }
 
+    fn sched(workers: usize) -> Scheduler {
+        Scheduler::new(NonZeroUsize::new(workers).unwrap())
+    }
+
+    /// Builds `streams` fresh pipelines and drives them once.
+    fn run(streams: usize, steps: usize, workers: usize) -> Vec<StreamReport> {
+        let mut set = StreamSet::build(streams, build).unwrap();
+        set.drive(steps, &sched(workers)).unwrap()
+    }
+
     #[test]
     fn reports_come_back_in_stream_order() {
-        let reports = run_streams(5, 8, NonZeroUsize::new(3).unwrap(), build).unwrap();
+        let reports = run(5, 8, 3);
         assert_eq!(reports.len(), 5);
         for (k, report) in reports.iter().enumerate() {
             assert_eq!(report.stream, k);
@@ -186,8 +158,8 @@ mod tests {
 
     #[test]
     fn counters_are_thread_count_independent() {
-        let serial = run_streams(4, 10, NonZeroUsize::MIN, build).unwrap();
-        let pooled = run_streams(4, 10, NonZeroUsize::new(4).unwrap(), build).unwrap();
+        let serial = run(4, 10, 1);
+        let pooled = run(4, 10, 4);
         for (a, b) in serial.iter().zip(&pooled) {
             assert_eq!(a.stream, b.stream);
             assert_eq!(a.emitted, b.emitted);
@@ -206,8 +178,9 @@ mod tests {
         let mut set = StreamSet::build(3, build).unwrap();
         assert_eq!(set.len(), 3);
         assert!(!set.is_empty());
-        let first = set.drive(5, NonZeroUsize::new(2).unwrap()).unwrap();
-        let second = set.drive(5, NonZeroUsize::new(2).unwrap()).unwrap();
+        let scheduler = sched(2);
+        let first = set.drive(5, &scheduler).unwrap();
+        let second = set.drive(5, &scheduler).unwrap();
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.stream, b.stream);
             assert_eq!(a.emitted, 5, "emitted counts one drive");
@@ -219,36 +192,18 @@ mod tests {
     }
 
     #[test]
-    fn stream_set_matches_run_streams() {
-        let one_shot = run_streams(4, 6, NonZeroUsize::MIN, build).unwrap();
-        let mut set = StreamSet::build(4, build).unwrap();
-        let driven = set.drive(6, NonZeroUsize::new(4).unwrap()).unwrap();
-        for (a, b) in one_shot.iter().zip(&driven) {
-            assert_eq!(a.stream, b.stream);
-            assert_eq!(a.emitted, b.emitted);
-            assert_eq!(a.telemetry.len(), b.telemetry.len());
-            for (ta, tb) in a.telemetry.iter().zip(&b.telemetry) {
-                assert_eq!(ta.frames_out, tb.frames_out);
-                assert_eq!(ta.bytes_out, tb.bytes_out);
-            }
-        }
-    }
-
-    #[test]
     fn drive_handles_zero_streams() {
         let mut set = StreamSet::build(0, build).unwrap();
         assert_eq!(set.len(), 0);
         assert!(set.is_empty());
-        let reports = set.drive(10, NonZeroUsize::new(8).unwrap()).unwrap();
+        let reports = set.drive(10, &sched(8)).unwrap();
         assert!(reports.is_empty(), "zero streams drive to zero reports");
     }
 
     #[test]
     fn drive_handles_a_single_stream_on_many_workers() {
-        let mut solo = StreamSet::build(1, build).unwrap();
-        let many = solo.drive(7, NonZeroUsize::new(64).unwrap()).unwrap();
-        let mut serial = StreamSet::build(1, build).unwrap();
-        let one = serial.drive(7, NonZeroUsize::MIN).unwrap();
+        let many = run(1, 7, 64);
+        let one = run(1, 7, 1);
         assert_eq!(many.len(), 1);
         assert_eq!(many[0].stream, 0);
         assert_eq!(many[0].emitted, one[0].emitted);
@@ -260,10 +215,8 @@ mod tests {
 
     #[test]
     fn drive_with_more_workers_than_streams_matches_serial() {
-        let mut wide = StreamSet::build(3, build).unwrap();
-        let wide_reports = wide.drive(9, NonZeroUsize::new(32).unwrap()).unwrap();
-        let mut narrow = StreamSet::build(3, build).unwrap();
-        let narrow_reports = narrow.drive(9, NonZeroUsize::MIN).unwrap();
+        let wide_reports = run(3, 9, 32);
+        let narrow_reports = run(3, 9, 1);
         for (a, b) in wide_reports.iter().zip(&narrow_reports) {
             assert_eq!(a.stream, b.stream);
             assert_eq!(a.emitted, b.emitted);
@@ -276,36 +229,32 @@ mod tests {
     }
 
     #[test]
-    fn drive_on_matches_drive_at_the_same_worker_count() {
-        let mut via_threads = StreamSet::build(4, build).unwrap();
-        let a = via_threads.drive(6, NonZeroUsize::new(2).unwrap()).unwrap();
-        let mut via_scheduler = StreamSet::build(4, build).unwrap();
-        let scheduler = mindful_core::pool::Scheduler::new(NonZeroUsize::new(2).unwrap());
-        let b = via_scheduler.drive_on(6, &scheduler).unwrap();
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!(ra.stream, rb.stream);
-            assert_eq!(ra.emitted, rb.emitted);
-            for (ta, tb) in ra.telemetry.iter().zip(&rb.telemetry) {
-                assert_eq!(ta.frames_out, tb.frames_out);
-                assert_eq!(ta.bytes_out, tb.bytes_out);
-            }
+    fn drive_dispatches_on_the_given_scheduler() {
+        for workers in [1, 2] {
+            let mut set = StreamSet::build(4, build).unwrap();
+            let scheduler = sched(workers);
+            set.drive(6, &scheduler).unwrap();
+            let stats = scheduler.stats();
+            assert_eq!((stats.epochs, stats.tasks), (1, 4));
         }
-        assert_eq!(scheduler.stats().tasks, 4);
     }
 
     #[test]
     fn stream_set_propagates_stage_errors() {
         let mut set = StreamSet::build(2, |_| Ok(Pipeline::new())).unwrap();
-        let err = set.drive(1, NonZeroUsize::MIN).unwrap_err();
+        let err = set.drive(1, &sched(1)).unwrap_err();
         assert!(err.to_string().contains("no stages"));
     }
 
     #[test]
     fn build_errors_propagate() {
-        let err = run_streams(2, 1, NonZeroUsize::MIN, |_| {
-            Ok(Pipeline::new()) // empty pipeline fails on first step
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("no stages"));
+        let built = StreamSet::build(3, |k| {
+            if k == 1 {
+                Err(crate::PipelineError::Empty)
+            } else {
+                build(k)
+            }
+        });
+        assert!(matches!(built, Err(crate::PipelineError::Empty)));
     }
 }

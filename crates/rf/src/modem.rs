@@ -11,16 +11,14 @@
 //! Two Monte-Carlo paths are provided: [`Modem::measure_ber`] runs one
 //! serial trial (noise drawn in blocks rather than per symbol), and
 //! [`Modem::measure_ber_blocks`] splits the trial into independently
-//! seeded blocks fanned over the shared worker pool
-//! (`mindful_core::pool`), so large BER sweeps scale with cores while
-//! staying bit-identical for any thread count.
-
-use std::num::NonZeroUsize;
+//! seeded blocks fanned over a caller-supplied
+//! [`mindful_core::pool::Scheduler`], so large BER sweeps scale with
+//! cores while staying bit-identical for any worker count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mindful_core::pool;
+use mindful_core::pool::Scheduler;
 
 use crate::error::{Result, RfError};
 use crate::modulation::Modulation;
@@ -204,12 +202,11 @@ impl Modem {
     }
 
     /// Block-sampled Monte-Carlo BER: `blocks` independent trials of
-    /// `bits_per_block` bits each, fanned over up to `threads` workers
-    /// from the shared pool.
+    /// `bits_per_block` bits each, fanned over `scheduler`.
     ///
     /// Each block derives its own seeds from `seed` and the block index
     /// (splitmix64), so the aggregate error count — and therefore the
-    /// returned BER — is bit-identical for any thread count and equals
+    /// returned BER — is bit-identical for any worker count and equals
     /// the serial evaluation of the same blocks.
     ///
     /// # Errors
@@ -222,7 +219,7 @@ impl Modem {
         blocks: usize,
         bits_per_block: usize,
         seed: u64,
-        threads: NonZeroUsize,
+        scheduler: &Scheduler,
     ) -> Result<f64> {
         if !(n0 > 0.0 && n0.is_finite()) {
             return Err(RfError::InvalidParameter {
@@ -243,12 +240,16 @@ impl Modem {
             });
         }
         let indices: Vec<usize> = (0..blocks).collect();
-        let trials = pool::par_map(&indices, threads, |_, &block| {
-            let bit_seed = splitmix64(seed.wrapping_add(block as u64).wrapping_mul(2) + 1);
-            let noise_seed = splitmix64(bit_seed ^ SEED_MIX);
-            self.ber_trial(n0, bits_per_block, bit_seed, noise_seed)
-                .expect("parameters were validated before the fan-out")
-        });
+        let trials = scheduler.map_init(
+            &indices,
+            || (),
+            |(), _, &block| {
+                let bit_seed = splitmix64(seed.wrapping_add(block as u64).wrapping_mul(2) + 1);
+                let noise_seed = splitmix64(bit_seed ^ SEED_MIX);
+                self.ber_trial(n0, bits_per_block, bit_seed, noise_seed)
+                    .expect("parameters were validated before the fan-out")
+            },
+        );
         let (errors, total) = trials
             .iter()
             .fold((0_usize, 0_usize), |(e, t), &(be, bt)| (e + be, t + bt));
@@ -413,6 +414,11 @@ fn nearest_level(value: f64, half_bits: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroUsize;
+
+    fn sched(workers: usize) -> Scheduler {
+        Scheduler::new(NonZeroUsize::new(workers).unwrap())
+    }
 
     const SEED_ROUND_TRIP: u64 = 7;
     const SEED_SYMBOL_ENERGY: u64 = 3;
@@ -562,17 +568,11 @@ mod tests {
     fn block_sampled_ber_is_thread_count_invariant() {
         let modem = Modem::new(Modulation::qam(2).unwrap(), 4.0).unwrap();
         let reference = modem
-            .measure_ber_blocks(1.0, 16, 5_000, SEED_BER_QPSK, NonZeroUsize::MIN)
+            .measure_ber_blocks(1.0, 16, 5_000, SEED_BER_QPSK, &sched(1))
             .unwrap();
         for workers in [2_usize, 3, 8, 32] {
             let got = modem
-                .measure_ber_blocks(
-                    1.0,
-                    16,
-                    5_000,
-                    SEED_BER_QPSK,
-                    NonZeroUsize::new(workers).unwrap(),
-                )
+                .measure_ber_blocks(1.0, 16, 5_000, SEED_BER_QPSK, &sched(workers))
                 .unwrap();
             assert_eq!(got.to_bits(), reference.to_bits(), "{workers} workers");
         }
@@ -585,13 +585,7 @@ mod tests {
         let modulation = Modulation::qam(2).unwrap();
         let modem = Modem::new(modulation, 4.0).unwrap();
         let measured = modem
-            .measure_ber_blocks(
-                1.0,
-                64,
-                31_250,
-                SEED_BER_QPSK,
-                NonZeroUsize::new(4).unwrap(),
-            )
+            .measure_ber_blocks(1.0, 64, 31_250, SEED_BER_QPSK, &sched(4))
             .unwrap();
         let theory = modulation.ber(4.0);
         assert!(
@@ -603,10 +597,11 @@ mod tests {
     #[test]
     fn block_sampled_ber_rejects_invalid_parameters() {
         let modem = Modem::new(Modulation::Ook, 1.0).unwrap();
-        let one = NonZeroUsize::MIN;
-        assert!(modem.measure_ber_blocks(0.0, 4, 100, 1, one).is_err());
-        assert!(modem.measure_ber_blocks(1.0, 0, 100, 1, one).is_err());
-        assert!(modem.measure_ber_blocks(1.0, 4, 0, 1, one).is_err());
+        let one = sched(1);
+        assert!(modem.measure_ber_blocks(0.0, 4, 100, 1, &one).is_err());
+        assert!(modem.measure_ber_blocks(1.0, 0, 100, 1, &one).is_err());
+        assert!(modem.measure_ber_blocks(1.0, 4, 0, 1, &one).is_err());
+        assert_eq!(one.stats().tasks, 0, "refused before any dispatch");
     }
 
     #[test]

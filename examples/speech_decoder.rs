@@ -41,7 +41,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     println!("{arch}");
     let network = Network::with_seeded_weights(arch.clone(), 7);
     // Decode the trailing window of the trajectory in one batched call
-    // fanned over the shared worker pool.
+    // fanned over a default-sized worker scheduler.
     let window: Vec<Vec<f32>> = frames[frames.len() - 8..]
         .iter()
         .map(|frame| {
@@ -52,7 +52,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
                 .collect()
         })
         .collect();
-    let decoded = network.forward_batch_auto(&window)?;
+    let decoded = network.forward_batch(&window, &Scheduler::with_default_threads())?;
     let input = window.last().expect("recorded at least one frame").clone();
     let labels = decoded.last().expect("batch output per input");
     println!(

@@ -109,9 +109,11 @@ fn computation_centric_pipeline_runs_real_inference() {
                 .collect(),
         );
     }
-    // Batched decoding over the shared pool equals the streamed chain
+    // Batched decoding over a worker scheduler equals the streamed chain
     // and per-frame forwards exactly.
-    let batched = network.forward_batch_auto(&inputs).unwrap();
+    let batched = network
+        .forward_batch(&inputs, &Scheduler::with_default_threads())
+        .unwrap();
     assert_eq!(batched.len(), inputs.len());
     for ((x, labels), stream_labels) in inputs.iter().zip(&batched).zip(&streamed) {
         assert_eq!(labels.len() as u64, OUTPUT_LABELS);
