@@ -3,16 +3,18 @@
 //! frame train with **zero** heap allocations per step.
 //!
 //! A counting wrapper around the system allocator tracks every
-//! allocation; the workspace denies `unsafe_code` — only this test
-//! harness opts out to install the instrumented allocator.
+//! allocation the measuring thread makes inside its window; the
+//! workspace denies `unsafe_code` — only this test harness opts out to
+//! install the instrumented allocator.
 
 // SAFETY: the sole unsafe construct in this file is the `GlobalAlloc`
 // impl below, which delegates straight to `System`.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mindful_decode::binning::BinAccumulator;
 use mindful_decode::kalman::KalmanDecoder;
@@ -24,13 +26,30 @@ use mindful_signal::prelude::NeuralInterface;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are being counted. Only the
+    /// measuring thread arms itself, so libtest's own threads (spawning
+    /// the next test, collecting results) never land in a window.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if the calling thread is armed. The flag is a
+/// const-initialised `Cell` without a destructor, so reading it never
+/// allocates.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 struct CountingAlloc;
 
 // SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no other side effects.
+// relaxed atomic and the arming flag a thread-local `Cell`, with no
+// other side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -39,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,15 +66,48 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The counter is process-global, so tests that measure it must not
-/// run concurrently with tests that allocate.
+/// The counter is process-global, so only one test at a time may arm
+/// a thread.
 static MEASURE: Mutex<()> = Mutex::new(());
 
-/// Allocations performed while running `f`.
+/// Takes the measuring lock. A test that failed while holding it
+/// poisoned it, but the counter carries no state across windows, so the
+/// next test proceeds: one failure stays one failure.
+fn measure() -> MutexGuard<'static, ()> {
+    MEASURE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Disarms the measuring thread when dropped. On unwinding it drops
+/// before the test's `MEASURE` guard, so a failing test's panic
+/// handling never lands in the next test's window.
+struct Armed;
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        ARMED.with(|armed| armed.set(false));
+    }
+}
+
+/// Allocations performed on this thread while running `f`.
 fn allocations_during(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
+    {
+        ARMED.with(|armed| armed.set(true));
+        let _armed = Armed;
+        f();
+    }
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Negative control: the counter sees an allocation made inside the
+/// window on the measuring thread.
+#[test]
+fn an_allocation_inside_the_window_is_counted() {
+    let _guard = measure();
+    let allocs = allocations_during(|| {
+        std::hint::black_box(Box::new(7_u64));
+    });
+    assert_eq!(allocs, 1, "one Box, one allocation");
 }
 
 const WINDOW: usize = 4;
@@ -93,7 +145,7 @@ fn calibrate(ni: &mut NeuralInterface) -> (SpikeDetector, KalmanDecoder) {
 /// allocation-free once every buffer has seen one full window.
 #[test]
 fn warm_five_stage_chain_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure();
     let mut ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     assert_eq!(ni.channels(), 1024);
     let (detector, kalman) = calibrate(&mut ni);
@@ -144,7 +196,7 @@ fn warm_five_stage_chain_is_allocation_free() {
 /// recording must not.
 #[test]
 fn warm_instrumented_five_stage_chain_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure();
     let registry = mindful_core::obs::Registry::new();
     let mut ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     assert_eq!(ni.channels(), 1024);
@@ -234,7 +286,7 @@ fn warm_instrumented_five_stage_chain_is_allocation_free() {
 fn warm_fleet_epoch_is_allocation_free() {
     use std::num::{NonZeroU32, NonZeroUsize};
 
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure();
     let registry = mindful_core::obs::Registry::new();
     let sched = mindful_core::pool::Scheduler::new(NonZeroUsize::MIN);
     let config = FleetConfig {
@@ -312,7 +364,7 @@ fn warm_secure_chain_is_allocation_free() {
     use mindful_rf::arq::ArqConfig;
     use mindful_rf::auth::{AuthConfig, AuthKey};
 
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure();
     let ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     let channels = ni.channels();
     let auth = AuthConfig::new(AuthKey::from_seed(0xA110C, 2));
@@ -366,7 +418,7 @@ fn warm_secure_chain_is_allocation_free() {
 /// DNN, allocation-free after one warm frame.
 #[test]
 fn warm_dnn_chain_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure();
     let ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     let channels = ni.channels() as u64;
     let network = Network::with_seeded_weights(ModelFamily::Mlp.architecture(channels).unwrap(), 7);
@@ -390,7 +442,7 @@ fn warm_dnn_chain_is_allocation_free() {
 /// construction), so a warm Int8 chain is just as allocation-free.
 #[test]
 fn warm_int8_dnn_chain_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure();
     let ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     let channels = ni.channels() as u64;
     let network = Network::with_seeded_weights(ModelFamily::Mlp.architecture(channels).unwrap(), 7);
@@ -421,7 +473,7 @@ fn warm_int8_dnn_chain_is_allocation_free() {
 /// this thread) — still allocation-free per warm step.
 #[test]
 fn warm_instrumented_dnn_chain_is_allocation_free() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measure();
     let registry = mindful_core::obs::Registry::new();
     let ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     let channels = ni.channels() as u64;

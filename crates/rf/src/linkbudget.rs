@@ -12,13 +12,18 @@
 //! implementation impairments, and `η` is the end-to-end transmitter
 //! efficiency (the paper's *QAM efficiency*; realistic biomedical
 //! implementations reach ~15 %).
+//!
+//! `(Eb/N0)_req` depends only on the modulation and the target BER, so
+//! a [`LinkBudget`] solves it once, at construction, for OOK and every
+//! QAM order the model supports, and a sweep that evaluates thousands
+//! of operating points reads each value from that table.
 
 use core::fmt;
 
 use mindful_core::units::{DataRate, Energy, Power};
 
 use crate::error::{Result, RfError};
-use crate::modulation::Modulation;
+use crate::modulation::{Modulation, MAX_BITS_PER_SYMBOL};
 use crate::qfunc::from_db;
 
 /// Boltzmann constant in J/K.
@@ -27,14 +32,23 @@ pub const BOLTZMANN: f64 = 1.380_649e-23;
 /// Body temperature in kelvin, used for the receiver noise floor.
 pub const BODY_TEMPERATURE_K: f64 = 310.0;
 
-/// The paper's nominal QAM link parameters: BER 1e-6, 60 dB path loss,
-/// 20 dB margin (Section 5.2 Evaluation).
+/// An implant-to-wearable link budget: target BER, path loss, margin
+/// and receiver noise temperature. [`LinkBudget::paper_nominal`] gives
+/// the paper's QAM link parameters: BER 1e-6, 60 dB path loss, 20 dB
+/// margin (Section 5.2 Evaluation).
+///
+/// The budget carries the required Eb/N0 at its target BER for OOK and
+/// for QAM with 1..=[`MAX_BITS_PER_SYMBOL`] bits per symbol, solved once
+/// by [`Modulation::required_ebn0`] when the budget is built.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBudget {
     target_ber: f64,
     path_loss_db: f64,
     margin_db: f64,
     noise_temperature_k: f64,
+    /// Required Eb/N0 (linear) at `target_ber`: index 0 is OOK, index
+    /// `k` is QAM with `k` bits per symbol.
+    ebn0: [f64; 1 + MAX_BITS_PER_SYMBOL as usize],
 }
 
 impl LinkBudget {
@@ -61,11 +75,18 @@ impl LinkBudget {
                 value: margin_db,
             });
         }
+        let mut ebn0 = [0.0; 1 + MAX_BITS_PER_SYMBOL as usize];
+        ebn0[0] = Modulation::Ook.required_ebn0(target_ber)?;
+        for bits_per_symbol in 1..=MAX_BITS_PER_SYMBOL {
+            ebn0[usize::from(bits_per_symbol)] =
+                Modulation::Qam { bits_per_symbol }.required_ebn0(target_ber)?;
+        }
         Ok(Self {
             target_ber,
             path_loss_db,
             margin_db,
             noise_temperature_k: BODY_TEMPERATURE_K,
+            ebn0,
         })
     }
 
@@ -116,8 +137,25 @@ impl LinkBudget {
         Energy::from_joules(BOLTZMANN * self.noise_temperature_k)
     }
 
+    /// The required Eb/N0 (linear) for `modulation` at the target BER:
+    /// a table lookup for OOK and QAM with 1..=[`MAX_BITS_PER_SYMBOL`]
+    /// bits per symbol, the solver for any other `Qam` value.
+    fn required_ebn0(&self, modulation: Modulation) -> Result<f64> {
+        match modulation {
+            Modulation::Ook => Ok(self.ebn0[0]),
+            Modulation::Qam {
+                bits_per_symbol: k @ 1..=MAX_BITS_PER_SYMBOL,
+            } => Ok(self.ebn0[usize::from(k)]),
+            Modulation::Qam { .. } => modulation.required_ebn0(self.target_ber),
+        }
+    }
+
     /// The transmit energy per bit needed to close the link with the
     /// given modulation at transmitter efficiency `eta` (`0 < η ≤ 1`).
+    ///
+    /// The required Eb/N0 comes from the table solved when the budget
+    /// was built, so no call runs the BER bisection (except for a `Qam`
+    /// value outside the table).
     ///
     /// # Errors
     ///
@@ -144,7 +182,7 @@ impl LinkBudget {
         if !(eta > 0.0 && eta <= 1.0) {
             return Err(RfError::InvalidEfficiency { eta });
         }
-        let ebn0 = modulation.required_ebn0(self.target_ber)?;
+        let ebn0 = self.required_ebn0(modulation)?;
         let losses = from_db(self.path_loss_db + self.margin_db);
         Ok(self.noise_density() * (ebn0 * losses / eta))
     }
@@ -274,6 +312,65 @@ mod tests {
         } else {
             assert!(p > cap, "even an ideal transmitter cannot close the link");
         }
+    }
+
+    /// The solver-backed energy per bit, the expression `energy_per_bit`
+    /// evaluated before the budget carried its Eb/N0 table.
+    fn solved_energy_per_bit(link: &LinkBudget, modulation: Modulation, eta: f64) -> Energy {
+        let ebn0 = modulation.required_ebn0(link.target_ber()).unwrap();
+        let losses = from_db(link.path_loss_db() + link.margin_db());
+        link.noise_density() * (ebn0 * losses / eta)
+    }
+
+    #[test]
+    fn table_lookup_is_bit_identical_to_the_solver() {
+        let hot = LinkBudget::new(1e-9, 45.0, 10.0)
+            .unwrap()
+            .with_noise_temperature(400.0)
+            .unwrap();
+        let schemes: Vec<Modulation> = core::iter::once(Modulation::Ook)
+            .chain((1..=MAX_BITS_PER_SYMBOL).map(|k| Modulation::qam(k).unwrap()))
+            .collect();
+        assert_eq!(schemes.len(), 21, "one table entry per scheme");
+        for link in [LinkBudget::paper_nominal(), hot] {
+            for &modulation in &schemes {
+                for eta in [1.0, 0.2, 0.15] {
+                    let table = link.energy_per_bit(modulation, eta).unwrap();
+                    let solver = solved_energy_per_bit(&link, modulation, eta);
+                    assert_eq!(
+                        table.joules().to_bits(),
+                        solver.joules().to_bits(),
+                        "{modulation} at η = {eta}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `Qam` is publicly constructible, so a bits-per-symbol value the
+    /// table does not hold still reaches the solver.
+    #[test]
+    fn qam_outside_the_table_goes_through_the_solver() {
+        let link = LinkBudget::paper_nominal();
+        for bits_per_symbol in [0, MAX_BITS_PER_SYMBOL + 1] {
+            let modulation = Modulation::Qam { bits_per_symbol };
+            let energy = link.energy_per_bit(modulation, 1.0).unwrap();
+            let solver = solved_energy_per_bit(&link, modulation, 1.0);
+            assert_eq!(energy.joules().to_bits(), solver.joules().to_bits());
+        }
+    }
+
+    /// Regression: filling the table at construction solves 2^20-QAM at
+    /// the budget's target, which is met at the solver's bracket floor
+    /// for a loose 0.2 target. That must build, in every profile.
+    #[test]
+    fn a_loose_target_builds_a_budget() {
+        let link = LinkBudget::new(0.2, 60.0, 20.0).unwrap();
+        let top = Modulation::qam(MAX_BITS_PER_SYMBOL).unwrap();
+        assert_eq!(
+            link.energy_per_bit(top, 1.0).unwrap(),
+            solved_energy_per_bit(&link, top, 1.0)
+        );
     }
 
     #[test]

@@ -83,7 +83,24 @@ impl Modulation {
     }
 
     /// The Eb/N0 (linear) required to achieve a target BER, found by
-    /// bisection on the monotone [`Modulation::ber`] curve.
+    /// log-space bisection on the monotone [`Modulation::ber`] curve
+    /// over the bracket `[1e-6, 1e12]`.
+    ///
+    /// The bisection keeps `ber(lo) > target ≥ ber(hi)`, so once the
+    /// midpoint rounds onto either end every further step leaves the
+    /// bracket unchanged: the loop stops there, at f64 resolution, with
+    /// the value a full 200-step run would return.
+    ///
+    /// A target outside the bracket *saturates* to its nearer end
+    /// instead of bisecting an invalid bracket, identically in every
+    /// build profile:
+    ///
+    /// * a target the scheme meets even at the floor returns the floor
+    ///   `1e-6`. High-order QAM has a BER of only ~0.1 as Eb/N0 → 0
+    ///   (2^20-QAM), so a loose target such as 0.2 lands here;
+    /// * a target it misses even at the ceiling returns the ceiling
+    ///   `1e12` (only a malformed `Qam { bits_per_symbol: 0 }`, whose BER
+    ///   is 0.5 everywhere, lands here).
     ///
     /// # Errors
     ///
@@ -92,13 +109,18 @@ impl Modulation {
         if !(target_ber > 0.0 && target_ber < 0.5) {
             return Err(RfError::InvalidBer { ber: target_ber });
         }
-        // BER is monotone decreasing in Eb/N0; bracket then bisect in
-        // log-space for numerical robustness.
         let (mut lo, mut hi) = (1e-6_f64, 1e12_f64);
-        debug_assert!(self.ber(lo) > target_ber);
-        debug_assert!(self.ber(hi) < target_ber);
+        if self.ber(lo) <= target_ber {
+            return Ok(lo);
+        }
+        if self.ber(hi) > target_ber {
+            return Ok(hi);
+        }
         for _ in 0..200 {
             let mid = (lo * hi).sqrt();
+            if mid == lo || mid == hi {
+                break;
+            }
             if self.ber(mid) > target_ber {
                 lo = mid;
             } else {
@@ -223,6 +245,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The solver as it ran before its early exit: 200 log-space
+    /// bisection steps, no matter when the bracket stops moving.
+    fn required_ebn0_200_steps(modulation: Modulation, target_ber: f64) -> f64 {
+        let (mut lo, mut hi) = (1e-6_f64, 1e12_f64);
+        for _ in 0..200 {
+            let mid = (lo * hi).sqrt();
+            if modulation.ber(mid) > target_ber {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo * hi).sqrt()
+    }
+
+    /// The early exit changes no bit: OOK and every QAM order over a log
+    /// grid of targets in [1e-14, 1e-2].
+    #[test]
+    fn early_exit_is_bit_identical_to_200_steps() {
+        let schemes = core::iter::once(Modulation::Ook)
+            .chain((1..=MAX_BITS_PER_SYMBOL).map(|k| Modulation::qam(k).unwrap()));
+        for modulation in schemes {
+            for step in 0..=120 {
+                let target = 10_f64.powf(-14.0 + f64::from(step) / 10.0);
+                let fast = modulation.required_ebn0(target).unwrap();
+                let oracle = required_ebn0_200_steps(modulation, target);
+                assert_eq!(
+                    fast.to_bits(),
+                    oracle.to_bits(),
+                    "{modulation} at {target:e}: {fast} vs {oracle}"
+                );
+            }
+        }
+    }
+
+    /// Regression: 2^20-QAM's BER tends to ~0.1 as Eb/N0 → 0, so a 0.2
+    /// target is already met at the bracket floor. The solver used to
+    /// `debug_assert!` there (a panic in debug builds) and return the
+    /// bisection artifact 1.0000000000000002e-6 in release; it now
+    /// returns the floor in every build profile.
+    #[test]
+    fn a_target_met_at_the_floor_saturates_to_the_floor() {
+        let qam = Modulation::qam(20).unwrap();
+        assert!(qam.ber(1e-6) <= 0.2);
+        assert_eq!(qam.required_ebn0(0.2).unwrap(), 1e-6);
     }
 
     #[test]

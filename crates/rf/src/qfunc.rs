@@ -78,7 +78,10 @@ pub fn q(x: f64) -> f64 {
 
 /// Inverse Q-function: returns `x` such that `Q(x) = p`, for `0 < p < 1`.
 ///
-/// Uses bisection on the monotone `Q`, accurate to ~1e-12 in `x`.
+/// Uses bisection on the monotone `Q` over `[−10, 40]`, which keeps
+/// `Q(lo) > p ≥ Q(hi)`. Once the midpoint rounds onto either end, every
+/// further step leaves the bracket unchanged, so the loop stops there,
+/// at f64 resolution, with the value a full 200-step run would return.
 ///
 /// Out-of-domain inputs *saturate* instead of silently returning a
 /// bisection artifact (the pre-fix behaviour in release builds, which
@@ -99,6 +102,9 @@ pub fn q_inv(p: f64) -> f64 {
     let (mut lo, mut hi) = (-10.0_f64, 40.0_f64);
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            break;
+        }
         if q(mid) > p {
             lo = mid;
         } else {
@@ -201,6 +207,38 @@ mod tests {
             assert!(
                 ((back.ln() - p.ln()).abs()) < 1e-6,
                 "q_inv({p}) = {x}, q back = {back}"
+            );
+        }
+    }
+
+    /// The inverse as it ran before its early exit: 200 bisection steps,
+    /// no matter when the bracket stops moving.
+    fn q_inv_200_steps(p: f64) -> f64 {
+        let (mut lo, mut hi) = (-10.0_f64, 40.0_f64);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if q(mid) > p {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// The early exit changes no bit: a linear grid over (0, 1) plus a
+    /// log grid into the deep tail.
+    #[test]
+    fn q_inv_early_exit_is_bit_identical_to_200_steps() {
+        let linear = (1..1000).map(|i| f64::from(i) / 1000.0);
+        let tail = (1..=300).map(|e| 10_f64.powf(-f64::from(e)));
+        for p in linear.chain(tail) {
+            let fast = q_inv(p);
+            let oracle = q_inv_200_steps(p);
+            assert_eq!(
+                fast.to_bits(),
+                oracle.to_bits(),
+                "p = {p:e}: {fast} vs {oracle}"
             );
         }
     }
