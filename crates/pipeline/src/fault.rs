@@ -395,7 +395,9 @@ pub enum DegradePolicy {
 /// synthesized under the configured [`DegradePolicy`]; a frame
 /// carrying NaN or infinite channels has exactly those channels
 /// repaired by the same policy. Every frame this stage emits is
-/// finite, full-width, and of the input's kind.
+/// finite, full-width, and of the input's kind. A non-empty codes or
+/// counts frame has nothing to repair: it is copied through unchanged
+/// (no f64 round trip) and only enters the history.
 pub struct ConcealStage {
     channels: usize,
     policy: DegradePolicy,
@@ -485,6 +487,17 @@ impl ConcealStage {
         self.seen = (self.seen + 1).min(2);
     }
 
+    /// Rolls a clean integer frame into the history — what `conceal`
+    /// does for a frame with nothing to repair, without the f64
+    /// scratch.
+    fn remember<T: Copy + Into<f64>>(&mut self, frame: &[T]) {
+        core::mem::swap(&mut self.older, &mut self.last);
+        for (h, &x) in self.last.iter_mut().zip(frame) {
+            *h = x.into();
+        }
+        self.seen = (self.seen + 1).min(2);
+    }
+
     fn check_width(&self, len: usize) -> Result<()> {
         if len != self.channels {
             return Err(DecodeError::ShapeMismatch {
@@ -504,15 +517,24 @@ impl Stage for ConcealStage {
 
     fn process(&mut self, input: &Frame<'_>, out: &mut FrameBuf) -> Result<StageOutput> {
         let gap = input.is_empty();
-        // Load the input into the f64 scratch (skipped for a gap —
-        // conceal() synthesizes the frame instead).
+        // Load a real-valued input into the f64 scratch (skipped for a
+        // gap — conceal() synthesizes the frame instead).
         self.scratch.clear();
         match input {
-            Frame::Codes(codes) => {
-                if !gap {
-                    self.check_width(codes.len())?;
-                    self.scratch.extend(codes.iter().map(|&c| f64::from(c)));
-                }
+            // A clean integer frame is finite, so conceal() would
+            // repair nothing, and rounding its exact f64 widening gives
+            // the same integers back: copy it and roll the history.
+            Frame::Codes(codes) if !gap => {
+                self.check_width(codes.len())?;
+                out.begin_codes().extend_from_slice(codes);
+                self.remember(codes);
+            }
+            Frame::Counts(counts) if !gap => {
+                self.check_width(counts.len())?;
+                out.begin_counts().extend_from_slice(counts);
+                self.remember(counts);
+            }
+            Frame::Codes(_) => {
                 self.conceal(gap);
                 out.begin_codes().extend(
                     self.scratch
@@ -520,11 +542,7 @@ impl Stage for ConcealStage {
                         .map(|&v| libm_round_clamp(v, f64::from(u16::MAX)) as u16),
                 );
             }
-            Frame::Counts(counts) => {
-                if !gap {
-                    self.check_width(counts.len())?;
-                    self.scratch.extend(counts.iter().map(|&c| f64::from(c)));
-                }
+            Frame::Counts(_) => {
                 self.conceal(gap);
                 out.begin_counts().extend(
                     self.scratch
@@ -580,6 +598,7 @@ mod tests {
     use crate::stage::Pipeline;
     use crate::stages::PacketizeStage;
     use mindful_rf::fault::FaultConfig;
+    use proptest::prelude::*;
 
     fn plan(config: FaultConfig, seed: u64) -> FaultPlan {
         FaultPlan::new(config, seed).unwrap()
@@ -756,6 +775,63 @@ mod tests {
             .unwrap();
         assert_eq!(out.as_frame(), Frame::Activations(&[0.0, 0.5]));
         assert_eq!(stage.quarantined(), 1);
+    }
+
+    /// An integer or values frame, widened to f64.
+    fn widened(frame: Frame<'_>) -> Vec<f64> {
+        match frame {
+            Frame::Codes(codes) => codes.iter().map(|&c| f64::from(c)).collect(),
+            Frame::Counts(counts) => counts.iter().map(|&c| f64::from(c)).collect(),
+            Frame::Values(values) => values.to_vec(),
+            other => panic!("unexpected {:?} frame", other.kind()),
+        }
+    }
+
+    proptest! {
+        /// Clean codes and counts frames skip the f64 scratch; the same
+        /// stream fed as values takes the general path. Rounded and
+        /// clamped, the general path's output must be the integer
+        /// output, frame by frame, with the same counters.
+        #[test]
+        fn clean_integer_frames_match_the_general_path(
+            policy in prop::sample::select(vec![
+                DegradePolicy::HoldLast,
+                DegradePolicy::ZeroFill,
+                DegradePolicy::Interpolate,
+            ]),
+            frames in prop::collection::vec(
+                (0_u8..4, prop::collection::vec(any::<u32>(), 5..6)),
+                1..60,
+            ),
+        ) {
+            for counts in [false, true] {
+                let max = if counts { f64::from(u32::MAX) } else { f64::from(u16::MAX) };
+                let mut fast = ConcealStage::new(5, policy).unwrap();
+                let mut general = ConcealStage::new(5, policy).unwrap();
+                let (mut a, mut b) = (FrameBuf::new(), FrameBuf::new());
+                for (tag, raw) in &frames {
+                    // One frame in four is a gap marker.
+                    let ints: Vec<u32> = match (*tag == 0, counts) {
+                        (true, _) => Vec::new(),
+                        (false, true) => raw.clone(),
+                        (false, false) => raw.iter().map(|&v| v & 0xFFFF).collect(),
+                    };
+                    let codes: Vec<u16> = ints.iter().map(|&v| v as u16).collect();
+                    let values: Vec<f64> = ints.iter().map(|&v| f64::from(v)).collect();
+                    let input = if counts { Frame::Counts(&ints) } else { Frame::Codes(&codes) };
+                    fast.process(&input, &mut a).unwrap();
+                    general.process(&Frame::Values(&values), &mut b).unwrap();
+                    prop_assert_eq!(a.as_frame().kind(), input.kind());
+                    let expect: Vec<f64> = widened(b.as_frame())
+                        .into_iter()
+                        .map(|v| libm_round_clamp(v, max))
+                        .collect();
+                    prop_assert_eq!(widened(a.as_frame()), expect, "{:?} counts={}", policy, counts);
+                }
+                prop_assert_eq!(fast.degraded(), general.degraded());
+                prop_assert_eq!(fast.quarantined(), general.quarantined());
+            }
+        }
     }
 
     #[test]

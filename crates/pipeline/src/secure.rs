@@ -115,7 +115,8 @@ pub struct FirewallConfig {
     /// `(0, 1)`: the effective memory is roughly `1 / alpha` frames.
     pub alpha: f64,
     /// Frames observed before the screen goes live. During warmup
-    /// every frame passes and trains the statistics.
+    /// every finite frame passes and trains the statistics; a frame
+    /// with a non-finite channel is quarantined even then.
     pub warmup: u64,
     /// Squared-deviation tolerance (in variance units) for the
     /// per-channel gain term γ before it starts contributing penalty.
@@ -191,6 +192,18 @@ impl EwStat {
     }
 }
 
+/// One frame's statistics, computed once and shared by scoring and
+/// training.
+struct FrameStats {
+    /// Mean per-channel γ penalty.
+    gamma: f64,
+    /// Frame variance about its mean (the φ input).
+    var: f64,
+    /// Mean absolute step from `prev` (the τ input; meaningful only
+    /// while `tau_valid`).
+    step: f64,
+}
+
 /// The L8 neural firewall: a streaming coherence screen in front of
 /// the decoders and the DNN.
 ///
@@ -203,8 +216,14 @@ impl EwStat {
 /// gap marker instead, which a downstream
 /// [`ConcealStage`](crate::ConcealStage) conceals under its policy.
 /// Accepted frames pass through bit-exact and train the statistics;
-/// quarantined frames train nothing. An empty input frame (a gap
-/// marker from upstream) passes through untouched and unscored.
+/// quarantined frames train nothing. The first
+/// [`FirewallConfig::warmup`] accepted frames pass unscored, with one
+/// exception: a frame with a NaN or infinite channel scores zero and
+/// is quarantined whenever it arrives, so it can never poison the
+/// statistics. The frame's mean, variance and mean absolute step are
+/// computed once and shared by scoring and training. An empty input
+/// frame (a gap marker from upstream) passes through untouched and
+/// unscored.
 pub struct FirewallStage {
     channels: usize,
     config: FirewallConfig,
@@ -280,72 +299,59 @@ impl FirewallStage {
         ((z2 - tol) / tol).max(0.0)
     }
 
-    /// Scores `self.scratch` against the current statistics. Non-finite
-    /// channels are maximally incoherent (score zero) — the NaN screen
-    /// in front of the NaN screen.
-    fn score(&self) -> f64 {
+    /// Measures the frame in `self.scratch` in two passes: one for
+    /// the γ penalty sum, the channel sum and the absolute-step sum
+    /// (each accumulated in channel order), one for the variance about
+    /// the mean. `None` if any channel is non-finite.
+    fn measure(&self) -> Option<FrameStats> {
         let mut gamma = 0.0;
         let mut sum = 0.0;
-        for (c, stat) in self.gain.iter().enumerate() {
-            let x = self.scratch[c];
+        let mut step = 0.0;
+        for ((stat, &x), &p) in self.gain.iter().zip(&self.scratch).zip(&self.prev) {
             if !x.is_finite() {
-                return 0.0;
+                return None;
             }
             gamma += Self::penalty(stat.z_squared(x), self.config.gain_tol);
             sum += x;
+            step += (x - p).abs();
         }
-        gamma /= self.channels as f64;
-        let mean = sum / self.channels as f64;
+        let n = self.channels as f64;
+        let mean = sum / n;
         let var = self
             .scratch
             .iter()
             .map(|&x| (x - mean) * (x - mean))
             .sum::<f64>()
-            / self.channels as f64;
-        let phi = Self::penalty(self.power.z_squared(var), self.config.stat_tol);
-        let tau = if !self.tau_valid {
+            / n;
+        Some(FrameStats {
+            gamma: gamma / n,
+            var,
+            step: step / n,
+        })
+    }
+
+    /// Scores a measured frame against the current statistics.
+    fn score(&self, stats: &FrameStats) -> f64 {
+        let phi = Self::penalty(self.power.z_squared(stats.var), self.config.stat_tol);
+        let tau = if self.tau_valid {
+            Self::penalty(self.rate.z_squared(stats.step), self.config.stat_tol)
+        } else {
             // No immediate predecessor: no step to judge.
             0.0
-        } else {
-            let step = self
-                .scratch
-                .iter()
-                .zip(&self.prev)
-                .map(|(&x, &p)| (x - p).abs())
-                .sum::<f64>()
-                / self.channels as f64;
-            Self::penalty(self.rate.z_squared(step), self.config.stat_tol)
         };
-        (-(gamma + phi + tau)).exp()
+        (-(stats.gamma + phi + tau)).exp()
     }
 
     /// Trains the statistics on the (accepted) frame in `self.scratch`
     /// and rolls it into the rate-of-change history.
-    fn train(&mut self) {
+    fn train(&mut self, stats: &FrameStats) {
         let alpha = self.config.alpha;
-        let mut sum = 0.0;
-        for (c, stat) in self.gain.iter_mut().enumerate() {
-            let x = self.scratch[c];
+        for (stat, &x) in self.gain.iter_mut().zip(&self.scratch) {
             stat.update(x, alpha);
-            sum += x;
         }
-        let mean = sum / self.channels as f64;
-        let var = self
-            .scratch
-            .iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / self.channels as f64;
-        self.power.update(var, alpha);
+        self.power.update(stats.var, alpha);
         if self.tau_valid {
-            let step = self
-                .scratch
-                .iter()
-                .zip(&self.prev)
-                .map(|(&x, &p)| (x - p).abs())
-                .sum::<f64>()
-                / self.channels as f64;
-            self.rate.update(step, alpha);
+            self.rate.update(stats.step, alpha);
         }
         self.prev.copy_from_slice(&self.scratch);
         self.tau_valid = true;
@@ -353,22 +359,28 @@ impl FirewallStage {
     }
 
     /// Screens the frame currently in `self.scratch`; returns whether
-    /// it passes. Warmup frames always pass; every accepted frame
-    /// trains the statistics, a quarantined frame trains nothing.
+    /// it passes. A frame with a non-finite channel is maximally
+    /// incoherent (score zero) and is quarantined whenever it arrives,
+    /// warmup included. Other warmup frames always pass. Every
+    /// accepted frame trains the statistics, a quarantined frame
+    /// trains nothing.
     fn admit(&mut self) -> bool {
-        if self.seen < self.config.warmup {
-            self.coherence = 1.0;
-            self.train();
-            return true;
-        }
-        self.coherence = self.score();
-        if self.coherence < self.config.threshold {
-            self.firewalled += 1;
-            self.tau_valid = false;
-            false
-        } else {
-            self.train();
-            true
+        let stats = self.measure();
+        self.coherence = match &stats {
+            None => 0.0,
+            Some(_) if self.seen < self.config.warmup => 1.0,
+            Some(stats) => self.score(stats),
+        };
+        match stats {
+            Some(stats) if self.coherence >= self.config.threshold => {
+                self.train(&stats);
+                true
+            }
+            _ => {
+                self.firewalled += 1;
+                self.tau_valid = false;
+                false
+            }
         }
     }
 
@@ -606,6 +618,280 @@ mod tests {
         assert_eq!(out.as_frame(), Frame::Values(&[]));
         assert_eq!(stage.coherence(), 0.0);
         assert_eq!(stage.firewalled(), 1);
+    }
+
+    /// A warmup frame with a non-finite channel is quarantined too:
+    /// trained, one NaN would turn every statistic it reaches into NaN,
+    /// and `penalty(NaN)` is zero, so the screen would pass anything.
+    #[test]
+    fn non_finite_warmup_frames_are_quarantined_and_train_nothing() {
+        let channels = 8;
+        let config = FirewallConfig {
+            warmup: 4,
+            ..FirewallConfig::default()
+        };
+        let clean =
+            |k: u64| -> Vec<f64> { steady(k, channels).into_iter().map(f64::from).collect() };
+        let all_nan = vec![f64::NAN; channels];
+        let mut one_nan = clean(2);
+        one_nan[5] = f64::NAN;
+        for poison in [all_nan, one_nan] {
+            let mut stage = FirewallStage::new(channels, config).unwrap();
+            let mut out = FrameBuf::new();
+            for k in 0..2 {
+                stage.process(&Frame::Values(&clean(k)), &mut out).unwrap();
+            }
+            stage.process(&Frame::Values(&poison), &mut out).unwrap();
+            assert_eq!(out.as_frame(), Frame::Values(&[]), "quarantined in warmup");
+            assert_eq!(stage.coherence(), 0.0);
+            assert_eq!(stage.firewalled(), 1);
+            assert!(!stage.tau_valid, "the quarantine breaks the τ chain");
+            assert_eq!(stage.seen, 2, "a quarantined frame is not a warmup frame");
+            for k in 3..11 {
+                let frame = clean(k);
+                stage.process(&Frame::Values(&frame), &mut out).unwrap();
+                assert_eq!(out.as_frame(), Frame::Values(frame.as_slice()), "step {k}");
+            }
+            assert!(stage
+                .gain
+                .iter()
+                .all(|s| s.mean.is_finite() && s.var.is_finite()));
+            assert!(stage.power.var.is_finite() && stage.rate.var.is_finite());
+            // The screen still sees: a frame a thousand times out of
+            // family fails, on every channel and on the poisoned one.
+            let mut hot = clean(11);
+            hot[5] = 1e6;
+            stage.process(&Frame::Values(&hot), &mut out).unwrap();
+            assert_eq!(out.as_frame(), Frame::Values(&[]));
+            stage
+                .process(&Frame::Values(&vec![1e6; channels]), &mut out)
+                .unwrap();
+            assert_eq!(out.as_frame(), Frame::Values(&[]));
+            assert_eq!(stage.firewalled(), 3);
+        }
+    }
+
+    /// The three-pass firewall the single-pass one replaced: `score`
+    /// and `train` each sum the frame, its variance and its mean step.
+    /// Kept as the bit-identity oracle; frames arrive as f64 values
+    /// (`None` is an upstream gap marker).
+    struct ThreePassFirewall {
+        channels: usize,
+        config: FirewallConfig,
+        gain: Vec<EwStat>,
+        power: EwStat,
+        rate: EwStat,
+        prev: Vec<f64>,
+        tau_valid: bool,
+        seen: u64,
+        coherence: f64,
+    }
+
+    impl ThreePassFirewall {
+        fn new(channels: usize, config: FirewallConfig) -> Self {
+            Self {
+                channels,
+                config,
+                gain: vec![EwStat::default(); channels],
+                power: EwStat::default(),
+                rate: EwStat::default(),
+                prev: vec![0.0; channels],
+                tau_valid: false,
+                seen: 0,
+                coherence: 1.0,
+            }
+        }
+
+        fn score(&self, frame: &[f64]) -> f64 {
+            let mut gamma = 0.0;
+            let mut sum = 0.0;
+            for (c, stat) in self.gain.iter().enumerate() {
+                let x = frame[c];
+                if !x.is_finite() {
+                    return 0.0;
+                }
+                gamma += FirewallStage::penalty(stat.z_squared(x), self.config.gain_tol);
+                sum += x;
+            }
+            gamma /= self.channels as f64;
+            let mean = sum / self.channels as f64;
+            let var =
+                frame.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / self.channels as f64;
+            let phi = FirewallStage::penalty(self.power.z_squared(var), self.config.stat_tol);
+            let tau = if self.tau_valid {
+                let step = frame
+                    .iter()
+                    .zip(&self.prev)
+                    .map(|(&x, &p)| (x - p).abs())
+                    .sum::<f64>()
+                    / self.channels as f64;
+                FirewallStage::penalty(self.rate.z_squared(step), self.config.stat_tol)
+            } else {
+                0.0
+            };
+            (-(gamma + phi + tau)).exp()
+        }
+
+        fn train(&mut self, frame: &[f64]) {
+            let alpha = self.config.alpha;
+            let mut sum = 0.0;
+            for (c, stat) in self.gain.iter_mut().enumerate() {
+                stat.update(frame[c], alpha);
+                sum += frame[c];
+            }
+            let mean = sum / self.channels as f64;
+            let var =
+                frame.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / self.channels as f64;
+            self.power.update(var, alpha);
+            if self.tau_valid {
+                let step = frame
+                    .iter()
+                    .zip(&self.prev)
+                    .map(|(&x, &p)| (x - p).abs())
+                    .sum::<f64>()
+                    / self.channels as f64;
+                self.rate.update(step, alpha);
+            }
+            self.prev.copy_from_slice(frame);
+            self.tau_valid = true;
+            self.seen += 1;
+        }
+
+        /// The verdict on one frame (`None` for a gap marker).
+        fn admit(&mut self, frame: Option<&[f64]>) -> Option<bool> {
+            let Some(frame) = frame else {
+                self.tau_valid = false;
+                return None;
+            };
+            if self.seen < self.config.warmup {
+                self.coherence = 1.0;
+                self.train(frame);
+                return Some(true);
+            }
+            self.coherence = self.score(frame);
+            if self.coherence < self.config.threshold {
+                self.tau_valid = false;
+                Some(false)
+            } else {
+                self.train(frame);
+                Some(true)
+            }
+        }
+    }
+
+    /// A seeded stream of in-family frames with gain steps, jitter
+    /// bursts, upstream gaps, NaN bursts (after warmup only: there the three-pass
+    /// firewall trained them) and long clean runs.
+    fn hostile_stream(
+        seed: u64,
+        channels: usize,
+        frames: usize,
+        warmup: u64,
+    ) -> Vec<Option<Vec<f64>>> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1_u64 << 53) as f64
+        };
+        let (mut gain, mut jitter, mut event_left) = (1.0, 4.0, 0_u32);
+        (0..frames)
+            .map(|k| {
+                let u = next();
+                // Every other 500-frame run is left clean.
+                let hostile = k as u64 >= warmup && (k / 500) % 2 == 1;
+                if event_left > 0 {
+                    event_left -= 1;
+                } else {
+                    (gain, jitter) = (1.0, 4.0);
+                }
+                if hostile && u < 0.03 {
+                    // For up to 40 frames: a gross (0.5x-3x) or mild
+                    // (±5%) gain step, or a jitter burst that moves the
+                    // mean step more than the level.
+                    let v = next();
+                    match (u * 100.0) as u32 {
+                        0 => gain = 0.5 + 2.5 * v,
+                        1 => gain = 0.95 + 0.1 * v,
+                        _ => jitter = 4.0 + 60.0 * v,
+                    }
+                    event_left = (40.0 * next()) as u32;
+                } else if hostile && u < 0.06 {
+                    return None;
+                }
+                let nan_burst = hostile && u > 0.97;
+                Some(
+                    (0..channels)
+                        .map(|c| {
+                            let base = 400.0 + 3.0 * c as f64;
+                            let x = gain * base
+                                + 25.0 * (k as f64 * 0.37 + c as f64).sin()
+                                + jitter * next();
+                            if nan_burst && c % 3 == 0 {
+                                f64::NAN
+                            } else {
+                                x
+                            }
+                        })
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn single_pass_firewall_matches_the_three_pass_oracle() {
+        let channels = 48;
+        let config = FirewallConfig {
+            warmup: 32,
+            ..FirewallConfig::default()
+        };
+        for seed in 1..=4 {
+            let mut stage = FirewallStage::new(channels, config).unwrap();
+            let mut oracle = ThreePassFirewall::new(channels, config);
+            let mut out = FrameBuf::new();
+            let (mut passed, mut failed) = (0, 0);
+            for (k, frame) in hostile_stream(seed, channels, 4_000, config.warmup)
+                .iter()
+                .enumerate()
+            {
+                let input = frame.as_deref().unwrap_or(&[]);
+                stage.process(&Frame::Values(input), &mut out).unwrap();
+                let Some(verdict) = oracle.admit(frame.as_deref()) else {
+                    assert!(out.as_frame().is_empty());
+                    continue;
+                };
+                assert_eq!(!out.as_frame().is_empty(), verdict, "seed {seed} frame {k}");
+                let bits = |s: &EwStat| (s.mean.to_bits(), s.var.to_bits());
+                assert_eq!(
+                    (
+                        stage.coherence().to_bits(),
+                        bits(&stage.power),
+                        bits(&stage.rate)
+                    ),
+                    (
+                        oracle.coherence.to_bits(),
+                        bits(&oracle.power),
+                        bits(&oracle.rate)
+                    ),
+                    "seed {seed} frame {k}"
+                );
+                if verdict {
+                    passed += 1;
+                } else {
+                    failed += 1;
+                }
+            }
+            assert_eq!(stage.firewalled(), failed);
+            assert!(stage.gain.iter().zip(&oracle.gain).all(|(a, b)| {
+                a.mean.to_bits() == b.mean.to_bits() && a.var.to_bits() == b.var.to_bits()
+            }));
+            assert!(
+                passed > 3_000 && failed > 20,
+                "seed {seed}: {passed} passed, {failed} quarantined"
+            );
+        }
     }
 
     #[test]

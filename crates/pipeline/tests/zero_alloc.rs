@@ -355,10 +355,10 @@ fn warm_fleet_epoch_is_allocation_free() {
     );
 }
 
-/// The secure-link chain of the authenticated-framing PR: sense →
-/// packetize → authenticated ARQ link (seal + NH/SipHash MAC verify +
-/// replay window) → neural firewall — allocation-free once the link's
-/// seal buffer, the MAC pad, and the firewall's baselines are warm.
+/// The secure-link chain: sense → packetize → authenticated ARQ link
+/// (seal + NH/SipHash MAC verify + replay window) → neural firewall →
+/// hold-last concealer — allocation-free once the link's seal buffer,
+/// the MAC pad, and the firewall's baselines are warm.
 #[test]
 fn warm_secure_chain_is_allocation_free() {
     use mindful_rf::arq::ArqConfig;
@@ -374,7 +374,8 @@ fn warm_secure_chain_is_allocation_free() {
         .with_stage(
             LinkStage::with_channel(ArqConfig::selective_repeat(4), None, 1, Some(&auth)).unwrap(),
         )
-        .with_stage(FirewallStage::new(channels, FirewallConfig::default()).unwrap());
+        .with_stage(FirewallStage::new(channels, FirewallConfig::default()).unwrap())
+        .with_stage(ConcealStage::new(channels, DegradePolicy::HoldLast).unwrap());
 
     // Warm-up long enough to flush the link's playout delay and to
     // finish the firewall's warm-up window, so the measured region is
@@ -398,8 +399,8 @@ fn warm_secure_chain_is_allocation_free() {
     assert_eq!(emitted, 32, "steady state plays out every frame");
     assert_eq!(
         allocs, 0,
-        "a warm sense→packetize→auth-link→firewall chain must not allocate: \
-         sealing, MAC verification, and coherence scoring reuse their buffers"
+        "a warm sense→packetize→auth-link→firewall→conceal chain must not allocate: \
+         sealing, MAC verification, coherence scoring, and concealment reuse their buffers"
     );
 
     // The crypto path really ran: every frame sealed and accepted, and
@@ -412,6 +413,12 @@ fn warm_secure_chain_is_allocation_free() {
         .secure
         .expect("firewall reports secure telemetry");
     assert_eq!(firewall.firewalled, 0);
+    let conceal = &telemetry[4];
+    assert!(
+        conceal.frames_in >= 32,
+        "the concealer ran every measured step"
+    );
+    assert_eq!(conceal.faults.map(|f| f.degraded), Some(0));
 }
 
 /// The computation-centric variant: sensing straight into the embedded

@@ -54,6 +54,11 @@ pub fn packetize(sequence: u16, samples: &[u16], sample_bits: u8) -> Result<Vec<
 /// Like [`packetize`], but writes the wire packet into `out` (cleared
 /// first). Allocation-free once `out` has capacity for the wire size.
 ///
+/// The payload is sized once and packed in place, 32 bits per store,
+/// rather than pushed a byte at a time; the wire bytes are those of
+/// the byte-at-a-time packer (pinned by a test oracle for every width
+/// and tail length).
+///
 /// # Errors
 ///
 /// Same as [`packetize`]; on error `out` is left cleared.
@@ -88,32 +93,48 @@ pub fn packetize_into(
         });
     }
 
-    let payload_bits = samples.len() * usize::from(sample_bits);
-    let payload_bytes = payload_bits.div_ceil(8);
+    let payload_bytes = (samples.len() * usize::from(sample_bits)).div_ceil(8);
     out.reserve(HEADER_BYTES + payload_bytes + TRAILER_BYTES);
     out.extend_from_slice(&PACKET_MAGIC.to_be_bytes());
     out.extend_from_slice(&sequence.to_be_bytes());
     out.extend_from_slice(&(samples.len() as u16).to_be_bytes());
     out.push(sample_bits);
-
-    // Bit-pack MSB-first.
-    let mut acc: u32 = 0;
-    let mut acc_bits: u32 = 0;
-    for &s in samples {
-        acc = (acc << sample_bits) | u32::from(s);
-        acc_bits += u32::from(sample_bits);
-        while acc_bits >= 8 {
-            acc_bits -= 8;
-            out.push(((acc >> acc_bits) & 0xFF) as u8);
-        }
-    }
-    if acc_bits > 0 {
-        out.push(((acc << (8 - acc_bits)) & 0xFF) as u8);
-    }
+    out.resize(HEADER_BYTES + payload_bytes, 0);
+    pack_msb_first(samples, sample_bits, &mut out[HEADER_BYTES..]);
 
     let crc = crc16(out);
     out.extend_from_slice(&crc.to_be_bytes());
     Ok(())
+}
+
+/// Bit-packs `samples` MSB-first into `payload`, which must be exactly
+/// `ceil(len · bits / 8)` bytes. Samples shift into a u64 accumulator
+/// that is written out 32 bits at a time; the bytes the last partial
+/// word touches follow, its final bits zero-padded.
+fn pack_msb_first(samples: &[u16], sample_bits: u8, payload: &mut [u8]) {
+    let bits = u32::from(sample_bits);
+    let full_words = samples.len() * usize::from(sample_bits) / 32;
+    let (body, tail) = payload.split_at_mut(4 * full_words);
+    let mut words = body.chunks_exact_mut(4);
+    let mut acc: u64 = 0;
+    let mut acc_bits: u32 = 0;
+    for &s in samples {
+        // At most 31 + 16 bits are pending, so nothing is lost.
+        acc = (acc << bits) | u64::from(s);
+        acc_bits += bits;
+        if acc_bits >= 32 {
+            acc_bits -= 32;
+            // `body` holds one word per 32 bits shifted in, so this
+            // is always `Some`.
+            if let Some(word) = words.next() {
+                word.copy_from_slice(&((acc >> acc_bits) as u32).to_be_bytes());
+            }
+        }
+    }
+    // Fewer than 32 bits remain: left-align them in a word and write
+    // the bytes they touch.
+    let last = ((acc << (32 - acc_bits)) as u32).to_be_bytes();
+    tail.copy_from_slice(&last[..tail.len()]);
 }
 
 /// A decoded neural-data frame.
@@ -265,6 +286,62 @@ mod tests {
         // CRC-16/CCITT-FALSE("123456789") = 0x29B1.
         assert_eq!(crc16(b"123456789"), 0x29B1);
         assert_eq!(crc16(b""), 0xFFFF);
+    }
+
+    /// The byte-at-a-time MSB-first packer the word writer replaced,
+    /// kept as the oracle for its wire bytes.
+    fn packetize_bytewise(sequence: u16, samples: &[u16], sample_bits: u8) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&PACKET_MAGIC.to_be_bytes());
+        out.extend_from_slice(&sequence.to_be_bytes());
+        out.extend_from_slice(&(samples.len() as u16).to_be_bytes());
+        out.push(sample_bits);
+        let mut acc: u32 = 0;
+        let mut acc_bits: u32 = 0;
+        for &s in samples {
+            acc = (acc << sample_bits) | u32::from(s);
+            acc_bits += u32::from(sample_bits);
+            while acc_bits >= 8 {
+                acc_bits -= 8;
+                out.push(((acc >> acc_bits) & 0xFF) as u8);
+            }
+        }
+        if acc_bits > 0 {
+            out.push(((acc << (8 - acc_bits)) & 0xFF) as u8);
+        }
+        let crc = crc16(&out);
+        out.extend_from_slice(&crc.to_be_bytes());
+        out
+    }
+
+    #[test]
+    fn word_packer_matches_the_bytewise_oracle_for_every_width_and_tail() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut wire = Vec::new();
+        for bits in 1..=16_u8 {
+            let mask = if bits == 16 {
+                u16::MAX
+            } else {
+                (1 << bits) - 1
+            };
+            let samples: Vec<u16> = (0..1100)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 32) as u16 & mask
+                })
+                .collect();
+            for len in 1..=samples.len() {
+                let frame = &samples[..len];
+                packetize_into(len as u16, frame, bits, &mut wire).unwrap();
+                assert_eq!(
+                    wire,
+                    packetize_bytewise(len as u16, frame, bits),
+                    "bits {bits}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]
