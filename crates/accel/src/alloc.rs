@@ -20,7 +20,7 @@ use mindful_core::units::{Power, TimeSpan};
 
 use crate::error::{AccelError, Result};
 use crate::tech::TechnologyNode;
-use crate::workload::NetworkWorkload;
+use crate::workload::{MacWorkload, NetworkWorkload};
 
 /// How layers share MAC hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,16 +113,70 @@ impl fmt::Display for Allocation {
     }
 }
 
-/// Steps available within the deadline at the node's MAC latency.
-fn deadline_steps(node: TechnologyNode, deadline: TimeSpan) -> Result<u64> {
-    let steps = deadline / node.mac_latency();
-    if !(steps >= 1.0 && steps.is_finite()) {
-        return Err(AccelError::InvalidParameter {
-            name: "deadline (MAC steps)",
-            value: steps,
-        });
+/// A real-time deadline counted in MAC steps of one technology node:
+/// `B = ⌊T / t_MAC⌋`, the steps one MAC unit can take before the
+/// deadline `T`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeadlineSteps {
+    node: TechnologyNode,
+    deadline: TimeSpan,
+    steps: u64,
+}
+
+impl DeadlineSteps {
+    /// Counts the MAC steps of `node` that fit in `deadline`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::InvalidParameter`] if the deadline is
+    /// shorter than one MAC step.
+    pub fn new(node: TechnologyNode, deadline: TimeSpan) -> Result<Self> {
+        let steps = deadline / node.mac_latency();
+        if !(steps >= 1.0 && steps.is_finite()) {
+            return Err(AccelError::InvalidParameter {
+                name: "deadline (MAC steps)",
+                value: steps,
+            });
+        }
+        Ok(Self {
+            node,
+            deadline,
+            steps: steps as u64,
+        })
     }
-    Ok(steps as u64)
+
+    /// The step count `B`.
+    #[must_use]
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// The fewest MAC units that any allocation of a network whose
+    /// first layer is `layer` can use: `⌈ops / ⌊B / seq⌋⌉`.
+    ///
+    /// This is exactly the pipelined stage of `layer`, which every
+    /// pipelined total includes. A shared pool of `hw` units runs the
+    /// layer in `seq · ⌈ops / hw⌉ ≤ B` steps at best, so `⌈ops / hw⌉ ≤
+    /// ⌊B / seq⌋` and `hw` is at least the same count. Hence no
+    /// allocation of the network ([`best_allocation`] included) uses
+    /// fewer units, and `P_MAC` times this count is a lower bound on its
+    /// `P_comp` (Eq. 13).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::DeadlineInfeasible`] when one sequence of
+    /// the layer alone (`seq` steps) overruns the deadline: no amount of
+    /// parallelism helps, because sequences are serial.
+    pub fn min_mac_hw(&self, layer: &MacWorkload) -> Result<u64> {
+        let rounds = self.steps / layer.seq();
+        if rounds == 0 {
+            return Err(AccelError::DeadlineInfeasible {
+                deadline_s: self.deadline.seconds(),
+                best_s: self.node.mac_latency().seconds() * layer.seq() as f64,
+            });
+        }
+        Ok(layer.ops().div_ceil(rounds))
+    }
 }
 
 /// Steps a shared pool of `hw` MACs needs for the whole network.
@@ -147,7 +201,7 @@ pub fn allocate_non_pipelined(
     node: TechnologyNode,
     deadline: TimeSpan,
 ) -> Result<Allocation> {
-    let budget = deadline_steps(node, deadline)?;
+    let budget = DeadlineSteps::new(node, deadline)?.steps();
     let max_hw = network.max_ops();
     let best = total_steps(network, max_hw);
     if best > budget {
@@ -193,21 +247,13 @@ pub fn allocate_pipelined(
     node: TechnologyNode,
     deadline: TimeSpan,
 ) -> Result<Allocation> {
-    let budget = deadline_steps(node, deadline)?;
+    let budget = DeadlineSteps::new(node, deadline)?;
     let mut per_layer = Vec::with_capacity(network.len());
     let mut slowest: u64 = 0;
     for layer in network.layers() {
-        // rounds allowed = floor(budget / seq); hw = ceil(ops / rounds).
-        let rounds = budget / layer.seq();
-        if rounds == 0 {
-            return Err(AccelError::DeadlineInfeasible {
-                deadline_s: deadline.seconds(),
-                best_s: node.mac_latency().seconds() * layer.seq() as f64,
-            });
-        }
-        let hw = layer.ops().div_ceil(rounds);
+        let hw = budget.min_mac_hw(layer)?;
         let steps = layer.seq() * layer.ops().div_ceil(hw);
-        debug_assert!(steps <= budget);
+        debug_assert!(steps <= budget.steps());
         slowest = slowest.max(steps);
         per_layer.push(hw);
     }
@@ -251,7 +297,6 @@ pub fn best_allocation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::MacWorkload;
 
     fn node() -> TechnologyNode {
         TechnologyNode::NANGATE_45NM // 2 ns per step.
@@ -424,6 +469,28 @@ mod tests {
         let err =
             allocate_non_pipelined(&net, node(), TimeSpan::from_nanoseconds(1.0)).unwrap_err();
         assert!(matches!(err, AccelError::InvalidParameter { .. }));
+    }
+
+    #[test]
+    fn first_layer_floor_is_its_pipelined_stage_and_bounds_both_modes() {
+        let net = small_net();
+        for deadline_us in [0.3, 1.0, 25.0, 100.0] {
+            let deadline = TimeSpan::from_microseconds(deadline_us);
+            let budget = DeadlineSteps::new(node(), deadline).unwrap();
+            let floor = budget.min_mac_hw(&net.layers()[0]).unwrap();
+            let pl = allocate_pipelined(&net, node(), deadline).unwrap();
+            assert_eq!(pl.per_layer()[0], floor, "{deadline_us} us");
+            if let Ok(np) = allocate_non_pipelined(&net, node(), deadline) {
+                assert!(np.total_mac_hw() >= floor, "{deadline_us} us");
+            }
+        }
+        // 200 ns is 100 steps: one 128-step sequence of layer 1 overruns.
+        let budget = DeadlineSteps::new(node(), TimeSpan::from_nanoseconds(200.0)).unwrap();
+        assert_eq!(budget.steps(), 100);
+        assert!(matches!(
+            budget.min_mac_hw(&net.layers()[0]),
+            Err(AccelError::DeadlineInfeasible { .. })
+        ));
     }
 
     #[test]

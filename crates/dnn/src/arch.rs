@@ -333,12 +333,7 @@ impl Architecture {
     /// Never fails for a constructed architecture; fallible for API
     /// uniformity.
     pub fn workload(&self) -> Result<NetworkWorkload> {
-        let layers = self
-            .layers
-            .iter()
-            .map(LayerSpec::workload)
-            .collect::<Result<Vec<_>>>()?;
-        NetworkWorkload::new(layers).map_err(DnnError::from)
+        workload_of(&self.layers)
     }
 
     /// The architecture truncated to its first `keep` layers (the
@@ -357,6 +352,15 @@ impl Architecture {
             layers: self.layers[..keep].to_vec(),
         })
     }
+}
+
+/// The MAC workload of a layer table (or of a prefix of one).
+pub(crate) fn workload_of(layers: &[LayerSpec]) -> Result<NetworkWorkload> {
+    let layers = layers
+        .iter()
+        .map(LayerSpec::workload)
+        .collect::<Result<Vec<_>>>()?;
+    NetworkWorkload::new(layers).map_err(DnnError::from)
 }
 
 impl fmt::Display for Architecture {

@@ -26,6 +26,14 @@ pub enum DnnError {
         /// The model's base channel count.
         base: u64,
     },
+    /// More channels feed the decoder than the interface records
+    /// (channel dropout can only drop channels).
+    ActiveAboveChannels {
+        /// The requested active channel count.
+        active: u64,
+        /// The interface's total channel count.
+        channels: u64,
+    },
     /// The model cannot fit the SoC at the requested operating point.
     Infeasible {
         /// Human-readable description.
@@ -55,6 +63,10 @@ impl fmt::Display for DnnError {
             Self::BelowBaseChannels { requested, base } => write!(
                 f,
                 "channel count {requested} is below the model's base of {base}"
+            ),
+            Self::ActiveAboveChannels { active, channels } => write!(
+                f,
+                "active channel count {active} exceeds the interface's {channels} channels"
             ),
             Self::Infeasible { reason } => write!(f, "infeasible: {reason}"),
             Self::ShapeMismatch { expected, actual } => {
@@ -106,6 +118,14 @@ mod tests {
         }
         .to_string()
         .contains("128"));
+        assert_eq!(
+            DnnError::ActiveAboveChannels {
+                active: 4096,
+                channels: 2048
+            }
+            .to_string(),
+            "active channel count 4096 exceeds the interface's 2048 channels"
+        );
     }
 
     #[test]

@@ -23,8 +23,13 @@ use mindful_core::budget::power_budget;
 use mindful_core::regimes::SplitDesign;
 use mindful_core::units::{Area, Energy, Power};
 
+use crate::arch::{workload_of, LayerSpec};
 use crate::error::{DnnError, Result};
-use crate::models::{ModelFamily, APPLICATION_RATE, OUTPUT_LABELS};
+use crate::models::{ModelFamily, APPLICATION_RATE, BASE_CHANNELS, OUTPUT_LABELS};
+
+/// The largest budget utilization that still counts as feasible (the
+/// slack absorbs rounding in `P_soc / P_budget`).
+pub(crate) const MAX_UTILIZATION: f64 = 1.0 + 1e-12;
 
 /// Configuration for the integration analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,7 +148,7 @@ impl IntegrationPoint {
     /// Whether the point respects the power budget.
     #[must_use]
     pub fn is_feasible(&self) -> bool {
-        self.budget_utilization() <= 1.0 + 1e-12
+        self.budget_utilization() <= MAX_UTILIZATION
     }
 
     /// The MAC allocation behind the computation power.
@@ -205,9 +210,11 @@ pub(crate) fn project_platform(
 ///
 /// # Errors
 ///
+/// * [`DnnError::ActiveAboveChannels`] if `active_channels` exceeds
+///   `channels`.
 /// * [`DnnError::Core`] if `channels` is below the anchor's reference.
 /// * [`DnnError::BelowBaseChannels`] if `active_channels` is below the
-///   model's 128-channel base or above `channels`.
+///   model's 128-channel base.
 /// * [`DnnError::Accel`] if no MAC allocation meets the real-time
 ///   deadline.
 pub fn evaluate(
@@ -218,15 +225,35 @@ pub fn evaluate(
     config: &IntegrationConfig,
 ) -> Result<IntegrationPoint> {
     if active_channels > channels {
-        return Err(DnnError::BelowBaseChannels {
-            requested: channels,
-            base: active_channels,
+        return Err(DnnError::ActiveAboveChannels {
+            active: active_channels,
+            channels,
         });
     }
-    let (sensing, area) = project_platform(design, channels, config)?;
-    let arch = family.architecture(active_channels)?;
-    let workload = arch.workload()?;
-    let allocation = best_allocation(&workload, config.node, family.deadline())?;
+    let platform = project_platform(design, channels, config)?;
+    evaluate_on(
+        platform,
+        family,
+        channels,
+        active_channels,
+        config,
+        &mut Vec::new(),
+    )
+}
+
+/// The step every search shares: evaluates `active_channels` on a
+/// projected `(sensing power, area)` platform, building the model's
+/// layer table into the reused `layers` buffer.
+fn evaluate_on(
+    (sensing, area): (Power, Area),
+    family: ModelFamily,
+    channels: u64,
+    active_channels: u64,
+    config: &IntegrationConfig,
+    layers: &mut Vec<LayerSpec>,
+) -> Result<IntegrationPoint> {
+    family.layers_into(active_channels, layers)?;
+    let allocation = best_allocation(&workload_of(layers)?, config.node, family.deadline())?;
     let computation = allocation.power();
     let out_rate = mindful_core::throughput::computation_centric_rate(
         OUTPUT_LABELS,
@@ -263,6 +290,9 @@ pub fn evaluate_full(
 /// still fits the budget, or `None` if it does not fit even at the
 /// anchor's reference count.
 ///
+/// Utilization grows with `n`, so the search stops at the first step
+/// that does not fit.
+///
 /// # Errors
 ///
 /// Returns [`DnnError::EmptyDimension`] for a zero step.
@@ -276,15 +306,14 @@ pub fn max_channels(
     if step == 0 {
         return Err(DnnError::EmptyDimension { name: "step" });
     }
+    let mut layers = Vec::new();
     let mut best = None;
     let mut n = design.reference_channels();
     while n <= limit {
-        match evaluate_full(design, family, n, config) {
+        let platform = project_platform(design, n, config)?;
+        match evaluate_on(platform, family, n, n, config, &mut layers) {
             Ok(point) if point.is_feasible() => best = Some(n),
-            // Utilization grows monotonically with n; stop at the first
-            // infeasible point.
-            Ok(_) => break,
-            Err(DnnError::Accel(_)) => break,
+            Ok(_) | Err(DnnError::Accel(_)) => break,
             Err(e) => return Err(e),
         }
         n += step;
@@ -296,7 +325,9 @@ pub fn max_channels(
 /// fits the budget at `n` total channels (the `ChDr` channel-dropout
 /// optimization of Section 6.2), searched on multiples of `step`.
 ///
-/// Returns `None` when even the 128-channel base model does not fit.
+/// The model only grows with `n'`, so the search stops at the first
+/// active count that does not fit. Returns `None` when even the
+/// 128-channel base model does not fit.
 ///
 /// # Errors
 ///
@@ -312,15 +343,14 @@ pub fn max_active_channels(
     if step == 0 {
         return Err(DnnError::EmptyDimension { name: "step" });
     }
-    // Validate the platform once.
-    project_platform(design, channels, config)?;
+    let platform = project_platform(design, channels, config)?;
+    let mut layers = Vec::new();
     let mut best = None;
-    let mut active = crate::models::BASE_CHANNELS;
+    let mut active = BASE_CHANNELS;
     while active <= channels {
-        match evaluate(design, family, channels, active, config) {
+        match evaluate_on(platform, family, channels, active, config, &mut layers) {
             Ok(point) if point.is_feasible() => best = Some(active),
-            Ok(_) => break,
-            Err(DnnError::Accel(_)) => break,
+            Ok(_) | Err(DnnError::Accel(_)) => break,
             Err(e) => return Err(e),
         }
         active += step;
@@ -494,7 +524,13 @@ mod tests {
         let design = anchor(1);
         let config = IntegrationConfig::paper_45nm();
         assert!(evaluate_full(&design, ModelFamily::Mlp, 512, &config).is_err());
-        assert!(evaluate(&design, ModelFamily::Mlp, 1024, 2048, &config).is_err());
+        assert_eq!(
+            evaluate(&design, ModelFamily::Mlp, 1024, 2048, &config).unwrap_err(),
+            DnnError::ActiveAboveChannels {
+                active: 2048,
+                channels: 1024
+            }
+        );
         assert!(evaluate(&design, ModelFamily::Mlp, 1024, 64, &config).is_err());
         assert!(max_channels(&design, ModelFamily::Mlp, &config, 0, 4096).is_err());
         assert!(max_active_channels(&design, ModelFamily::Mlp, 2048, &config, 0).is_err());

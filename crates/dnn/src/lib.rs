@@ -46,7 +46,7 @@ pub mod prelude {
         ModelFamily, APPLICATION_RATE, BASE_CHANNELS, CNN_WINDOW, OUTPUT_LABELS,
     };
     pub use crate::partition::{
-        earliest_split, evaluate_partitioned, evaluate_partitioned_active,
+        channel_gain, earliest_split, evaluate_partitioned, evaluate_partitioned_active,
         max_active_channels_partitioned, max_channels_partitioned, partition_gain,
         PartitionedPoint,
     };

@@ -83,11 +83,22 @@ impl ModelFamily {
     /// Returns [`DnnError::BelowBaseChannels`] for `channels` below the
     /// 128-channel base.
     pub fn architecture(&self, channels: u64) -> Result<Architecture> {
+        let mut layers = Vec::new();
+        self.layers_into(channels, &mut layers)?;
+        Architecture::new(format!("{self}@{channels}"), layers)
+    }
+
+    /// Writes the α-scaled layer table for `channels` into `layers`
+    /// (cleared first), so a search over channel counts can reuse one
+    /// buffer. The table is the one [`Self::architecture`] validates.
+    pub(crate) fn layers_into(&self, channels: u64, layers: &mut Vec<LayerSpec>) -> Result<()> {
         let alpha = Self::alpha(channels)?;
+        layers.clear();
         match self {
-            Self::Mlp => build_mlp(channels, alpha),
-            Self::DnCnn => build_dn_cnn(channels, alpha),
+            Self::Mlp => build_mlp(channels, alpha, layers),
+            Self::DnCnn => build_dn_cnn(channels, alpha, layers),
         }
+        Ok(())
     }
 
     /// Extra hidden blocks added by depth scaling at a given α.
@@ -112,11 +123,11 @@ fn scaled(base: u64, alpha: f64) -> u64 {
 }
 
 /// MLP: `n → 1024α → 256α → (4 + ⌊α/4⌋) × [256α → 256α] → 40`.
-fn build_mlp(channels: u64, alpha: f64) -> Result<Architecture> {
+fn build_mlp(channels: u64, alpha: f64, layers: &mut Vec<LayerSpec>) {
     let wide = scaled(1024, alpha);
     let hidden = scaled(256, alpha);
     let blocks = 4 + ModelFamily::extra_depth(alpha);
-    let mut layers = vec![
+    layers.extend([
         LayerSpec::Dense {
             inputs: channels,
             outputs: wide,
@@ -125,7 +136,7 @@ fn build_mlp(channels: u64, alpha: f64) -> Result<Architecture> {
             inputs: wide,
             outputs: hidden,
         },
-    ];
+    ]);
     for _ in 0..blocks {
         layers.push(LayerSpec::Dense {
             inputs: hidden,
@@ -136,21 +147,20 @@ fn build_mlp(channels: u64, alpha: f64) -> Result<Architecture> {
         inputs: hidden,
         outputs: OUTPUT_LABELS,
     });
-    Architecture::new(format!("MLP@{channels}"), layers)
 }
 
 /// DN-CNN: stem conv + three dense blocks (growth 32α) with transition
 /// conv + pool between them, then a global pool and a dense classifier.
-fn build_dn_cnn(channels: u64, alpha: f64) -> Result<Architecture> {
+fn build_dn_cnn(channels: u64, alpha: f64, layers: &mut Vec<LayerSpec>) {
     let c0 = scaled(128, alpha);
     let growth = scaled(32, alpha);
     let half = scaled(128, alpha);
-    let mut layers = vec![LayerSpec::Conv1d {
+    layers.push(LayerSpec::Conv1d {
         in_channels: channels,
         out_channels: c0,
         kernel: 3,
         positions: CNN_WINDOW,
-    }];
+    });
 
     // Block 1 at the full window.
     let mut c = c0;
@@ -221,7 +231,6 @@ fn build_dn_cnn(channels: u64, alpha: f64) -> Result<Architecture> {
         inputs: c,
         outputs: OUTPUT_LABELS,
     });
-    Architecture::new(format!("DN-CNN@{channels}"), layers)
 }
 
 #[cfg(test)]

@@ -9,15 +9,16 @@
 
 use core::fmt;
 
-use mindful_accel::alloc::best_allocation;
+use mindful_accel::alloc::{best_allocation, DeadlineSteps};
+use mindful_core::budget::power_budget;
 use mindful_core::regimes::SplitDesign;
 use mindful_core::throughput::sensing_throughput;
 use mindful_core::units::{DataRate, Power};
 
-use crate::arch::Architecture;
+use crate::arch::{workload_of, Architecture, LayerSpec};
 use crate::error::{DnnError, Result};
-use crate::integration::{max_channels, project_platform, IntegrationConfig};
-use crate::models::{ModelFamily, APPLICATION_RATE};
+use crate::integration::{max_channels, project_platform, IntegrationConfig, MAX_UTILIZATION};
+use crate::models::{ModelFamily, APPLICATION_RATE, BASE_CHANNELS};
 
 /// A chosen partition of a model at one channel count.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +99,7 @@ impl PartitionedPoint {
     /// Whether the point respects the power budget.
     #[must_use]
     pub fn is_feasible(&self) -> bool {
-        self.budget_utilization() <= 1.0 + 1e-12
+        self.budget_utilization() <= MAX_UTILIZATION
     }
 }
 
@@ -129,10 +130,87 @@ pub fn activation_rate(output_values: u64, sample_bits: u8) -> DataRate {
 /// output does not fit.
 #[must_use]
 pub fn earliest_split(arch: &Architecture, rate_cap: DataRate, sample_bits: u8) -> Option<usize> {
-    arch.layers()
+    split_of(arch.layers(), rate_cap, sample_bits)
+}
+
+fn split_of(layers: &[LayerSpec], rate_cap: DataRate, sample_bits: u8) -> Option<usize> {
+    layers
         .iter()
         .position(|layer| activation_rate(layer.output_values(), sample_bits) <= rate_cap)
         .map(|idx| idx + 1)
+}
+
+/// What a partitioned deployment at `channels` total channels fixes for
+/// every active channel count: the projected platform and the link cap
+/// (the SoC's own 1024-channel raw-streaming rate).
+struct SplitPlatform {
+    channels: u64,
+    sensing: Power,
+    budget: Power,
+    rate_cap: DataRate,
+}
+
+impl SplitPlatform {
+    fn project(design: &SplitDesign, channels: u64, config: &IntegrationConfig) -> Result<Self> {
+        let (sensing, area) = project_platform(design, channels, config)?;
+        let spec = design.scaled().spec();
+        Ok(Self {
+            channels,
+            sensing,
+            budget: power_budget(area),
+            rate_cap: sensing_throughput(
+                design.reference_channels(),
+                spec.sample_bits(),
+                spec.sampling(),
+            ),
+        })
+    }
+
+    /// The earliest-layer split of the `active`-channel layer table.
+    fn split(
+        &self,
+        family: ModelFamily,
+        active: u64,
+        layers: &[LayerSpec],
+        sample_bits: u8,
+    ) -> Result<usize> {
+        split_of(layers, self.rate_cap, sample_bits).ok_or_else(|| DnnError::Infeasible {
+            reason: format!(
+                "even the final output of {family}@{active} exceeds the {:.1} Mbps link cap",
+                self.rate_cap.megabits_per_second()
+            ),
+        })
+    }
+
+    /// `(P_sensing + computation) / P_budget`: a lower bound on the
+    /// utilization of any point here whose MAC array draws at least
+    /// `computation` (the link power is left out).
+    fn utilization_floor(&self, computation: Power) -> f64 {
+        (self.sensing + computation) / self.budget
+    }
+
+    /// The deployment that keeps `layers[..keep]` on the implant.
+    fn point(
+        &self,
+        family: ModelFamily,
+        layers: &[LayerSpec],
+        keep: usize,
+        config: &IntegrationConfig,
+    ) -> Result<PartitionedPoint> {
+        let workload = workload_of(&layers[..keep])?;
+        let allocation = best_allocation(&workload, config.node, family.deadline())?;
+        let link_rate = activation_rate(layers[keep - 1].output_values(), config.sample_bits);
+        Ok(PartitionedPoint {
+            channels: self.channels,
+            keep_layers: keep,
+            total_layers: layers.len(),
+            link_rate,
+            sensing: self.sensing,
+            computation: allocation.power(),
+            communication: link_rate * config.energy_per_bit,
+            budget: self.budget,
+        })
+    }
 }
 
 /// Evaluates a partitioned deployment of `family` on a scaled SoC anchor
@@ -163,7 +241,9 @@ pub fn evaluate_partitioned(
 /// # Errors
 ///
 /// Same as [`evaluate_partitioned`], plus
-/// [`DnnError::BelowBaseChannels`] when `active > channels`.
+/// [`DnnError::ActiveAboveChannels`] when `active > channels` and
+/// [`DnnError::BelowBaseChannels`] when `active` is below the model's
+/// 128-channel base.
 pub fn evaluate_partitioned_active(
     design: &SplitDesign,
     family: ModelFamily,
@@ -172,47 +252,35 @@ pub fn evaluate_partitioned_active(
     config: &IntegrationConfig,
 ) -> Result<PartitionedPoint> {
     if active > channels {
-        return Err(DnnError::BelowBaseChannels {
-            requested: channels,
-            base: active,
-        });
+        return Err(DnnError::ActiveAboveChannels { active, channels });
     }
-    let (sensing, area) = project_platform(design, channels, config)?;
-    let spec = design.scaled().spec();
-    let rate_cap = sensing_throughput(
-        design.reference_channels(),
-        spec.sample_bits(),
-        spec.sampling(),
-    );
-    let arch = family.architecture(active)?;
-    let keep = earliest_split(&arch, rate_cap, config.sample_bits).ok_or_else(|| {
-        DnnError::Infeasible {
-            reason: format!(
-                "even the final output of {} exceeds the {:.1} Mbps link cap",
-                arch.name(),
-                rate_cap.megabits_per_second()
-            ),
-        }
-    })?;
-    let prefix = arch.prefix(keep)?;
-    let workload = prefix.workload()?;
-    let allocation = best_allocation(&workload, config.node, family.deadline())?;
-    let link_rate = activation_rate(prefix.output_values(), config.sample_bits);
-    Ok(PartitionedPoint {
-        channels,
-        keep_layers: keep,
-        total_layers: arch.len(),
-        link_rate,
-        sensing,
-        computation: allocation.power(),
-        communication: link_rate * config.energy_per_bit,
-        budget: mindful_core::budget::power_budget(area),
-    })
+    let platform = SplitPlatform::project(design, channels, config)?;
+    let mut layers = Vec::new();
+    family.layers_into(active, &mut layers)?;
+    let keep = platform.split(family, active, &layers, config.sample_bits)?;
+    platform.point(family, &layers, keep, config)
 }
 
 /// The largest number of active channels `n' ≤ n` whose *partitioned*
 /// deployment fits the budget at `n` total channels (the `La + ChDr`
 /// combination), searched on multiples of `step`.
+///
+/// The split layer jumps around with `n'`, so utilization is not
+/// monotone in `n'` and the search cannot stop at the first miss. It
+/// stops instead at the first `n'` where a lower bound on utilization
+/// alone overruns the budget. Every allocation keeps layer 1, so it
+/// uses at least [`DeadlineSteps::min_mac_hw`] of layer 1 (`lb`), and
+///
+/// ```text
+/// P_soc / P_budget ≥ (P_sensing + P_MAC · lb) / P_budget.
+/// ```
+///
+/// `P_sensing` and `P_budget` are fixed at `n`, and layer 1's `ops` and
+/// `seq` both grow with `n'`, so `lb` never falls. Float `+`, `*` and
+/// `/` are monotone and the link power is not negative, so in f64 the
+/// bound never falls either, and at every step it is at most that
+/// step's computed utilization: once it exceeds the feasibility limit,
+/// no later step fits. The result is the full scan's.
 ///
 /// # Errors
 ///
@@ -227,14 +295,25 @@ pub fn max_active_channels_partitioned(
     if step == 0 {
         return Err(DnnError::EmptyDimension { name: "step" });
     }
-    project_platform(design, channels, config)?;
+    let platform = SplitPlatform::project(design, channels, config)?;
+    let deadline = DeadlineSteps::new(config.node, family.deadline()).ok();
+    let mut layers = Vec::new();
     let mut best = None;
-    let mut active = crate::models::BASE_CHANNELS;
+    let mut active = BASE_CHANNELS;
     while active <= channels {
-        match evaluate_partitioned_active(design, family, channels, active, config) {
+        family.layers_into(active, &mut layers)?;
+        let keep = platform.split(family, active, &layers, config.sample_bits)?;
+        let first = layers[0].workload()?;
+        // No bound: no allocation meets the deadline here, nor at any
+        // larger `active` (layer 1's sequence only grows).
+        let Some(lb) = deadline.and_then(|d| d.min_mac_hw(&first).ok()) else {
+            break;
+        };
+        if platform.utilization_floor(config.node.mac_power() * lb as f64) > MAX_UTILIZATION {
+            break;
+        }
+        match platform.point(family, &layers, keep, config) {
             Ok(point) if point.is_feasible() => best = Some(active),
-            // The split point jumps around with `active`, so scan the
-            // whole range rather than stopping at the first miss.
             Ok(_) | Err(DnnError::Accel(_)) => {}
             Err(e) => return Err(e),
         }
@@ -243,9 +322,33 @@ pub fn max_active_channels_partitioned(
     Ok(best)
 }
 
+/// Rounding slack on the growing-`n` stop of
+/// [`max_channels_partitioned`]: the bound's real value is monotone in
+/// `n`, its f64 value only to within a few ulps.
+const GROWTH_MARGIN: f64 = 1e-9;
+
 /// The maximum channel count at which the *partitioned* deployment fits
-/// the budget (stepped search like
-/// [`max_channels`]).
+/// the budget (stepped search like [`max_channels`]).
+///
+/// As in [`max_active_channels_partitioned`], utilization is not
+/// monotone in `n` and the search stops at a proven bound instead of the
+/// first miss. Here the platform grows with `n` too, and the integer
+/// bound `lb(n)` rises in jumps while `P_budget(n)` rises smoothly, so
+/// the stop uses its continuous relaxation (`lb ≥ macs₁ / B`, with
+/// `macs₁` layer 1's MACs and `B` the deadline in MAC steps):
+///
+/// ```text
+/// g(n) = (P_sensing(n) + P_MAC · macs₁(n) / B) / P_budget(n).
+/// ```
+///
+/// With `r = n / n_ref`, `P_sensing = s·r` and `P_budget = k·(a·r + c)`
+/// for constants `s, k, a, c ≥ 0`, so `g = r / (k·(a·r + c)) · (s +
+/// P_MAC · macs₁ / (B·r))`. The first factor never falls as `r` grows,
+/// and the second never falls while `macs₁(n) / n` does not: layer 1
+/// holds `8n²` MACs in the MLP and `24n²` in the DN-CNN. So `g` never
+/// falls, and it bounds every step's utilization from below. Its f64
+/// value is within a few ulps of the real one, which `GROWTH_MARGIN`
+/// (`1e-9`) absorbs: once `g(n) > 1 + 1e-9`, no step from `n` on fits.
 ///
 /// # Errors
 ///
@@ -260,31 +363,51 @@ pub fn max_channels_partitioned(
     if step == 0 {
         return Err(DnnError::EmptyDimension { name: "step" });
     }
+    let deadline = DeadlineSteps::new(config.node, family.deadline()).ok();
+    let mut layers = Vec::new();
     let mut best = None;
     let mut n = design.reference_channels();
     while n <= limit {
-        match evaluate_partitioned(design, family, n, config) {
-            Ok(point) if point.is_feasible() => {
-                best = Some(n);
-                n += step;
-            }
-            // Unlike the full-model sweep, utilization is not strictly
-            // monotone here (the split layer jumps around), so keep
-            // scanning to the limit.
-            Ok(_) | Err(DnnError::Accel(_)) => {
-                n += step;
-            }
+        let platform = SplitPlatform::project(design, n, config)?;
+        family.layers_into(n, &mut layers)?;
+        let keep = platform.split(family, n, &layers, config.sample_bits)?;
+        let first = layers[0].workload()?;
+        let Some(deadline) = deadline.filter(|d| d.min_mac_hw(&first).is_ok()) else {
+            break;
+        };
+        let relaxed = first.total_macs() as f64 / deadline.steps() as f64;
+        if platform.utilization_floor(config.node.mac_power() * relaxed) > 1.0 + GROWTH_MARGIN {
+            break;
+        }
+        match platform.point(family, &layers, keep, config) {
+            Ok(point) if point.is_feasible() => best = Some(n),
+            Ok(_) | Err(DnnError::Accel(_)) => {}
             Err(e) => return Err(e),
         }
+        n += step;
     }
     Ok(best)
 }
 
-/// The Fig. 11 metric: the increase in feasible channel count enabled by
-/// layer reduction, relative to the full on-implant model. A gain of
-/// 1.0 means partitioning does not help; 1.4 means 40 % more channels.
+/// The Fig. 11 gain of partitioning: the partitioned deployment's
+/// maximum channel count over the full on-implant model's, never below
+/// 1.0 (the implant can always keep the whole model). A gain of 1.4
+/// means 40 % more channels.
 ///
-/// `None` when neither deployment fits at any channel count.
+/// A gain of 1.0 means either that partitioning does not help or that
+/// only one deployment fits at any channel count. `None` when neither
+/// fits.
+#[must_use]
+pub fn channel_gain(full: Option<u64>, partitioned: Option<u64>) -> Option<f64> {
+    match (full, partitioned) {
+        (Some(f), Some(p)) => Some(p.max(f) as f64 / f as f64),
+        (None, Some(_)) | (Some(_), None) => Some(1.0),
+        (None, None) => None,
+    }
+}
+
+/// The Fig. 11 metric for one SoC and model: [`channel_gain`] of the
+/// stepped [`max_channels`] and [`max_channels_partitioned`] searches.
 ///
 /// # Errors
 ///
@@ -298,11 +421,7 @@ pub fn partition_gain(
 ) -> Result<Option<f64>> {
     let full = max_channels(design, family, config, step, limit)?;
     let split = max_channels_partitioned(design, family, config, step, limit)?;
-    Ok(match (full, split) {
-        (Some(f), Some(s)) => Some(s.max(f) as f64 / f as f64),
-        (None, Some(_)) | (Some(_), None) => Some(1.0),
-        (None, None) => None,
-    })
+    Ok(channel_gain(full, split))
 }
 
 #[cfg(test)]
@@ -418,6 +537,30 @@ mod tests {
         let config = IntegrationConfig::paper_45nm();
         assert!(max_channels_partitioned(&design, ModelFamily::Mlp, &config, 0, 4096).is_err());
         assert!(partition_gain(&design, ModelFamily::Mlp, &config, 0, 4096).is_err());
+    }
+
+    #[test]
+    fn channel_gain_is_one_when_only_one_deployment_fits() {
+        assert_eq!(channel_gain(Some(1408), Some(1856)), Some(1856.0 / 1408.0));
+        assert_eq!(channel_gain(Some(2048), Some(1984)), Some(1.0));
+        // Fig. 11's DN-CNN on SoC 6: only the partitioned model fits.
+        assert_eq!(channel_gain(None, Some(1280)), Some(1.0));
+        assert_eq!(channel_gain(Some(1280), None), Some(1.0));
+        assert_eq!(channel_gain(None, None), None);
+    }
+
+    #[test]
+    fn more_active_than_total_channels_is_rejected() {
+        let design = anchor(1);
+        let config = IntegrationConfig::paper_45nm();
+        assert_eq!(
+            evaluate_partitioned_active(&design, ModelFamily::Mlp, 2048, 4096, &config)
+                .unwrap_err(),
+            DnnError::ActiveAboveChannels {
+                active: 4096,
+                channels: 2048
+            }
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests for the DNN workload substrate.
 
+use mindful_accel::alloc::{best_allocation, DeadlineSteps};
+use mindful_accel::tech::TechnologyNode;
 use mindful_dnn::arch::{Architecture, LayerSpec};
 use mindful_dnn::infer::Network;
 use mindful_dnn::models::{ModelFamily, BASE_CHANNELS, OUTPUT_LABELS};
@@ -103,5 +105,74 @@ proptest! {
         let input: Vec<f32> = (0..128).map(|i| (i as f32 * 0.01) - 0.5).collect();
         let mid = net.forward_prefix(&input, keep).unwrap();
         prop_assert!(mid.iter().all(|&v| v >= 0.0 && v.is_finite()));
+    }
+}
+
+/// Layer 1's MAC floor ([`DeadlineSteps::min_mac_hw`]) of `family` at
+/// `active` channels on `node`.
+fn first_layer_floor(family: ModelFamily, active: u64, node: TechnologyNode) -> u64 {
+    let arch = family.architecture(active).unwrap();
+    let deadline = DeadlineSteps::new(node, family.deadline()).unwrap();
+    deadline
+        .min_mac_hw(&arch.layers()[0].workload().unwrap())
+        .unwrap()
+}
+
+const NODES: [TechnologyNode; 2] = [TechnologyNode::NANGATE_45NM, TechnologyNode::ADVANCED_12NM];
+
+#[test]
+fn first_layer_mac_floor_never_falls_as_channels_grow() {
+    // The dropout searches stop at this floor only because it never
+    // falls; check every active count they can visit.
+    for family in ModelFamily::ALL {
+        for node in NODES {
+            let mut prev = 0;
+            for active in BASE_CHANNELS..=8192 {
+                let floor = first_layer_floor(family, active, node);
+                assert!(floor >= prev, "{family} {}: {active}", node.name());
+                prev = floor;
+            }
+        }
+    }
+}
+
+proptest! {
+    // Every prefix runs a full allocation; keep the count moderate.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn first_layer_mac_floor_bounds_every_prefix_allocation(
+        active in BASE_CHANNELS..=8192_u64,
+        family in prop::sample::select(ModelFamily::ALL.to_vec()),
+    ) {
+        let workload = family.architecture(active).unwrap().workload().unwrap();
+        for node in NODES {
+            let floor = first_layer_floor(family, active, node);
+            for keep in 1..=workload.len() {
+                let prefix = workload.prefix(keep).unwrap();
+                if let Ok(best) = best_allocation(&prefix, node, family.deadline()) {
+                    prop_assert!(
+                        floor <= best.total_mac_hw(),
+                        "{family}@{active} {} keep {keep}: {floor} > {}",
+                        node.name(),
+                        best.total_mac_hw()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_layer_macs_grow_at_least_linearly_per_channel(
+        n in BASE_CHANNELS..8192_u64,
+        extra in 1_u64..8192,
+        family in prop::sample::select(ModelFamily::ALL.to_vec()),
+    ) {
+        // The growing-`n` stop of `max_channels_partitioned` relies on
+        // `macs₁(n) / n` never falling.
+        let macs = |n: u64| {
+            family.architecture(n).unwrap().layers()[0].workload().unwrap().total_macs()
+        };
+        prop_assert!(macs(n) * (n + extra) <= macs(n + extra) * n);
     }
 }

@@ -6,7 +6,7 @@ use std::path::Path;
 use mindful_core::regimes::standard_split_designs;
 use mindful_dnn::integration::{max_channels, IntegrationConfig};
 use mindful_dnn::models::ModelFamily;
-use mindful_dnn::partition::max_channels_partitioned;
+use mindful_dnn::partition::{channel_gain, max_channels_partitioned};
 use mindful_plot::{AsciiTable, BarChart, Csv};
 
 use crate::error::Result;
@@ -32,14 +32,11 @@ pub struct PartitionOutcome {
 }
 
 impl PartitionOutcome {
-    /// The Fig. 11 gain: partitioned / full (1.0 = no benefit).
+    /// The Fig. 11 gain: partitioned / full, by [`channel_gain`] (1.0 =
+    /// no benefit, or only one deployment fits).
     #[must_use]
     pub fn gain(&self) -> Option<f64> {
-        match (self.full, self.partitioned) {
-            (Some(f), Some(p)) => Some(p.max(f) as f64 / f as f64),
-            (Some(_), None) | (None, Some(_)) => Some(1.0),
-            (None, None) => None,
-        }
+        channel_gain(self.full, self.partitioned)
     }
 }
 
