@@ -12,10 +12,9 @@
 //! `MINDFUL_BENCH_QUICK=1` (as CI does) to shrink iteration counts.
 
 use std::hint::black_box;
-use std::path::PathBuf;
-use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mindful_bench::{median_ns, write_artifact};
 use mindful_rf::arq::{ArqConfig, ArqLink, ArqStats};
 use mindful_rf::fault::{FaultConfig, FaultPlan, WireFaultInjector};
 use mindful_rf::packet::{depacketize_into, packetize};
@@ -103,18 +102,6 @@ fn run_bare(wires: &[Vec<u8>]) -> u64 {
     decoded
 }
 
-/// Median of `iters` timed runs of `f`, in nanoseconds.
-fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        times.push(start.elapsed().as_secs_f64() * 1e9);
-    }
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
 fn bench_fault(c: &mut Criterion) {
     let wires = wires(frames());
     let mut group = c.benchmark_group("fault");
@@ -182,7 +169,7 @@ fn report_fault_acceptance(_c: &mut Criterion) {
         bare_ns / 1e3,
     );
 
-    write_artifact(&format!(
+    let json = format!(
         "{{\n  \"bench\": \"fault\",\n  \"quick\": {},\n  \
          \"channels\": {CHANNELS},\n  \"frames\": {sent},\n  \
          \"window\": {WINDOW},\n  \"rtt\": {RTT},\n  \
@@ -190,18 +177,8 @@ fn report_fault_acceptance(_c: &mut Criterion) {
          \"clean_link_overhead\": {overhead:.3},\n  \"rates\": [\n{}\n  ]\n}}\n",
         quick(),
         rate_lines.join(",\n"),
-    ));
-}
-
-/// Writes `BENCH_fault.json` under the repository's `results/bench/`.
-fn write_artifact(json: &str) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results/bench");
-    std::fs::create_dir_all(&dir).expect("results/bench is creatable");
-    let path = dir.join("BENCH_fault.json");
-    std::fs::write(&path, json).expect("BENCH_fault.json is writable");
-    println!("wrote {}", path.display());
+    );
+    write_artifact("fault", &json);
 }
 
 criterion_group!(benches, bench_fault, report_fault_acceptance);

@@ -11,10 +11,9 @@
 
 use std::hint::black_box;
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
-use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mindful_bench::{median_ns, write_artifact};
 use mindful_core::pool::Scheduler;
 use mindful_dnn::infer::Network;
 use mindful_dnn::kernels::{dense_into_at, transpose_dense};
@@ -46,19 +45,6 @@ fn sample(width: usize, phase: usize) -> Vec<f32> {
 
 fn batch(width: usize, count: usize) -> Vec<Vec<f32>> {
     (0..count).map(|s| sample(width, s)).collect()
-}
-
-/// Median wall time of `iters` runs of `f`, in nanoseconds per run.
-fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 fn bench_single_sample(c: &mut Criterion) {
@@ -221,7 +207,7 @@ fn report_infer_acceptance(_c: &mut Criterion) {
         );
     }
 
-    write_artifact(&format!(
+    let json = format!(
         "{{\n  \"bench\": \"infer\",\n  \"quick\": {},\n  \"single_sample\": {{\n    \
          \"model\": \"mlp\",\n    \"channels\": {BASE_CHANNELS},\n    \
          \"naive_ns_per_forward\": {naive_ns:.0},\n    \
@@ -243,18 +229,8 @@ fn report_infer_acceptance(_c: &mut Criterion) {
          \"speedup\": {batch_speedup:.3}\n  }}\n}}\n",
         quick(),
         threads.get(),
-    ));
-}
-
-/// Writes `BENCH_infer.json` under the repository's `results/bench/`.
-fn write_artifact(json: &str) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results/bench");
-    std::fs::create_dir_all(&dir).expect("results/bench is creatable");
-    let path = dir.join("BENCH_infer.json");
-    std::fs::write(&path, json).expect("BENCH_infer.json is writable");
-    println!("wrote {}", path.display());
+    );
+    write_artifact("infer", &json);
 }
 
 criterion_group!(

@@ -11,10 +11,9 @@
 //! `MINDFUL_BENCH_QUICK=1` (as CI does) to shrink iteration counts.
 
 use std::hint::black_box;
-use std::path::PathBuf;
-use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mindful_bench::{paired_median_ns, write_artifact};
 use mindful_core::obs::Registry;
 use mindful_decode::binning::BinAccumulator;
 use mindful_decode::kalman::KalmanDecoder;
@@ -96,24 +95,6 @@ fn run_steps(pipeline: &mut Pipeline) -> u64 {
     emitted
 }
 
-/// Interleaved medians: run the two closures in alternating pairs so
-/// clock-frequency drift hits both equally.
-fn paired_median_ns(iters: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let mut ta: Vec<f64> = Vec::with_capacity(iters);
-    let mut tb: Vec<f64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        a();
-        ta.push(start.elapsed().as_secs_f64() * 1e9);
-        let start = Instant::now();
-        b();
-        tb.push(start.elapsed().as_secs_f64() * 1e9);
-    }
-    ta.sort_by(f64::total_cmp);
-    tb.sort_by(f64::total_cmp);
-    (ta[ta.len() / 2], tb[tb.len() / 2])
-}
-
 fn bench_obs(c: &mut Criterion) {
     let registry = Registry::new();
     let mut bare = build_chain(None);
@@ -176,25 +157,15 @@ fn report_obs_acceptance(_c: &mut Criterion) {
         .expect("sense stage registered");
     assert!(steps_recorded >= (STEPS * (iters + 1)) as u64);
 
-    write_artifact(&format!(
+    let json = format!(
         "{{\n  \"bench\": \"obs\",\n  \"quick\": {},\n  \
          \"channels\": 1024,\n  \"stages\": 5,\n  \"steps\": {STEPS},\n  \
          \"bare_ns_per_run\": {bare_ns:.0},\n  \
          \"instrumented_ns_per_run\": {instrumented_ns:.0},\n  \
          \"overhead\": {overhead:.4},\n  \"max_overhead\": {MAX_OVERHEAD}\n}}\n",
         quick(),
-    ));
-}
-
-/// Writes `BENCH_obs.json` under the repository's `results/bench/`.
-fn write_artifact(json: &str) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results/bench");
-    std::fs::create_dir_all(&dir).expect("results/bench is creatable");
-    let path = dir.join("BENCH_obs.json");
-    std::fs::write(&path, json).expect("BENCH_obs.json is writable");
-    println!("wrote {}", path.display());
+    );
+    write_artifact("obs", &json);
 }
 
 criterion_group!(benches, bench_obs, report_obs_acceptance);

@@ -14,11 +14,10 @@
 
 use std::hint::black_box;
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mindful_bench::{paired_median_ns, write_artifact};
 use mindful_core::pool::{default_threads, Scheduler};
 use mindful_dnn::infer::Network;
 use mindful_dnn::models::{ModelFamily, BASE_CHANNELS};
@@ -102,24 +101,6 @@ fn batches(replay: &[Vec<f32>]) -> Vec<Vec<Vec<f32>>> {
         .collect()
 }
 
-/// Interleaved medians: run the two closures in alternating pairs so
-/// clock-frequency drift hits both equally.
-fn paired_median_ns(iters: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let mut ta: Vec<f64> = Vec::with_capacity(iters);
-    let mut tb: Vec<f64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        a();
-        ta.push(start.elapsed().as_secs_f64() * 1e9);
-        let start = Instant::now();
-        b();
-        tb.push(start.elapsed().as_secs_f64() * 1e9);
-    }
-    ta.sort_by(f64::total_cmp);
-    tb.sort_by(f64::total_cmp);
-    (ta[ta.len() / 2], tb[tb.len() / 2])
-}
-
 fn bench_pipeline(c: &mut Criterion) {
     let net = Arc::new(network());
     let replay = frames(net.architecture().input_values() as usize);
@@ -175,7 +156,7 @@ fn report_pipeline_acceptance(_c: &mut Criterion) {
          got {speedup:.2}x ({streaming_ns:.0} ns vs {batched_ns:.0} ns)"
     );
 
-    write_artifact(&format!(
+    let json = format!(
         "{{\n  \"bench\": \"pipeline\",\n  \"quick\": {},\n  \
          \"model\": \"mlp\",\n  \"channels\": {BASE_CHANNELS},\n  \
          \"streams\": {STREAMS},\n  \"steps\": {STEPS},\n  \"threads\": {},\n  \
@@ -184,18 +165,8 @@ fn report_pipeline_acceptance(_c: &mut Criterion) {
          \"speedup\": {speedup:.3}\n}}\n",
         quick(),
         threads.get(),
-    ));
-}
-
-/// Writes `BENCH_pipeline.json` under the repository's `results/bench/`.
-fn write_artifact(json: &str) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results/bench");
-    std::fs::create_dir_all(&dir).expect("results/bench is creatable");
-    let path = dir.join("BENCH_pipeline.json");
-    std::fs::write(&path, json).expect("BENCH_pipeline.json is writable");
-    println!("wrote {}", path.display());
+    );
+    write_artifact("pipeline", &json);
 }
 
 criterion_group!(benches, bench_pipeline, report_pipeline_acceptance);

@@ -13,10 +13,9 @@
 //! `MINDFUL_BENCH_QUICK=1` (as CI does) to shrink iteration counts.
 
 use std::hint::black_box;
-use std::path::PathBuf;
-use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mindful_bench::{median_ns, write_artifact};
 use mindful_rf::arq::{ArqConfig, ArqLink};
 use mindful_rf::auth::{AuthConfig, AuthKey, AuthStats};
 use mindful_rf::fault::{Adversary, AttackConfig, FaultConfig, FaultPlan, WireFaultInjector};
@@ -110,18 +109,6 @@ fn run_attacked(wires: &[Vec<u8>]) -> (u64, AuthStats) {
     (played, link.auth_stats().expect("authenticated link"))
 }
 
-/// Median of `iters` timed runs of `f`, in nanoseconds.
-fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        times.push(start.elapsed().as_secs_f64() * 1e9);
-    }
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
 fn bench_secure(c: &mut Criterion) {
     let wires = wires(frames());
     let mut group = c.benchmark_group("secure");
@@ -192,7 +179,7 @@ fn report_secure_acceptance(_c: &mut Criterion) {
          {MAX_CLEAN_OVERHEAD}x budget"
     );
 
-    write_artifact(&format!(
+    let json = format!(
         "{{\n  \"bench\": \"secure\",\n  \"quick\": {},\n  \
          \"channels\": {CHANNELS},\n  \"frames\": {sent},\n  \
          \"window\": {WINDOW},\n  \"rtt\": {RTT},\n  \
@@ -203,18 +190,8 @@ fn report_secure_acceptance(_c: &mut Criterion) {
          \"attack_rate\": {ATTACK_RATE},\n  \
          \"forged_accepted\": 0,\n  \"replayed_accepted\": 0\n}}\n",
         quick(),
-    ));
-}
-
-/// Writes `BENCH_secure.json` under the repository's `results/bench/`.
-fn write_artifact(json: &str) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results/bench");
-    std::fs::create_dir_all(&dir).expect("results/bench is creatable");
-    let path = dir.join("BENCH_secure.json");
-    std::fs::write(&path, json).expect("BENCH_secure.json is writable");
-    println!("wrote {}", path.display());
+    );
+    write_artifact("secure", &json);
 }
 
 criterion_group!(benches, bench_secure, report_secure_acceptance);

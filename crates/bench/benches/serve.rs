@@ -23,11 +23,10 @@
 
 use std::hint::black_box;
 use std::num::{NonZeroU32, NonZeroUsize};
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mindful_bench::{paired_median_ns, write_artifact};
 use mindful_core::obs::Registry;
 use mindful_core::pool::{default_threads, Scheduler};
 use mindful_dnn::infer::Network;
@@ -176,24 +175,6 @@ fn bench_serve(c: &mut Criterion) {
     group.finish();
 }
 
-/// Interleaved medians: run the two closures in alternating pairs so
-/// clock-frequency drift hits both equally.
-fn paired_median_ns(iters: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let mut ta: Vec<f64> = Vec::with_capacity(iters);
-    let mut tb: Vec<f64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        a();
-        ta.push(start.elapsed().as_secs_f64() * 1e9);
-        let start = Instant::now();
-        b();
-        tb.push(start.elapsed().as_secs_f64() * 1e9);
-    }
-    ta.sort_by(f64::total_cmp);
-    tb.sort_by(f64::total_cmp);
-    (ta[ta.len() / 2], tb[tb.len() / 2])
-}
-
 /// One-shot acceptance measurement: the multi-worker fleet epoch must
 /// be at least as fast as serving the same sessions sequentially, and
 /// the headline serving rows come from the fleet's own registry.
@@ -307,7 +288,7 @@ fn report_serve_acceptance(_c: &mut Criterion) {
         );
     }
 
-    write_artifact(&format!(
+    let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"quick\": {},\n  \
          \"model\": \"mlp\",\n  \"channels\": {BASE_CHANNELS},\n  \
          \"sessions\": {SESSIONS},\n  \"steps_per_session\": {STEPS},\n  \
@@ -334,18 +315,8 @@ fn report_serve_acceptance(_c: &mut Criterion) {
         quick(),
         workers.get(),
         SESSIONS - REALTIME_SESSIONS,
-    ));
-}
-
-/// Writes `BENCH_serve.json` under the repository's `results/bench/`.
-fn write_artifact(json: &str) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results/bench");
-    std::fs::create_dir_all(&dir).expect("results/bench is creatable");
-    let path = dir.join("BENCH_serve.json");
-    std::fs::write(&path, json).expect("BENCH_serve.json is writable");
-    println!("wrote {}", path.display());
+    );
+    write_artifact("serve", &json);
 }
 
 criterion_group!(benches, bench_serve, report_serve_acceptance);

@@ -19,10 +19,10 @@
 //!   [`Snapshot::from_jsonl`]), CSV ([`Snapshot::to_csv`]), or a human
 //!   `Display` summary.
 //!
-//! Metrics (always compiled) answer "how much / how often"; spans
-//! (compiled out without the `obs` feature, switchable at run time via
-//! [`OBS_ENV`]) answer "where did the time go" for one thread's recent
-//! work. See DESIGN.md §10 for the architecture discussion.
+//! Metrics answer "how much / how often"; spans (switchable at run
+//! time via [`OBS_ENV`]) answer "where did the time go" for one
+//! thread's recent work. Both are always compiled; see DESIGN.md §10
+//! for the architecture discussion.
 
 pub mod export;
 pub mod metrics;

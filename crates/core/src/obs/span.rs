@@ -8,17 +8,19 @@
 //! the zero-allocation proofs of the pipeline and inference engine
 //! hold with tracing on.
 //!
-//! Two switches control tracing:
-//!
-//! * **Compile time** — without the `obs` cargo feature every function
-//!   here compiles to a no-op and [`SpanGuard`] is a zero-sized type.
-//! * **Run time** — the [`OBS_ENV`] environment variable
-//!   (`MINDFUL_OBS`); see [`obs_override`] for the accepted values.
-//!   Tracing defaults to *on*; unparsable values keep the default.
+//! One switch controls tracing: the [`OBS_ENV`] environment variable
+//! (`MINDFUL_OBS`), read once per process; see [`obs_override`] for
+//! the accepted values. Tracing defaults to *on*; unparsable values
+//! keep the default. A disabled run hands out inert guards that read
+//! no clock and record nothing.
 //!
 //! The ring is per-thread by design: a worker drains its own spans (or
 //! simply lets them be overwritten), and there is no global collector
 //! to contend on. [`drain_spans`] empties the calling thread's ring.
+
+use std::cell::RefCell;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Environment variable that switches span recording at run time.
 pub const OBS_ENV: &str = "MINDFUL_OBS";
@@ -60,120 +62,76 @@ pub fn obs_override(raw: &str) -> Option<bool> {
     crate::env::parse_flag(raw)
 }
 
-/// Whether span recording is active: compiled in (`obs` feature) and
-/// not switched off via [`OBS_ENV`]. The environment is read once and
-/// cached for the life of the process.
+/// Whether span recording is active: not switched off via
+/// [`OBS_ENV`]. The environment is read once and cached for the life
+/// of the process.
 #[must_use]
 pub fn spans_enabled() -> bool {
-    #[cfg(not(feature = "obs"))]
-    {
-        false
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| {
+        std::env::var(OBS_ENV)
+            .ok()
+            .as_deref()
+            .and_then(obs_override)
+            .unwrap_or(true)
+    })
+}
+
+/// Nanoseconds since the process-local epoch (first use).
+fn now_ns() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let epoch = EPOCH.get_or_init(Instant::now);
+    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+struct Ring {
+    slots: [SpanRecord; SPAN_RING_CAPACITY],
+    /// Next write position.
+    head: usize,
+    /// Live records (≤ capacity).
+    len: usize,
+    /// Spans overwritten before being drained.
+    overwritten: u64,
+}
+
+const EMPTY: SpanRecord = SpanRecord {
+    name: "",
+    start_ns: 0,
+    end_ns: 0,
+};
+
+impl Ring {
+    const fn new() -> Self {
+        Self {
+            slots: [EMPTY; SPAN_RING_CAPACITY],
+            head: 0,
+            len: 0,
+            overwritten: 0,
+        }
     }
-    #[cfg(feature = "obs")]
-    {
-        use std::sync::OnceLock;
-        static ENABLED: OnceLock<bool> = OnceLock::new();
-        *ENABLED.get_or_init(|| {
-            std::env::var(OBS_ENV)
-                .ok()
-                .as_deref()
-                .and_then(obs_override)
-                .unwrap_or(true)
-        })
+
+    fn push(&mut self, record: SpanRecord) {
+        self.slots[self.head] = record;
+        self.head = (self.head + 1) % SPAN_RING_CAPACITY;
+        if self.len < SPAN_RING_CAPACITY {
+            self.len += 1;
+        } else {
+            self.overwritten += 1;
+        }
     }
 }
 
-#[cfg(feature = "obs")]
-mod enabled {
-    use super::{SpanRecord, SPAN_RING_CAPACITY};
-    use std::cell::RefCell;
-    use std::sync::OnceLock;
-    use std::time::Instant;
-
-    /// Nanoseconds since the process-local epoch (first use).
-    pub(super) fn now_ns() -> u64 {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        let epoch = EPOCH.get_or_init(Instant::now);
-        u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    pub(super) struct Ring {
-        slots: [SpanRecord; SPAN_RING_CAPACITY],
-        /// Next write position.
-        head: usize,
-        /// Live records (≤ capacity).
-        len: usize,
-        /// Spans overwritten before being drained.
-        overwritten: u64,
-    }
-
-    const EMPTY: SpanRecord = SpanRecord {
-        name: "",
-        start_ns: 0,
-        end_ns: 0,
-    };
-
-    impl Ring {
-        const fn new() -> Self {
-            Self {
-                slots: [EMPTY; SPAN_RING_CAPACITY],
-                head: 0,
-                len: 0,
-                overwritten: 0,
-            }
-        }
-
-        fn push(&mut self, record: SpanRecord) {
-            self.slots[self.head] = record;
-            self.head = (self.head + 1) % SPAN_RING_CAPACITY;
-            if self.len < SPAN_RING_CAPACITY {
-                self.len += 1;
-            } else {
-                self.overwritten += 1;
-            }
-        }
-    }
-
-    thread_local! {
-        static RING: RefCell<Ring> = const { RefCell::new(Ring::new()) };
-    }
-
-    pub(super) fn record(record: SpanRecord) {
-        RING.with(|ring| ring.borrow_mut().push(record));
-    }
-
-    pub(super) fn drain(out: &mut Vec<SpanRecord>) -> u64 {
-        RING.with(|ring| {
-            let mut ring = ring.borrow_mut();
-            let start = (ring.head + SPAN_RING_CAPACITY - ring.len) % SPAN_RING_CAPACITY;
-            for k in 0..ring.len {
-                out.push(ring.slots[(start + k) % SPAN_RING_CAPACITY]);
-            }
-            let overwritten = ring.overwritten;
-            ring.len = 0;
-            ring.overwritten = 0;
-            overwritten
-        })
-    }
-
-    pub(super) fn clear() {
-        RING.with(|ring| {
-            let mut ring = ring.borrow_mut();
-            ring.len = 0;
-            ring.overwritten = 0;
-        });
-    }
+thread_local! {
+    static RING: RefCell<Ring> = const { RefCell::new(Ring::new()) };
 }
 
 /// An open span; the interval is recorded into the thread's ring when
-/// the guard drops. With the `obs` feature off (or tracing disabled at
-/// run time) the guard is inert.
+/// the guard drops. With tracing disabled at run time the guard is
+/// inert.
 #[derive(Debug)]
 #[must_use = "a span measures the scope of its guard; binding to _ drops it immediately"]
 pub struct SpanGuard {
-    #[cfg(feature = "obs")]
     name: &'static str,
-    #[cfg(feature = "obs")]
     start_ns: u64,
     /// Whether the guard will record on drop.
     armed: bool,
@@ -189,58 +147,55 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "obs")]
         if self.armed {
-            enabled::record(SpanRecord {
+            let record = SpanRecord {
                 name: self.name,
                 start_ns: self.start_ns,
-                end_ns: enabled::now_ns(),
-            });
+                end_ns: now_ns(),
+            };
+            RING.with(|ring| ring.borrow_mut().push(record));
         }
     }
 }
 
 /// Opens a span named `name` on the calling thread.
 ///
-/// Allocation-free and lock-free; a disabled build or run returns an
-/// inert guard whose drop does nothing.
+/// Allocation-free and lock-free; a disabled run returns an inert
+/// guard whose drop does nothing.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     let armed = spans_enabled();
-    #[cfg(feature = "obs")]
-    {
-        SpanGuard {
-            name,
-            start_ns: if armed { enabled::now_ns() } else { 0 },
-            armed,
-        }
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = name;
-        SpanGuard { armed }
+    SpanGuard {
+        name,
+        start_ns: if armed { now_ns() } else { 0 },
+        armed,
     }
 }
 
 /// Drains the calling thread's span ring into `out` (oldest first) and
 /// returns how many spans were overwritten before they could be
-/// drained. A no-op returning 0 when tracing is compiled out.
+/// drained.
 pub fn drain_spans(out: &mut Vec<SpanRecord>) -> u64 {
-    #[cfg(feature = "obs")]
-    {
-        enabled::drain(out)
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = out;
-        0
-    }
+    RING.with(|ring| {
+        let mut ring = ring.borrow_mut();
+        let start = (ring.head + SPAN_RING_CAPACITY - ring.len) % SPAN_RING_CAPACITY;
+        for k in 0..ring.len {
+            out.push(ring.slots[(start + k) % SPAN_RING_CAPACITY]);
+        }
+        let overwritten = ring.overwritten;
+        ring.len = 0;
+        ring.overwritten = 0;
+        overwritten
+    })
 }
 
 /// Discards the calling thread's recorded spans.
 pub fn clear_spans() {
-    #[cfg(feature = "obs")]
-    enabled::clear();
+    RING.with(|ring| {
+        let mut ring = ring.borrow_mut();
+        ring.len = 0;
+        ring.overwritten = 0;
+    });
 }
 
 #[cfg(test)]
@@ -260,7 +215,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn spans_record_and_drain_in_order() {
         clear_spans();
@@ -285,7 +239,6 @@ mod tests {
         assert!(spans.is_empty());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn ring_overwrites_oldest_beyond_capacity() {
         clear_spans();
@@ -299,18 +252,5 @@ mod tests {
         let overwritten = drain_spans(&mut spans);
         assert_eq!(spans.len(), SPAN_RING_CAPACITY);
         assert_eq!(overwritten, 10);
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn disabled_build_records_nothing() {
-        {
-            let guard = span("never");
-            assert!(!guard.is_armed());
-        }
-        let mut spans = Vec::new();
-        assert_eq!(drain_spans(&mut spans), 0);
-        assert!(spans.is_empty());
-        assert!(!spans_enabled());
     }
 }

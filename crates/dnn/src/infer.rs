@@ -294,54 +294,6 @@ impl Network {
         ))
     }
 
-    /// [`Network::forward_batch`] that additionally records engine
-    /// metrics into `registry` under `prefix`:
-    ///
-    /// * `{prefix}.queue_depth` (gauge) — this batch's sample count;
-    ///   the high-water mark tracks the largest batch ever queued.
-    /// * `{prefix}.samples` (counter) — samples inferred, cumulative.
-    /// * `{prefix}.batches` (counter) — batch calls, cumulative.
-    /// * `{prefix}.batch_ns` (histogram) — wall time per batch call.
-    ///
-    /// Per-layer span timings land in each worker's thread-local span
-    /// ring as usual (see [`mindful_core::obs::drain_spans`]). Outputs
-    /// are identical to [`Network::forward_batch`]; without the crate's
-    /// `obs` feature this *is* `forward_batch`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::forward_batch`].
-    pub fn forward_batch_observed<S>(
-        &self,
-        inputs: &[S],
-        scheduler: &Scheduler,
-        registry: &mindful_core::obs::Registry,
-        prefix: &str,
-    ) -> Result<Vec<Vec<f32>>>
-    where
-        S: AsRef<[f32]> + Sync,
-    {
-        #[cfg(feature = "obs")]
-        {
-            let queue_depth = registry.gauge(&format!("{prefix}.queue_depth"));
-            let samples = registry.counter(&format!("{prefix}.samples"));
-            let batches = registry.counter(&format!("{prefix}.batches"));
-            let batch_ns = registry.histogram(&format!("{prefix}.batch_ns"));
-            queue_depth.set(inputs.len() as u64);
-            let start = std::time::Instant::now();
-            let outputs = self.forward_batch(inputs, scheduler)?;
-            batch_ns.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            samples.add(inputs.len() as u64);
-            batches.increment();
-            Ok(outputs)
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (registry, prefix);
-            self.forward_batch(inputs, scheduler)
-        }
-    }
-
     /// The original naive forward pass: per-layer allocating loops with
     /// per-MAC padding checks. Retained as the property-test oracle and
     /// benchmark baseline for the blocked engine.
@@ -414,7 +366,6 @@ impl Network {
         let mut width = input.len();
         for idx in 0..keep {
             let layer = &self.arch.layers()[idx];
-            #[cfg(feature = "obs")]
             let _layer_span = mindful_core::obs::span(layer_span_name(layer));
             let out_width = layer.output_values() as usize;
             self.apply_layer_blocked(idx, layer, &cur[..width], &mut nxt[..out_width]);
@@ -491,7 +442,6 @@ impl Network {
 
 /// Static span label for one layer kind (span names must be
 /// `&'static str` so recording stays allocation-free).
-#[cfg(feature = "obs")]
 fn layer_span_name(layer: &LayerSpec) -> &'static str {
     match layer {
         LayerSpec::Dense { .. } => "dnn.dense",
@@ -777,10 +727,9 @@ mod tests {
         assert!(net.forward_prefix(&vec![0.0; 128], 99).is_err());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
-    fn observed_batch_matches_plain_batch_and_records_metrics() {
-        use mindful_core::obs::{clear_spans, drain_spans, spans_enabled, Registry};
+    fn forward_batch_records_one_span_per_layer_per_sample() {
+        use mindful_core::obs::{clear_spans, drain_spans, spans_enabled};
 
         let arch = ModelFamily::Mlp.architecture(BASE_CHANNELS).unwrap();
         let net = Network::with_seeded_weights(arch, 21);
@@ -788,29 +737,23 @@ mod tests {
             .map(|s| (0..128).map(|i| ((i + s) as f32).sin()).collect())
             .collect();
         let one = sched(1);
-        let registry = Registry::new();
         clear_spans();
-        let got = net
-            .forward_batch_observed(&batch, &one, &registry, "infer")
-            .unwrap();
-        if spans_enabled() {
-            // Single-threaded, so the per-layer spans landed on this
-            // thread: one per MLP layer per sample.
-            let mut spans = Vec::new();
-            drain_spans(&mut spans);
-            let dense = spans.iter().filter(|r| r.name == "dnn.dense").count();
-            assert_eq!(
-                dense,
-                net.architecture().len() * batch.len(),
-                "one span per dense layer per sample"
-            );
+        let got = net.forward_batch(&batch, &one).unwrap();
+        // Single-threaded, so the per-layer spans landed on this
+        // thread: one per MLP layer per sample, none when switched off.
+        let mut spans = Vec::new();
+        assert_eq!(drain_spans(&mut spans), 0);
+        let dense = spans.iter().filter(|r| r.name == "dnn.dense").count();
+        let expected = if spans_enabled() {
+            net.architecture().len() * batch.len()
+        } else {
+            0
+        };
+        assert_eq!(dense, expected, "one span per dense layer per sample");
+        assert_eq!(dense, spans.len(), "an MLP has only dense layers");
+        for (sample, out) in batch.iter().zip(&got) {
+            assert_eq!(out, &net.forward(sample).unwrap());
         }
-        assert_eq!(got, net.forward_batch(&batch, &one).unwrap());
-        let s = registry.snapshot();
-        assert_eq!(s.counter("infer.samples"), Some(5));
-        assert_eq!(s.counter("infer.batches"), Some(1));
-        assert_eq!(s.gauge("infer.queue_depth"), Some((5, 5)));
-        assert_eq!(s.histogram("infer.batch_ns").unwrap().count, 1);
     }
 
     #[test]

@@ -447,7 +447,6 @@ impl QuantizedNetwork {
         let last = self.layers.len() - 1;
         let mut width = input.len();
         for (index, layer) in self.layers.iter().enumerate() {
-            #[cfg(feature = "obs")]
             let _layer_span = mindful_core::obs::span("dnn.dense_i8");
             debug_assert_eq!(width, layer.inputs);
             kernels::matvec_i8_into(

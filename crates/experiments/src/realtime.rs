@@ -110,9 +110,9 @@ pub struct MeasuredThroughput {
     /// Whether the batched outputs matched per-sample `forward` calls
     /// exactly (they must — same kernels, same workspaces).
     pub consistent: bool,
-    /// Per-layer spans recorded by a single-threaded observed batch:
-    /// `layers × batch` when span tracing is active, 0 when compiled
-    /// out or switched off via `MINDFUL_OBS`.
+    /// Per-layer spans recorded by one single-threaded batch:
+    /// `layers × batch` when span tracing is active, 0 when switched
+    /// off via `MINDFUL_OBS`.
     pub layer_spans: u64,
 }
 
@@ -313,17 +313,16 @@ fn measure_throughput() -> Result<Vec<MeasuredThroughput>> {
         let start = Instant::now();
         let timed = net.forward_batch(&frames, &scheduler)?;
         let elapsed = start.elapsed();
-        // One more batch, single-threaded and observed, so the per-layer
-        // spans land on this thread's ring and can be counted — and the
-        // observed path provably computes the same outputs.
-        let registry = Registry::new();
+        // One more batch, single-threaded, so the per-layer spans land
+        // on this thread's ring and can be counted — and the serial
+        // path provably computes the same outputs.
         clear_spans();
-        let observed = net.forward_batch_observed(&frames, &serial, &registry, "infer")?;
+        let serial_outputs = net.forward_batch(&frames, &serial)?;
         let mut spans = Vec::new();
         let overwritten = drain_spans(&mut spans);
         let layer_spans = spans.len() as u64 + overwritten;
         let consistent = timed == outputs
-            && observed == outputs
+            && serial_outputs == outputs
             && frames
                 .iter()
                 .zip(&timed)

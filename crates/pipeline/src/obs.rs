@@ -15,7 +15,7 @@
 //! | `frames_in` | counter | frames handed to the stage |
 //! | `frames_out` | counter | frames the stage emitted |
 //! | `bytes_out` | counter | wire bytes emitted (byte sinks only) |
-//! | `buffer_bytes` | gauge | output-buffer backing storage (high water = peak) |
+//! | `buffer_bytes` | gauge | output-buffer backing storage after the latest counted step (high water = peak) |
 //! | `latency_ns` | histogram | per-frame wall time inside the stage |
 //! | `faults.<field>` | gauge | fault-counter snapshot (fault-aware stages only) |
 //! | `secure.<field>` | gauge | security-counter snapshot (secure-aware stages only) |
@@ -29,27 +29,19 @@
 //! canonical constants in [`mindful_core::obs::names`], shared with
 //! the scoreboard and CI assertions that read snapshots back.
 //!
-//! Without the crate's `obs` feature this module compiles to a no-op:
-//! `instrument` registers nothing and the driver records nothing.
+//! The counters, gauge and histogram record the same classified step
+//! as [`crate::StageTelemetry`] (the driver classifies it once), so a
+//! scrape of a pipeline instrumented before its first step equals its
+//! telemetry field for field. An uninstrumented pipeline holds no
+//! handles and records nothing here.
 
-#![cfg_attr(
-    not(feature = "obs"),
-    allow(unused_variables, unused_imports, dead_code, clippy::unused_self)
-)]
-
-use std::time::Duration;
-
-#[cfg(not(feature = "obs"))]
-use mindful_core::obs::Registry;
-#[cfg(feature = "obs")]
 use mindful_core::obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::fault::FaultTelemetry;
-use crate::frame::{Frame, FrameBuf, StageOutput};
 use crate::secure::SecureTelemetry;
+use crate::stage::StepRecord;
 
 /// Per-field gauges mirroring a stage's [`FaultTelemetry`] snapshot.
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone)]
 struct FaultGauges {
     injected: Gauge,
@@ -63,7 +55,6 @@ struct FaultGauges {
     recovery_steps: Gauge,
 }
 
-#[cfg(feature = "obs")]
 impl FaultGauges {
     fn register(registry: &Registry, base: &str) -> Self {
         Self {
@@ -94,7 +85,6 @@ impl FaultGauges {
 
 /// Per-field gauges mirroring a stage's [`SecureTelemetry`] snapshot,
 /// named by the canonical leaves in [`mindful_core::obs::names`].
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone)]
 struct SecureGauges {
     sealed: Gauge,
@@ -106,7 +96,6 @@ struct SecureGauges {
     coherence_ppm: Gauge,
 }
 
-#[cfg(feature = "obs")]
 impl SecureGauges {
     fn register(registry: &Registry, base: &str) -> Self {
         use mindful_core::obs::names;
@@ -139,19 +128,12 @@ impl SecureGauges {
 /// method is lock-free and allocation-free.
 #[derive(Debug, Clone)]
 pub(crate) struct SlotObs {
-    #[cfg(feature = "obs")]
     frames_in: Counter,
-    #[cfg(feature = "obs")]
     frames_out: Counter,
-    #[cfg(feature = "obs")]
     bytes_out: Counter,
-    #[cfg(feature = "obs")]
     buffer_bytes: Gauge,
-    #[cfg(feature = "obs")]
     latency_ns: Histogram,
-    #[cfg(feature = "obs")]
     faults: Option<FaultGauges>,
-    #[cfg(feature = "obs")]
     secure: Option<SecureGauges>,
 }
 
@@ -168,79 +150,49 @@ impl SlotObs {
         fault_aware: bool,
         secure_aware: bool,
     ) -> Self {
-        #[cfg(feature = "obs")]
-        {
-            let base = format!("{prefix}.{index}.{name}");
-            Self {
-                frames_in: registry.counter(&format!("{base}.frames_in")),
-                frames_out: registry.counter(&format!("{base}.frames_out")),
-                bytes_out: registry.counter(&format!("{base}.bytes_out")),
-                buffer_bytes: registry.gauge(&format!("{base}.buffer_bytes")),
-                latency_ns: registry.histogram(&format!("{base}.latency_ns")),
-                faults: fault_aware
-                    .then(|| FaultGauges::register(registry, &format!("{base}.faults"))),
-                secure: secure_aware
-                    .then(|| SecureGauges::register(registry, &format!("{base}.secure"))),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            Self {}
+        let base = format!("{prefix}.{index}.{name}");
+        Self {
+            frames_in: registry.counter(&format!("{base}.frames_in")),
+            frames_out: registry.counter(&format!("{base}.frames_out")),
+            bytes_out: registry.counter(&format!("{base}.bytes_out")),
+            buffer_bytes: registry.gauge(&format!("{base}.buffer_bytes")),
+            latency_ns: registry.histogram(&format!("{base}.latency_ns")),
+            faults: fault_aware.then(|| FaultGauges::register(registry, &format!("{base}.faults"))),
+            secure: secure_aware
+                .then(|| SecureGauges::register(registry, &format!("{base}.secure"))),
         }
     }
 
-    /// Accounts one [`crate::Stage::process`] call.
+    /// Records one counted step, classified by the driver.
     #[inline]
-    pub(crate) fn record(&self, elapsed: Duration, outcome: StageOutput, out: &FrameBuf) {
-        #[cfg(feature = "obs")]
-        {
+    pub(crate) fn record(&self, step: &StepRecord) {
+        if step.input {
             self.frames_in.increment();
-            self.latency_ns
-                .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-            if outcome == StageOutput::Emitted {
-                self.record_emission(out);
-            }
         }
+        if step.emitted {
+            self.frames_out.increment();
+        }
+        if step.wire_bytes > 0 {
+            self.bytes_out.add(step.wire_bytes);
+        }
+        self.buffer_bytes.set(step.buffer_bytes as u64);
+        self.latency_ns
+            .record(u64::try_from(step.elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Accounts a frame produced by [`crate::Stage::finish`] — an
-    /// emission without a corresponding input frame.
+    /// Mirrors the stage's latest fault and security snapshots into
+    /// the `faults.*` and `secure.*` gauges (each a no-op for a stage
+    /// without that gauge set).
     #[inline]
-    pub(crate) fn record_flush(&self, elapsed: Duration, out: &FrameBuf) {
-        #[cfg(feature = "obs")]
-        {
-            self.latency_ns
-                .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-            self.record_emission(out);
-        }
-    }
-
-    #[cfg(feature = "obs")]
-    #[inline]
-    fn record_emission(&self, out: &FrameBuf) {
-        self.frames_out.increment();
-        if let Frame::Bytes(wire) = out.as_frame() {
-            self.bytes_out.add(wire.len() as u64);
-        }
-        self.buffer_bytes.set(out.capacity_bytes() as u64);
-    }
-
-    /// Mirrors the stage's latest fault snapshot into the `faults.*`
-    /// gauges (no-op for fault-unaware stages).
-    #[inline]
-    pub(crate) fn record_faults(&self, snapshot: Option<&FaultTelemetry>) {
-        #[cfg(feature = "obs")]
-        if let (Some(gauges), Some(t)) = (&self.faults, snapshot) {
+    pub(crate) fn record_snapshots(
+        &self,
+        faults: Option<&FaultTelemetry>,
+        secure: Option<&SecureTelemetry>,
+    ) {
+        if let (Some(gauges), Some(t)) = (&self.faults, faults) {
             gauges.set(t);
         }
-    }
-
-    /// Mirrors the stage's latest security snapshot into the
-    /// `secure.*` gauges (no-op for secure-unaware stages).
-    #[inline]
-    pub(crate) fn record_secure(&self, snapshot: Option<&SecureTelemetry>) {
-        #[cfg(feature = "obs")]
-        if let (Some(gauges), Some(t)) = (&self.secure, snapshot) {
+        if let (Some(gauges), Some(t)) = (&self.secure, secure) {
             gauges.set(t);
         }
     }

@@ -87,23 +87,16 @@
 //! Each admitted session is additionally instrumented as
 //! `{prefix}.s{id}.{stage-index}.{stage}.{metric}` via
 //! [`Pipeline::instrument`], so one registry scrape sees the whole
-//! fleet at both granularities. Without the crate's `obs` feature all
-//! recording compiles out, exactly like the per-stage instrumentation.
-//! When observability is off (an unobserved fleet, or the feature
-//! compiled out) and a session has no deadline budget, the per-step
-//! hot path makes **no clock syscalls** at all.
-
-#![cfg_attr(
-    not(feature = "obs"),
-    allow(unused_variables, unused_imports, dead_code, clippy::unused_self)
-)]
+//! fleet at both granularities. An unobserved fleet holds no handles
+//! and records nothing; when it also gives a session no deadline
+//! budget, that session's per-step hot path makes **no clock
+//! syscalls** at all.
 
 use std::collections::HashMap;
 use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::time::Instant;
 
 use mindful_core::obs::Registry;
-#[cfg(feature = "obs")]
 use mindful_core::obs::{Counter, Gauge, Histogram};
 use mindful_core::pool::{Scheduler, TaskSlot};
 
@@ -454,78 +447,52 @@ impl SessionState {
 /// Fleet-level registry handles (the `{prefix}.{metric}` family).
 #[derive(Debug)]
 struct FleetObs {
-    #[cfg(feature = "obs")]
     sessions: Gauge,
-    #[cfg(feature = "obs")]
     admitted: Counter,
-    #[cfg(feature = "obs")]
     evicted: Counter,
-    #[cfg(feature = "obs")]
     epochs: Counter,
-    #[cfg(feature = "obs")]
     steps: Counter,
-    #[cfg(feature = "obs")]
     emitted: Counter,
-    #[cfg(feature = "obs")]
     shed: Counter,
-    #[cfg(feature = "obs")]
     rejected: Counter,
-    #[cfg(feature = "obs")]
     deadline_misses: Counter,
-    #[cfg(feature = "obs")]
     step_ns: Histogram,
-    #[cfg(feature = "obs")]
     epoch_ns: Histogram,
     /// Per-class families, indexed by [`PriorityClass::index`].
-    #[cfg(feature = "obs")]
     class_steps: [Counter; PriorityClass::COUNT],
-    #[cfg(feature = "obs")]
     class_shed: [Counter; PriorityClass::COUNT],
-    #[cfg(feature = "obs")]
     class_deadline_misses: [Counter; PriorityClass::COUNT],
-    #[cfg(feature = "obs")]
     class_step_ns: [Histogram; PriorityClass::COUNT],
 }
 
 impl FleetObs {
     fn register(registry: &Registry, prefix: &str) -> Self {
-        #[cfg(feature = "obs")]
-        {
-            Self {
-                sessions: registry.gauge(&format!("{prefix}.sessions")),
-                admitted: registry.counter(&format!("{prefix}.admitted")),
-                evicted: registry.counter(&format!("{prefix}.evicted")),
-                epochs: registry.counter(&format!("{prefix}.epochs")),
-                steps: registry.counter(&format!("{prefix}.steps")),
-                emitted: registry.counter(&format!("{prefix}.emitted")),
-                shed: registry.counter(&format!("{prefix}.shed")),
-                rejected: registry.counter(&format!("{prefix}.rejected")),
-                deadline_misses: registry.counter(&format!("{prefix}.deadline_misses")),
-                step_ns: registry.histogram(&format!("{prefix}.step_ns")),
-                epoch_ns: registry.histogram(&format!("{prefix}.epoch_ns")),
-                class_steps: PriorityClass::ALL
-                    .map(|c| registry.counter(&format!("{prefix}.{c}.steps"))),
-                class_shed: PriorityClass::ALL
-                    .map(|c| registry.counter(&format!("{prefix}.{c}.shed"))),
-                class_deadline_misses: PriorityClass::ALL
-                    .map(|c| registry.counter(&format!("{prefix}.{c}.deadline_misses"))),
-                class_step_ns: PriorityClass::ALL
-                    .map(|c| registry.histogram(&format!("{prefix}.{c}.step_ns"))),
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            Self {}
+        Self {
+            sessions: registry.gauge(&format!("{prefix}.sessions")),
+            admitted: registry.counter(&format!("{prefix}.admitted")),
+            evicted: registry.counter(&format!("{prefix}.evicted")),
+            epochs: registry.counter(&format!("{prefix}.epochs")),
+            steps: registry.counter(&format!("{prefix}.steps")),
+            emitted: registry.counter(&format!("{prefix}.emitted")),
+            shed: registry.counter(&format!("{prefix}.shed")),
+            rejected: registry.counter(&format!("{prefix}.rejected")),
+            deadline_misses: registry.counter(&format!("{prefix}.deadline_misses")),
+            step_ns: registry.histogram(&format!("{prefix}.step_ns")),
+            epoch_ns: registry.histogram(&format!("{prefix}.epoch_ns")),
+            class_steps: PriorityClass::ALL
+                .map(|c| registry.counter(&format!("{prefix}.{c}.steps"))),
+            class_shed: PriorityClass::ALL.map(|c| registry.counter(&format!("{prefix}.{c}.shed"))),
+            class_deadline_misses: PriorityClass::ALL
+                .map(|c| registry.counter(&format!("{prefix}.{c}.deadline_misses"))),
+            class_step_ns: PriorityClass::ALL
+                .map(|c| registry.histogram(&format!("{prefix}.{c}.step_ns"))),
         }
     }
 
     #[inline]
     fn record_step(&self, class: PriorityClass, nanos: u64) {
-        #[cfg(feature = "obs")]
-        {
-            self.step_ns.record(nanos);
-            self.class_step_ns[class.index()].record(nanos);
-        }
+        self.step_ns.record(nanos);
+        self.class_step_ns[class.index()].record(nanos);
     }
 }
 
@@ -704,7 +671,6 @@ impl<'a> Fleet<'a> {
             }
         };
         self.index.insert(id, slot);
-        #[cfg(feature = "obs")]
         if let Some(obs) = &self.obs {
             obs.admitted.increment();
             obs.sessions.set(self.index.len() as u64);
@@ -734,7 +700,6 @@ impl<'a> Fleet<'a> {
         state.backlog += accepted;
         let rejected = u64::from(steps - accepted);
         state.rejected += rejected;
-        #[cfg(feature = "obs")]
         if let Some(obs) = &self.obs {
             if rejected > 0 {
                 obs.rejected.add(rejected);
@@ -834,10 +799,7 @@ impl<'a> Fleet<'a> {
         // fleets; per-step stopwatches additionally run for sessions
         // with a deadline budget. The unobserved, budget-less hot path
         // makes no clock syscalls at all.
-        #[cfg(feature = "obs")]
         let obs_on = self.obs.is_some();
-        #[cfg(not(feature = "obs"))]
-        let obs_on = false;
         let obs = &self.obs;
         let epoch_start = obs_on.then(Instant::now);
         let phases: [&[usize]; PriorityClass::COUNT] =
@@ -934,7 +896,6 @@ impl<'a> Fleet<'a> {
                 }
             }
         }
-        #[cfg(feature = "obs")]
         if let Some(obs) = &self.obs {
             obs.epochs.increment();
             obs.steps.add(report.steps);
@@ -950,8 +911,6 @@ impl<'a> Fleet<'a> {
                 obs.epoch_ns.record(nanos);
             }
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = epoch_nanos;
         self.last_epoch = report;
         match error {
             Some(e) => Err(e),
@@ -997,7 +956,6 @@ impl<'a> Fleet<'a> {
             .expect("indexed slots hold a session");
         self.index.remove(&id.raw());
         self.free.push(slot);
-        #[cfg(feature = "obs")]
         if let Some(obs) = &self.obs {
             obs.evicted.increment();
             obs.sessions.set(self.index.len() as u64);
@@ -1282,40 +1240,37 @@ mod tests {
         fleet.drive_epoch().unwrap();
         fleet.evict(id).unwrap();
 
-        #[cfg(feature = "obs")]
-        {
-            let snap = registry.snapshot();
-            assert_eq!(snap.counter("serve.admitted"), Some(1));
-            assert_eq!(snap.counter("serve.evicted"), Some(1));
-            assert_eq!(snap.counter("serve.epochs"), Some(1));
-            assert_eq!(snap.counter("serve.steps"), Some(2));
-            assert_eq!(snap.counter("serve.shed"), Some(6));
-            assert_eq!(snap.counter("serve.rejected"), Some(8));
-            let (live, peak) = snap.gauge("serve.sessions").unwrap();
-            assert_eq!(live, 0);
-            assert_eq!(peak, 1);
-            let steps = snap.histogram("serve.step_ns").unwrap();
-            assert_eq!(steps.count, 2, "one sample per real step");
-            assert_eq!(snap.counter("serve.deadline_misses"), Some(0));
-            // Per-class rows: the session declared no class, so all of
-            // its work lands under the best-effort default and the
-            // other classes stay at zero.
-            assert_eq!(snap.counter("serve.best_effort.steps"), Some(2));
-            assert_eq!(snap.counter("serve.best_effort.shed"), Some(6));
-            assert_eq!(snap.counter("serve.best_effort.deadline_misses"), Some(0));
-            let be_steps = snap.histogram("serve.best_effort.step_ns").unwrap();
-            assert_eq!(be_steps.count, 2);
-            assert_eq!(snap.counter("serve.realtime.steps"), Some(0));
-            assert_eq!(snap.counter("serve.realtime.shed"), Some(0));
-            assert_eq!(snap.histogram("serve.realtime.step_ns").unwrap().count, 0);
-            assert_eq!(snap.counter("serve.interactive.steps"), Some(0));
-            // Per-session prefix: the sense stage of session 0.
-            assert_eq!(snap.counter("serve.s0.0.sense.frames_in"), Some(2));
-            // Shed steps surface field-exactly on the session's conceal
-            // gauges.
-            let (degraded, _) = snap.gauge("serve.s0.1.conceal.faults.degraded").unwrap();
-            assert_eq!(degraded, 6);
-        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("serve.admitted"), Some(1));
+        assert_eq!(snap.counter("serve.evicted"), Some(1));
+        assert_eq!(snap.counter("serve.epochs"), Some(1));
+        assert_eq!(snap.counter("serve.steps"), Some(2));
+        assert_eq!(snap.counter("serve.shed"), Some(6));
+        assert_eq!(snap.counter("serve.rejected"), Some(8));
+        let (live, peak) = snap.gauge("serve.sessions").unwrap();
+        assert_eq!(live, 0);
+        assert_eq!(peak, 1);
+        let steps = snap.histogram("serve.step_ns").unwrap();
+        assert_eq!(steps.count, 2, "one sample per real step");
+        assert_eq!(snap.counter("serve.deadline_misses"), Some(0));
+        // Per-class rows: the session declared no class, so all of
+        // its work lands under the best-effort default and the
+        // other classes stay at zero.
+        assert_eq!(snap.counter("serve.best_effort.steps"), Some(2));
+        assert_eq!(snap.counter("serve.best_effort.shed"), Some(6));
+        assert_eq!(snap.counter("serve.best_effort.deadline_misses"), Some(0));
+        let be_steps = snap.histogram("serve.best_effort.step_ns").unwrap();
+        assert_eq!(be_steps.count, 2);
+        assert_eq!(snap.counter("serve.realtime.steps"), Some(0));
+        assert_eq!(snap.counter("serve.realtime.shed"), Some(0));
+        assert_eq!(snap.histogram("serve.realtime.step_ns").unwrap().count, 0);
+        assert_eq!(snap.counter("serve.interactive.steps"), Some(0));
+        // Per-session prefix: the sense stage of session 0.
+        assert_eq!(snap.counter("serve.s0.0.sense.frames_in"), Some(2));
+        // Shed steps surface field-exactly on the session's conceal
+        // gauges.
+        let (degraded, _) = snap.gauge("serve.s0.1.conceal.faults.degraded").unwrap();
+        assert_eq!(degraded, 6);
     }
 
     #[test]

@@ -105,27 +105,12 @@ impl StageTelemetry {
         }
     }
 
-    fn record(&mut self, elapsed: Duration, outcome: StageOutput, out: &FrameBuf) {
-        self.frames_in += 1;
-        self.busy += elapsed;
-        if outcome == StageOutput::Emitted {
-            self.frames_out += 1;
-            if let Frame::Bytes(wire) = out.as_frame() {
-                self.bytes_out += wire.len() as u64;
-            }
-        }
-        self.peak_buffer_bytes = self.peak_buffer_bytes.max(out.capacity_bytes());
-    }
-
-    /// Accounts a frame produced by [`Stage::finish`] — an emission
-    /// without a corresponding input frame.
-    fn record_flush(&mut self, elapsed: Duration, out: &FrameBuf) {
-        self.frames_out += 1;
-        self.busy += elapsed;
-        if let Frame::Bytes(wire) = out.as_frame() {
-            self.bytes_out += wire.len() as u64;
-        }
-        self.peak_buffer_bytes = self.peak_buffer_bytes.max(out.capacity_bytes());
+    fn record(&mut self, step: &StepRecord) {
+        self.frames_in += u64::from(step.input);
+        self.frames_out += u64::from(step.emitted);
+        self.busy += step.elapsed;
+        self.bytes_out += step.wire_bytes;
+        self.peak_buffer_bytes = self.peak_buffer_bytes.max(step.buffer_bytes);
     }
 
     /// Mean time per input frame ([`Duration::ZERO`] before any frame).
@@ -139,12 +124,69 @@ impl StageTelemetry {
     }
 }
 
+/// One counted stage step: a [`Stage::process`] call, or a frame
+/// flushed by [`Stage::finish`]. The driver classifies each step once
+/// and records the same classification into [`StageTelemetry`] and,
+/// when instrumented, the registry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepRecord {
+    /// The step consumed an input frame (a flush consumes none).
+    pub(crate) input: bool,
+    /// The step left a frame in the output buffer.
+    pub(crate) emitted: bool,
+    /// Wire bytes emitted (non-zero only for an emitted byte frame).
+    pub(crate) wire_bytes: u64,
+    /// Backing storage of the output buffer after the step, whether or
+    /// not it emitted.
+    pub(crate) buffer_bytes: usize,
+    /// Wall time inside the stage.
+    pub(crate) elapsed: Duration,
+}
+
 struct Slot {
     stage: Box<dyn Stage>,
     out: FrameBuf,
     telemetry: StageTelemetry,
     /// Registry handles, present once [`Pipeline::instrument`] ran.
     obs: Option<SlotObs>,
+}
+
+impl Slot {
+    /// Accounts one call into the stage that took `elapsed` and
+    /// returned `outcome`: a `process` call when `input`, otherwise a
+    /// `finish` call.
+    ///
+    /// The stage's fault and security snapshots are copied (and
+    /// mirrored into the registry) after every call. A `finish` call
+    /// that flushed nothing is not a step and counts nothing else.
+    fn account(&mut self, elapsed: Duration, input: bool, outcome: StageOutput) {
+        self.telemetry.faults = self.stage.fault_telemetry();
+        self.telemetry.secure = self.stage.secure_telemetry();
+        if let Some(obs) = &self.obs {
+            obs.record_snapshots(
+                self.telemetry.faults.as_ref(),
+                self.telemetry.secure.as_ref(),
+            );
+        }
+        let emitted = outcome == StageOutput::Emitted;
+        if !input && !emitted {
+            return;
+        }
+        let step = StepRecord {
+            input,
+            emitted,
+            wire_bytes: match self.out.as_frame() {
+                Frame::Bytes(wire) if emitted => wire.len() as u64,
+                _ => 0,
+            },
+            buffer_bytes: self.out.capacity_bytes(),
+            elapsed,
+        };
+        self.telemetry.record(&step);
+        if let Some(obs) = &self.obs {
+            obs.record(&step);
+        }
+    }
 }
 
 /// A composed chain of stages with per-stage output buffers.
@@ -192,8 +234,10 @@ impl Pipeline {
     /// it enables does not, so the warm pipeline stays allocation-free
     /// with instrumentation on. Calling it again re-registers against
     /// the (possibly different) registry; existing counts in the old
-    /// registry are left behind. Without the crate's `obs` feature this
-    /// is a no-op.
+    /// registry are left behind. Each step is counted once, by the same
+    /// rule as [`StageTelemetry`], so the scrape of a pipeline
+    /// instrumented before its first step matches [`Pipeline::telemetry`]
+    /// field for field.
     pub fn instrument(&mut self, registry: &Registry, prefix: &str) {
         for (index, slot) in self.slots.iter_mut().enumerate() {
             let fault_aware = slot.stage.fault_telemetry().is_some();
@@ -316,15 +360,7 @@ impl Pipeline {
             };
             let t = Instant::now();
             let outcome = slot.stage.process(&frame, &mut slot.out)?;
-            let elapsed = t.elapsed();
-            slot.telemetry.record(elapsed, outcome, &slot.out);
-            slot.telemetry.faults = slot.stage.fault_telemetry();
-            slot.telemetry.secure = slot.stage.secure_telemetry();
-            if let Some(obs) = &slot.obs {
-                obs.record(elapsed, outcome, &slot.out);
-                obs.record_faults(slot.telemetry.faults.as_ref());
-                obs.record_secure(slot.telemetry.secure.as_ref());
-            }
+            slot.account(t.elapsed(), true, outcome);
             if outcome == StageOutput::Pending {
                 return Ok(false);
             }
@@ -354,19 +390,9 @@ impl Pipeline {
                 let slot = &mut self.slots[i];
                 let t = Instant::now();
                 let outcome = slot.stage.finish(&mut slot.out)?;
-                let elapsed = t.elapsed();
-                slot.telemetry.faults = slot.stage.fault_telemetry();
-                slot.telemetry.secure = slot.stage.secure_telemetry();
-                if let Some(obs) = &slot.obs {
-                    obs.record_faults(slot.telemetry.faults.as_ref());
-                    obs.record_secure(slot.telemetry.secure.as_ref());
-                }
+                slot.account(t.elapsed(), false, outcome);
                 if outcome == StageOutput::Pending {
                     break;
-                }
-                slot.telemetry.record_flush(elapsed, &slot.out);
-                if let Some(obs) = &slot.obs {
-                    obs.record_flush(elapsed, &slot.out);
                 }
                 if self.run_from(i + 1, None)? {
                     completed += 1;
@@ -621,7 +647,56 @@ mod tests {
         assert_eq!(p.telemetry()[0].faults, None);
     }
 
-    #[cfg(feature = "obs")]
+    /// Writes a frame of `64 × seen` copies of its input's first code
+    /// on every call but emits only the first: its output buffer keeps
+    /// growing on steps that return `Pending`.
+    struct GrowOnPending {
+        seen: usize,
+    }
+
+    impl Stage for GrowOnPending {
+        fn name(&self) -> &'static str {
+            "grow-on-pending"
+        }
+
+        fn process(&mut self, input: &Frame<'_>, out: &mut FrameBuf) -> Result<StageOutput> {
+            let Frame::Codes(&[code, ..]) = input else {
+                return Err(PipelineError::UnexpectedFrame {
+                    stage: self.name(),
+                    actual: input.kind(),
+                });
+            };
+            self.seen += 1;
+            out.begin_codes().resize(64 * self.seen, code);
+            Ok(if self.seen == 1 {
+                StageOutput::Emitted
+            } else {
+                StageOutput::Pending
+            })
+        }
+    }
+
+    /// Serialises codes as little-endian wire bytes.
+    struct ToBytes;
+
+    impl Stage for ToBytes {
+        fn name(&self) -> &'static str {
+            "to-bytes"
+        }
+
+        fn process(&mut self, input: &Frame<'_>, out: &mut FrameBuf) -> Result<StageOutput> {
+            let Frame::Codes(codes) = input else {
+                return Err(PipelineError::UnexpectedFrame {
+                    stage: self.name(),
+                    actual: input.kind(),
+                });
+            };
+            out.begin_bytes()
+                .extend(codes.iter().flat_map(|c| c.to_le_bytes()));
+            Ok(StageOutput::Emitted)
+        }
+    }
+
     #[test]
     fn instrumented_run_mirrors_stage_telemetry_in_the_registry() {
         let registry = Registry::new();
@@ -629,11 +704,22 @@ mod tests {
             .with_stage(CounterSource(0))
             .with_stage(EveryNth { window: 3, seen: 0 })
             .with_stage(Doubler)
+            .with_stage(Absorber { held: Vec::new() })
+            .with_stage(GrowOnPending { seen: 0 })
+            .with_stage(ToBytes)
             .with_instrumentation(&registry, "test");
         for _ in 0..9 {
             p.step().unwrap();
         }
+        assert_eq!(p.finish().unwrap(), 1, "only the first flush gets through");
         let t = p.telemetry();
+        assert_eq!(t[3].frames_out, 3, "the absorber flushed every frame");
+        let emitted_bytes = 64 * std::mem::size_of::<u16>();
+        assert!(
+            t[4].peak_buffer_bytes > emitted_bytes,
+            "the buffer grew on pending steps after the last emission"
+        );
+        assert!(t[5].bytes_out > 0, "the byte sink emitted wire bytes");
         let s = registry.snapshot();
         for (i, stage) in t.iter().enumerate() {
             let base = format!("test.{i}.{}", stage.name);
@@ -649,12 +735,22 @@ mod tests {
             );
             assert_eq!(
                 s.counter(&format!("{base}.bytes_out")),
-                Some(stage.bytes_out)
+                Some(stage.bytes_out),
+                "{base}"
             );
             let (_, high_water) = s.gauge(&format!("{base}.buffer_bytes")).unwrap();
-            assert_eq!(high_water, stage.peak_buffer_bytes as u64);
+            assert_eq!(high_water, stage.peak_buffer_bytes as u64, "{base}");
+            let flushes = if stage.name == "absorber" {
+                stage.frames_out
+            } else {
+                0
+            };
             let lat = s.histogram(&format!("{base}.latency_ns")).unwrap();
-            assert_eq!(lat.count, stage.frames_in, "one latency sample per input");
+            assert_eq!(
+                lat.count,
+                stage.frames_in + flushes,
+                "one latency sample per input and per flush"
+            );
         }
         assert!(
             s.counter("test.1.every-nth.faults.injected").is_none(),
@@ -662,7 +758,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn instrumented_flush_counts_emissions() {
         let registry = Registry::new();
@@ -678,21 +773,5 @@ mod tests {
         assert_eq!(s.counter("flush.0.absorber.frames_out"), Some(3));
         assert_eq!(s.counter("flush.1.doubler.frames_in"), Some(3));
         assert_eq!(s.counter("flush.1.doubler.frames_out"), Some(3));
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn instrument_is_a_noop_without_the_obs_feature() {
-        let registry = Registry::new();
-        let mut p = Pipeline::new()
-            .with_stage(CounterSource(0))
-            .with_instrumentation(&registry, "noop");
-        p.step().unwrap();
-        p.instrument(&registry, "noop2");
-        p.step().unwrap();
-        assert!(
-            registry.is_empty(),
-            "no metrics registered when compiled out"
-        );
     }
 }

@@ -182,40 +182,37 @@ fn soak_1024_channels_at_two_percent_composite_faults() {
     // pipeline reports the identical fault ledger, field-exact against
     // the twin link — metrics are a faithful second witness, not a
     // parallel bookkeeping scheme that can drift.
-    #[cfg(feature = "obs")]
-    {
-        let snapshot = registry.snapshot();
-        let gauge = |name: &str| {
-            snapshot
-                .gauge(name)
-                .unwrap_or_else(|| panic!("gauge {name} registered"))
-                .0
-        };
-        assert_eq!(gauge("soak.2.link.faults.injected"), injected.total());
-        assert_eq!(gauge("soak.2.link.faults.recovered"), stats.recovered);
-        assert_eq!(gauge("soak.2.link.faults.lost"), stats.lost);
-        assert_eq!(gauge("soak.2.link.faults.naks"), stats.naks_sent);
-        assert_eq!(gauge("soak.2.link.faults.max_gap"), stats.max_gap);
-        assert_eq!(
-            gauge("soak.2.link.faults.recovery_steps"),
-            stats.recovery_steps
-        );
-        assert_eq!(
-            gauge("soak.2.link.faults.detected"),
-            stats.corrupted + stats.gaps_detected + stats.duplicates + stats.out_of_window
-        );
-        assert_eq!(gauge("soak.3.conceal.faults.degraded"), stats.lost);
-        assert_eq!(gauge("soak.3.conceal.faults.quarantined"), 0);
-        assert_eq!(
-            snapshot.counter("soak.2.link.frames_out"),
-            Some(steps as u64),
-            "the link counter mirrors the playout ledger"
-        );
-        assert_eq!(
-            snapshot.counter("soak.0.sense.frames_in"),
-            Some(steps as u64)
-        );
-    }
+    let snapshot = registry.snapshot();
+    let gauge = |name: &str| {
+        snapshot
+            .gauge(name)
+            .unwrap_or_else(|| panic!("gauge {name} registered"))
+            .0
+    };
+    assert_eq!(gauge("soak.2.link.faults.injected"), injected.total());
+    assert_eq!(gauge("soak.2.link.faults.recovered"), stats.recovered);
+    assert_eq!(gauge("soak.2.link.faults.lost"), stats.lost);
+    assert_eq!(gauge("soak.2.link.faults.naks"), stats.naks_sent);
+    assert_eq!(gauge("soak.2.link.faults.max_gap"), stats.max_gap);
+    assert_eq!(
+        gauge("soak.2.link.faults.recovery_steps"),
+        stats.recovery_steps
+    );
+    assert_eq!(
+        gauge("soak.2.link.faults.detected"),
+        stats.corrupted + stats.gaps_detected + stats.duplicates + stats.out_of_window
+    );
+    assert_eq!(gauge("soak.3.conceal.faults.degraded"), stats.lost);
+    assert_eq!(gauge("soak.3.conceal.faults.quarantined"), 0);
+    assert_eq!(
+        snapshot.counter("soak.2.link.frames_out"),
+        Some(steps as u64),
+        "the link counter mirrors the playout ledger"
+    );
+    assert_eq!(
+        snapshot.counter("soak.0.sense.frames_in"),
+        Some(steps as u64)
+    );
 }
 
 /// ARQ-off degraded mode: no NAKs, every loss concealed, chain bounded.

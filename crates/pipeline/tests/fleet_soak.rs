@@ -355,38 +355,33 @@ fn soak_multiplexes_a_thousand_heterogeneous_sessions() {
     }
 
     // One registry scrape agrees with the summed per-session ledgers.
-    #[cfg(feature = "obs")]
-    {
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("serve.admitted"),
-            Some((SESSIONS + churned) as u64)
-        );
-        assert_eq!(
-            snap.counter("serve.evicted"),
-            Some((SESSIONS + churned) as u64)
-        );
-        assert_eq!(snap.counter("serve.epochs"), Some(epochs));
-        assert_eq!(snap.counter("serve.steps"), Some(steps));
-        assert_eq!(snap.counter("serve.shed"), Some(shed));
-        assert_eq!(snap.counter("serve.rejected"), Some(rejected_total));
-        // `emitted` counts live epoch emissions only — eviction-drain
-        // flushes are on the per-session reports, not the epoch path.
-        let emitted: u64 = finished.iter().map(|(_, r)| r.emitted).sum();
-        assert_eq!(snap.counter("serve.emitted"), Some(emitted));
-        let (sessions_now, sessions_peak) = snap.gauge("serve.sessions").unwrap();
-        assert_eq!(sessions_now, 0);
-        assert_eq!(sessions_peak, SESSIONS as u64);
-        let step_ns = snap.histogram("serve.step_ns").unwrap();
-        assert_eq!(step_ns.count, steps, "one latency sample per real step");
-        assert_eq!(
-            snap.histogram("serve.epoch_ns").unwrap().count,
-            epochs,
-            "one epoch sample per drive"
-        );
-    }
-    #[cfg(not(feature = "obs"))]
-    drop(registry);
+    let snap = registry.snapshot();
+    assert_eq!(
+        snap.counter("serve.admitted"),
+        Some((SESSIONS + churned) as u64)
+    );
+    assert_eq!(
+        snap.counter("serve.evicted"),
+        Some((SESSIONS + churned) as u64)
+    );
+    assert_eq!(snap.counter("serve.epochs"), Some(epochs));
+    assert_eq!(snap.counter("serve.steps"), Some(steps));
+    assert_eq!(snap.counter("serve.shed"), Some(shed));
+    assert_eq!(snap.counter("serve.rejected"), Some(rejected_total));
+    // `emitted` counts live epoch emissions only — eviction-drain
+    // flushes are on the per-session reports, not the epoch path.
+    let emitted: u64 = finished.iter().map(|(_, r)| r.emitted).sum();
+    assert_eq!(snap.counter("serve.emitted"), Some(emitted));
+    let (sessions_now, sessions_peak) = snap.gauge("serve.sessions").unwrap();
+    assert_eq!(sessions_now, 0);
+    assert_eq!(sessions_peak, SESSIONS as u64);
+    let step_ns = snap.histogram("serve.step_ns").unwrap();
+    assert_eq!(step_ns.count, steps, "one latency sample per real step");
+    assert_eq!(
+        snap.histogram("serve.epoch_ns").unwrap().count,
+        epochs,
+        "one epoch sample per drive"
+    );
 
     // The scheduler really carried the load: one dispatch per epoch,
     // one task per ready session.
@@ -595,45 +590,40 @@ fn priority_soak_protects_realtime_deadlines_under_best_effort_saturation() {
     }
     assert_eq!(served, accepted, "per-class ledgers balance exactly");
 
-    #[cfg(feature = "obs")]
-    {
-        let snap = registry.snapshot();
-        let rt_steps = rounds as u64 * RT as u64 * u64::from(RT_QUANTUM);
-        // The deadline gate runs through the registry histograms: every
-        // realtime step's latency sample landed, and none missed.
-        let rt_hist = snap.histogram("serve.realtime.step_ns").unwrap();
-        assert_eq!(rt_hist.count, rt_steps, "one sample per realtime step");
-        assert!(
-            rt_hist.quantile_upper_bound(1.0).unwrap() <= RT_DEADLINE_NS
-                || snap.counter("serve.realtime.deadline_misses") == Some(0),
-            "the histogram tail and the miss counter agree"
-        );
-        assert_eq!(snap.counter("serve.realtime.deadline_misses"), Some(0));
-        assert_eq!(snap.counter("serve.realtime.steps"), Some(rt_steps));
-        assert_eq!(snap.counter("serve.realtime.shed"), Some(0));
-        assert_eq!(
-            snap.counter("serve.interactive.steps"),
-            Some(rounds as u64 * IA as u64 * u64::from(IA_QUANTUM))
-        );
-        assert_eq!(snap.counter("serve.interactive.shed"), Some(0));
-        assert_eq!(
-            snap.counter("serve.best_effort.steps"),
-            Some(rounds as u64 * BE as u64)
-        );
-        // The zero-budget bulk class misses on every real step — the
-        // per-class attribution never leaks across classes.
-        assert_eq!(
-            snap.counter("serve.best_effort.deadline_misses"),
-            Some(rounds as u64 * BE as u64)
-        );
-        let shed = snap.counter("serve.best_effort.shed").unwrap();
-        assert_eq!(snap.counter("serve.shed"), Some(shed));
-        assert!(shed > 0);
-        assert_eq!(
-            snap.counter("serve.deadline_misses"),
-            snap.counter("serve.best_effort.deadline_misses")
-        );
-    }
-    #[cfg(not(feature = "obs"))]
-    drop(registry);
+    let snap = registry.snapshot();
+    let rt_steps = rounds as u64 * RT as u64 * u64::from(RT_QUANTUM);
+    // The deadline gate runs through the registry histograms: every
+    // realtime step's latency sample landed, and none missed.
+    let rt_hist = snap.histogram("serve.realtime.step_ns").unwrap();
+    assert_eq!(rt_hist.count, rt_steps, "one sample per realtime step");
+    assert!(
+        rt_hist.quantile_upper_bound(1.0).unwrap() <= RT_DEADLINE_NS
+            || snap.counter("serve.realtime.deadline_misses") == Some(0),
+        "the histogram tail and the miss counter agree"
+    );
+    assert_eq!(snap.counter("serve.realtime.deadline_misses"), Some(0));
+    assert_eq!(snap.counter("serve.realtime.steps"), Some(rt_steps));
+    assert_eq!(snap.counter("serve.realtime.shed"), Some(0));
+    assert_eq!(
+        snap.counter("serve.interactive.steps"),
+        Some(rounds as u64 * IA as u64 * u64::from(IA_QUANTUM))
+    );
+    assert_eq!(snap.counter("serve.interactive.shed"), Some(0));
+    assert_eq!(
+        snap.counter("serve.best_effort.steps"),
+        Some(rounds as u64 * BE as u64)
+    );
+    // The zero-budget bulk class misses on every real step — the
+    // per-class attribution never leaks across classes.
+    assert_eq!(
+        snap.counter("serve.best_effort.deadline_misses"),
+        Some(rounds as u64 * BE as u64)
+    );
+    let shed = snap.counter("serve.best_effort.shed").unwrap();
+    assert_eq!(snap.counter("serve.shed"), Some(shed));
+    assert!(shed > 0);
+    assert_eq!(
+        snap.counter("serve.deadline_misses"),
+        snap.counter("serve.best_effort.deadline_misses")
+    );
 }

@@ -147,61 +147,58 @@ fn adversarial_soak_accepts_zero_forged_or_replayed_frames() {
 
     // Observability is a faithful second witness: the registry's
     // `secure.*` gauges mirror the stage snapshots field-exact.
-    #[cfg(feature = "obs")]
-    {
-        use mindful_core::obs::names;
-        let snapshot = registry.snapshot();
-        let gauge = |name: &str| {
-            snapshot
-                .gauge(name)
-                .unwrap_or_else(|| panic!("gauge {name} registered"))
-                .0
-        };
-        for leaf in names::SECURE_METRICS {
-            assert!(
-                snapshot
-                    .gauge(&format!("soak.2.link.secure.{leaf}"))
-                    .is_some(),
-                "link registers secure gauge {leaf}"
-            );
-            assert!(
-                snapshot
-                    .gauge(&format!("soak.3.firewall.secure.{leaf}"))
-                    .is_some(),
-                "firewall registers secure gauge {leaf}"
-            );
-        }
-        assert_eq!(gauge("soak.2.link.secure.frames_sealed"), auth_stats.sealed);
-        assert_eq!(
-            gauge("soak.2.link.secure.frames_accepted"),
-            auth_stats.accepted
-        );
-        assert_eq!(
-            gauge("soak.2.link.secure.frames_rejected_auth"),
-            auth_stats.rejected_auth
-        );
-        assert_eq!(
-            gauge("soak.2.link.secure.frames_replayed"),
-            auth_stats.replayed
-        );
-        assert_eq!(gauge("soak.2.link.secure.frames_stale"), auth_stats.stale);
-        assert_eq!(
-            gauge("soak.3.firewall.secure.frames_firewalled"),
-            firewall.firewalled
-        );
-        assert_eq!(
-            gauge("soak.3.firewall.secure.coherence_ppm"),
-            firewall.coherence_ppm
-        );
-        // Forgery acceptance expressed as the obs cross-check CI reads:
-        // the accepted count can never exceed what the implant sealed.
-        let accounted = gauge("soak.2.link.secure.frames_accepted");
+    use mindful_core::obs::names;
+    let snapshot = registry.snapshot();
+    let gauge = |name: &str| {
+        snapshot
+            .gauge(name)
+            .unwrap_or_else(|| panic!("gauge {name} registered"))
+            .0
+    };
+    for leaf in names::SECURE_METRICS {
         assert!(
-            accounted <= auth_stats.sealed,
-            "accepted ({accounted}) exceeds sealed ({}) — forgeries counted in",
-            auth_stats.sealed
+            snapshot
+                .gauge(&format!("soak.2.link.secure.{leaf}"))
+                .is_some(),
+            "link registers secure gauge {leaf}"
+        );
+        assert!(
+            snapshot
+                .gauge(&format!("soak.3.firewall.secure.{leaf}"))
+                .is_some(),
+            "firewall registers secure gauge {leaf}"
         );
     }
+    assert_eq!(gauge("soak.2.link.secure.frames_sealed"), auth_stats.sealed);
+    assert_eq!(
+        gauge("soak.2.link.secure.frames_accepted"),
+        auth_stats.accepted
+    );
+    assert_eq!(
+        gauge("soak.2.link.secure.frames_rejected_auth"),
+        auth_stats.rejected_auth
+    );
+    assert_eq!(
+        gauge("soak.2.link.secure.frames_replayed"),
+        auth_stats.replayed
+    );
+    assert_eq!(gauge("soak.2.link.secure.frames_stale"), auth_stats.stale);
+    assert_eq!(
+        gauge("soak.3.firewall.secure.frames_firewalled"),
+        firewall.firewalled
+    );
+    assert_eq!(
+        gauge("soak.3.firewall.secure.coherence_ppm"),
+        firewall.coherence_ppm
+    );
+    // Forgery acceptance expressed as the obs cross-check CI reads:
+    // the accepted count can never exceed what the implant sealed.
+    let accounted = gauge("soak.2.link.secure.frames_accepted");
+    assert!(
+        accounted <= auth_stats.sealed,
+        "accepted ({accounted}) exceeds sealed ({}) — forgeries counted in",
+        auth_stats.sealed
+    );
 }
 
 /// Conservation-law variant driven at the link level with exact

@@ -233,12 +233,7 @@ fn warm_instrumented_five_stage_chain_is_allocation_free() {
 
     // Scraping allocates by design — outside the measured region — and
     // the scrape must agree with the driver's own telemetry exactly.
-    // Without the `obs` feature instrumentation is a no-op and the
-    // registry stays empty; the allocation-free property above is the
-    // part that holds in every configuration.
-    #[cfg(feature = "obs")]
     let snapshot = registry.snapshot();
-    #[cfg(feature = "obs")]
     for (i, t) in pipeline.telemetry().iter().enumerate() {
         let base = format!("pipe.{i}.{}", t.name);
         assert_eq!(
@@ -504,7 +499,6 @@ fn warm_instrumented_dnn_chain_is_allocation_free() {
         "a warm instrumented sense→dnn chain must not allocate, span tracing included"
     );
 
-    #[cfg(feature = "obs")]
     assert_eq!(
         registry.snapshot().counter("dnnchain.1.dnn.frames_in"),
         Some(2 + 32)
