@@ -1,6 +1,7 @@
-//! Benchmarks for the unified streaming pipeline: a warm `StreamSet`
-//! (pipelines built once, per-stage buffers and DNN workspaces reused
-//! across every frame) against the repeated batched path (one
+//! Benchmarks for the unified streaming pipeline: warm streams served
+//! as the sessions of a default-config `Fleet` (pipelines built once,
+//! per-stage buffers and DNN workspaces reused across every frame, one
+//! epoch per run) against the repeated batched path (one
 //! `forward_batch` call per step — a fresh workspace and fresh output
 //! vectors every call).
 //!
@@ -25,8 +26,9 @@ use mindful_pipeline::prelude::*;
 
 /// Concurrent implant streams (one pipeline each).
 const STREAMS: usize = 4;
-/// Frames each stream decodes per run.
-const STEPS: usize = 32;
+/// Frames each stream decodes per run (within the default fleet
+/// quantum, so one epoch serves a whole run).
+const STEPS: u32 = 32;
 /// Distinct synthetic frames replayed cyclically per stream.
 const REPLAY: usize = 8;
 
@@ -37,7 +39,7 @@ fn quick() -> bool {
 /// The scheduler for the serving comparison: the machine's
 /// parallelism, but at least two workers, so both engines actually fan
 /// over workers — the regime the comparison is about (streaming fans
-/// once per drive, the batched path re-fans every step).
+/// once per epoch, the batched path re-fans every step).
 fn serving() -> Scheduler {
     Scheduler::new(NonZeroUsize::new(default_threads().get().max(2)).expect("non-zero"))
 }
@@ -59,24 +61,28 @@ fn frames(width: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// One stream's pipeline: replayed frames into the shared model.
-fn build_streams(net: &Arc<Network>, replay: &[Vec<f32>]) -> StreamSet {
-    StreamSet::build(STREAMS, |_| {
-        Ok(Pipeline::new()
-            .with_stage(ReplaySource::new(replay.to_vec())?)
-            .with_stage(DnnStage::shared(Arc::clone(net), 10)?))
-    })
-    .expect("streams build")
+/// Admits the streams to `fleet`, each pipeline replaying frames into
+/// the shared model.
+fn build_streams(fleet: &mut Fleet<'_>, net: &Arc<Network>, replay: &[Vec<f32>]) -> Vec<SessionId> {
+    (0..STREAMS)
+        .map(|_| {
+            let pipeline = Pipeline::new()
+                .with_stage(ReplaySource::new(replay.to_vec()).expect("replay builds"))
+                .with_stage(DnnStage::shared(Arc::clone(net), 10).expect("dnn stage builds"));
+            fleet
+                .admit(SessionSpec::new(pipeline))
+                .expect("stream admits")
+        })
+        .collect()
 }
 
-/// The streaming path: drive the warm set, every frame through reused
-/// buffers and workspaces.
-fn run_streaming(set: &mut StreamSet) -> u64 {
-    set.drive(STEPS, &serving())
-        .expect("streaming run succeeds")
-        .iter()
-        .map(|r| r.emitted)
-        .sum()
+/// The streaming path: one epoch of the warm fleet, every frame
+/// through reused buffers and workspaces.
+fn run_streaming(fleet: &mut Fleet<'_>, ids: &[SessionId]) -> u64 {
+    for &id in ids {
+        fleet.request(id, STEPS).expect("stream is live");
+    }
+    fleet.drive_epoch().expect("streaming run succeeds").emitted
 }
 
 /// The batched path (PR 2): one `forward_batch` fan-out per step over
@@ -84,7 +90,7 @@ fn run_streaming(set: &mut StreamSet) -> u64 {
 fn run_batched(net: &Network, batches: &[Vec<Vec<f32>>]) -> u64 {
     let scheduler = serving();
     let mut decoded = 0_u64;
-    for step in 0..STEPS {
+    for step in 0..STEPS as usize {
         decoded += net
             .forward_batch(&batches[step % batches.len()], &scheduler)
             .expect("batched forward succeeds")
@@ -105,12 +111,14 @@ fn bench_pipeline(c: &mut Criterion) {
     let net = Arc::new(network());
     let replay = frames(net.architecture().input_values() as usize);
     let step_batches = batches(&replay);
-    let mut set = build_streams(&net, &replay);
-    black_box(run_streaming(&mut set));
+    let scheduler = serving();
+    let mut fleet = Fleet::new(&scheduler, FleetConfig::default());
+    let ids = build_streams(&mut fleet, &net, &replay);
+    black_box(run_streaming(&mut fleet, &ids));
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
     group.bench_function("streaming_mlp128x4x32", |b| {
-        b.iter(|| black_box(run_streaming(&mut set)))
+        b.iter(|| black_box(run_streaming(&mut fleet, &ids)))
     });
     group.bench_function("batched_mlp128x4x32", |b| {
         b.iter(|| black_box(run_batched(&net, &step_batches)))
@@ -126,24 +134,26 @@ fn report_pipeline_acceptance(_c: &mut Criterion) {
     let net = Arc::new(network());
     let replay = frames(net.architecture().input_values() as usize);
     let step_batches = batches(&replay);
-    let total_frames = (STREAMS * STEPS) as u64;
+    let total_frames = STREAMS as u64 * u64::from(STEPS);
 
     // Warm both paths (stream buffers, pool threads, allocator arenas).
-    let mut set = build_streams(&net, &replay);
-    assert_eq!(run_streaming(&mut set), total_frames);
+    let scheduler = serving();
+    let mut fleet = Fleet::new(&scheduler, FleetConfig::default());
+    let ids = build_streams(&mut fleet, &net, &replay);
+    assert_eq!(run_streaming(&mut fleet, &ids), total_frames);
     assert_eq!(run_batched(&net, &step_batches), total_frames);
 
     let (streaming_ns, batched_ns) = paired_median_ns(
         iters,
         || {
-            black_box(run_streaming(&mut set));
+            black_box(run_streaming(&mut fleet, &ids));
         },
         || {
             black_box(run_batched(&net, &step_batches));
         },
     );
     let speedup = batched_ns / streaming_ns;
-    let threads = serving().workers();
+    let threads = scheduler.workers();
     println!(
         "pipeline/mlp128x{STREAMS}x{STEPS} streaming {:.2} ms vs batched {:.2} ms \
          ({speedup:.2}x on {threads} threads)",

@@ -15,7 +15,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mindful_bench::{median_ns, write_artifact};
+use mindful_bench::{median_ns, paired_median_ns, write_artifact};
 use mindful_rf::arq::{ArqConfig, ArqLink};
 use mindful_rf::auth::{AuthConfig, AuthKey, AuthStats};
 use mindful_rf::fault::{Adversary, AttackConfig, FaultConfig, FaultPlan, WireFaultInjector};
@@ -152,13 +152,17 @@ fn report_secure_acceptance(_c: &mut Criterion) {
     assert_eq!(clean_stats.rejected_total(), 0, "and rejects nothing");
 
     // The overhead measurement: identical stream, identical window,
-    // the only difference is seal + MAC verify + replay window.
-    let plain_ns = median_ns(iters, || {
-        black_box(run(plain_link(), &wires).0);
-    });
-    let auth_ns = median_ns(iters, || {
-        black_box(run(auth_link(None), &wires).0);
-    });
+    // the only difference is seal + MAC verify + replay window. The two
+    // sides run in interleaved pairs so host drift hits both alike.
+    let (plain_ns, auth_ns) = paired_median_ns(
+        iters,
+        || {
+            black_box(run(plain_link(), &wires).0);
+        },
+        || {
+            black_box(run(auth_link(None), &wires).0);
+        },
+    );
     let attacked_ns = median_ns(iters, || {
         black_box(run_attacked(&wires).0);
     });

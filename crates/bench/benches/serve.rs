@@ -17,9 +17,10 @@
 //! sessions/sec, p99, and deadline-miss rows — land in
 //! `results/bench/BENCH_serve.json`. A second paired measurement pins
 //! the clock-syscall fix: an unobserved, budget-less fleet epoch
-//! (which must time nothing per step) may never run slower than the
-//! observed epoch beyond noise. Set `MINDFUL_BENCH_QUICK=1` (as CI
-//! does) to shrink iteration counts.
+//! (where the fleet adds no per-step clock reads of its own; the
+//! pipelines' per-stage stopwatches still run) may never run slower
+//! than the observed epoch beyond noise. Set `MINDFUL_BENCH_QUICK=1`
+//! (as CI does) to shrink iteration counts.
 
 use std::hint::black_box;
 use std::num::{NonZeroU32, NonZeroUsize};
@@ -123,8 +124,9 @@ fn build_fleet<'a>(
 }
 
 /// Builds the obs-off twin: same sessions, no registry, no deadline
-/// budgets — the configuration whose epoch hot path must make no
-/// clock syscalls at all.
+/// budgets — the configuration where the fleet adds no clock reads of
+/// its own to the epoch hot path (the pipelines' per-stage stopwatches
+/// still run).
 fn build_unobserved_fleet<'a>(
     scheduler: &'a Scheduler,
     net: &Arc<Network>,
@@ -207,9 +209,10 @@ fn report_serve_acceptance(_c: &mut Criterion) {
     let sessions_per_sec = SESSIONS as f64 / (fleet_ns / 1e9);
     let steps_per_sec = f64::from(STEPS) * SESSIONS as f64 / (fleet_ns / 1e9);
 
-    // Satellite pin for the clock-syscall fix: an unobserved,
-    // budget-less fleet epoch times nothing per step, so it must never
-    // run slower than the observed epoch beyond measurement noise.
+    // Pin for the clock-syscall fix: in an unobserved, budget-less
+    // fleet epoch the fleet times nothing per step (only the
+    // pipelines' own stage stopwatches run), so it must never run
+    // slower than the observed epoch beyond measurement noise.
     let (mut unobserved, unobserved_ids) = build_unobserved_fleet(&fleet_sched, &net, &replay);
     assert_eq!(run_epoch(&mut unobserved, &unobserved_ids), per_epoch);
     let (unobserved_ns, observed_ns) = paired_median_ns(

@@ -4,9 +4,9 @@
 //! The design-space sweep engine ([`crate::sweep`]), batched DNN
 //! inference (`mindful_dnn::infer::Network::forward_batch`),
 //! block-sampled Monte-Carlo BER measurement (`mindful_rf::modem`),
-//! multi-stream serving (`mindful_pipeline::StreamSet`), and the fleet
-//! serving layer (`mindful_pipeline::serve`) each take a `&Scheduler`
-//! from their caller and fan out on it: the scheduler owns the worker
+//! and the fleet serving layer (`mindful_pipeline::serve`, also the
+//! multi-stream driver) each take a `&Scheduler` from their caller
+//! and fan out on it: the scheduler owns the worker
 //! budget and the dispatch accounting, the clients own only their
 //! data. There is no hidden process-wide scheduler — a caller builds
 //! one with [`Scheduler::new`] or [`Scheduler::with_default_threads`]
@@ -19,8 +19,7 @@
 //!   into contiguous chunks, one per worker, each with private
 //!   per-worker state, and results land in pre-assigned slots. Output
 //!   order — and any state-dependent output — is byte-identical for
-//!   every worker count and schedule. Clients with long-lived warm
-//!   state (a `StreamSet`'s pipelines) map over per-item locks.
+//!   every worker count and schedule.
 //! * [`Scheduler::dispatch_phased`] — **work-stealing** dispatch over
 //!   claimable [`TaskSlot`]s: every ready task is claimed exactly once
 //!   per epoch through a shared cursor, so a worker that runs dry
@@ -412,8 +411,8 @@ mod tests {
 
     #[test]
     fn map_mut_matches_map_over_the_same_items() {
-        // Warm `&mut` state (a stream set's pipelines) goes through the
-        // chunked map as per-item locks; every item is visited once.
+        // Warm `&mut` state goes through the chunked map as per-item
+        // locks; every item is visited once.
         let base: Vec<u32> = (0..37).collect();
         for workers in [1, 2, 4, 16] {
             let items: Vec<Mutex<u32>> = base.iter().map(|&x| Mutex::new(x)).collect();

@@ -155,7 +155,7 @@ pub struct MeasuredStreaming {
     pub streams: usize,
     /// Frames each stream processed.
     pub steps: usize,
-    /// Worker threads used by `StreamSet::drive`.
+    /// Worker threads of the scheduler the streams' fleet epochs run on.
     pub threads: usize,
     /// Measured wall time per frame across all streams.
     pub per_frame: TimeSpan,
@@ -389,12 +389,13 @@ const STREAM_FAULT_RATE: f64 = 0.05;
 const STREAM_FAULT_SEED: u64 = 0xFA_17;
 
 /// Drives each decoder family through the unified `Stage` pipeline:
-/// several replayed streams at the 128-channel base scale, fanned over
-/// one scheduler with `StreamSet::drive`, timed end to end. Each family
-/// is measured twice — clean and with the fault layer inserted.
+/// several replayed streams at the 128-channel base scale, admitted as
+/// sessions of one default-config [`Fleet`] whose epoch fans them over
+/// one scheduler, timed end to end. Each family is measured twice —
+/// clean and with the fault layer inserted.
 fn measure_streaming() -> Result<Vec<MeasuredStreaming>> {
     const STREAMS: usize = 4;
-    const STEPS: usize = 16;
+    const STEPS: u32 = 16;
     let scheduler = Scheduler::with_default_threads();
     let mut streaming = Vec::new();
     for mode in [StreamingMode::Clean, StreamingMode::Faulted] {
@@ -404,7 +405,9 @@ fn measure_streaming() -> Result<Vec<MeasuredStreaming>> {
             let width = net.architecture().input_values() as usize;
             let frames = synthetic_frames(width, 8);
             let registry = Registry::new();
-            let mut set = StreamSet::build(STREAMS, |stream| {
+            let mut fleet = Fleet::new(&scheduler, FleetConfig::default());
+            let mut ids = Vec::with_capacity(STREAMS);
+            for stream in 0..STREAMS {
                 let pipeline = Pipeline::new().with_stage(ReplaySource::new(frames.clone())?);
                 let pipeline = if mode == StreamingMode::Faulted {
                     let plan = FaultPlan::new(
@@ -417,17 +420,32 @@ fn measure_streaming() -> Result<Vec<MeasuredStreaming>> {
                 } else {
                     pipeline
                 };
-                Ok(pipeline
+                let pipeline = pipeline
                     .with_stage(DnnStage::shared(Arc::clone(&net), 10)?)
-                    .with_instrumentation(&registry, &format!("s{stream}")))
-            })?;
-            // Warm the set once (buffers sized, workspaces grown), then
-            // time one steady-state drive — the serving shape the
+                    .with_instrumentation(&registry, &format!("s{stream}"));
+                ids.push(fleet.admit(SessionSpec::new(pipeline))?);
+            }
+            // Every stream's whole demand fits one epoch (the default
+            // quantum and backlog bound cover STEPS).
+            let mut drive = || -> Result<()> {
+                for &id in &ids {
+                    fleet.request(id, STEPS)?;
+                }
+                let epoch = fleet.drive_epoch()?;
+                assert_eq!(epoch.steps, (STREAMS as u64) * u64::from(STEPS));
+                Ok(())
+            };
+            // Warm the fleet once (buffers sized, workspaces grown),
+            // then time one steady-state epoch — the serving shape the
             // `pipeline` bench measures.
-            set.drive(STEPS, &scheduler)?;
+            drive()?;
             let start = Instant::now();
-            let reports = set.drive(STEPS, &scheduler)?;
+            drive()?;
             let elapsed = start.elapsed();
+            let reports = ids
+                .iter()
+                .map(|&id| fleet.peek(id))
+                .collect::<mindful_pipeline::Result<Vec<_>>>()?;
             let first = reports.first().expect("at least one stream");
             let dnn = first
                 .telemetry
@@ -443,9 +461,11 @@ fn measure_streaming() -> Result<Vec<MeasuredStreaming>> {
                 family,
                 mode,
                 streams: STREAMS,
-                steps: STEPS,
+                steps: STEPS as usize,
                 threads: scheduler.workers().get(),
-                per_frame: TimeSpan::from_seconds(elapsed.as_secs_f64() / (STREAMS * STEPS) as f64),
+                per_frame: TimeSpan::from_seconds(
+                    elapsed.as_secs_f64() / (STREAMS * STEPS as usize) as f64,
+                ),
                 dnn_latency: TimeSpan::from_seconds(dnn.mean_latency().as_secs_f64()),
                 peak_buffer_bytes: first.telemetry.iter().map(|t| t.peak_buffer_bytes).sum(),
                 faults,

@@ -7,15 +7,14 @@
 //! a [`Pipeline`] chains stages so a frame flows through the whole
 //! implant with **zero heap allocations after warm-up** (the property
 //! an actual implant's fixed-memory firmware must have, proven here by
-//! a counting-allocator test), and [`StreamSet`] fans independent
-//! streams over a caller's [`mindful_core::pool::Scheduler`] for
-//! host-side serving (build once, drive repeatedly for the warm steady
-//! state).
-//! The [`serve`] module generalizes the stream set into a dynamic
-//! [`Fleet`]: sessions are admitted and evicted at runtime, scheduled
-//! fairly over a shared [`mindful_core::pool::Scheduler`], held to a
-//! per-session backpressure bound, and load-shed into their
-//! concealment stages when oversubscribed.
+//! a counting-allocator test), and the [`serve`] module's [`Fleet`]
+//! serves many such pipelines on the host: sessions are admitted and
+//! evicted at runtime, scheduled fairly over a shared
+//! [`mindful_core::pool::Scheduler`], held to a per-session
+//! backpressure bound, and load-shed into their concealment stages
+//! when oversubscribed. A fleet with the default config and one class
+//! is the plain multi-stream driver: admit one session per stream,
+//! request each stream's steps, and drive one epoch.
 //!
 //! Buffer ownership follows one rule: every stage *owns its output
 //! buffer* (inside the pipeline's per-stage slot) and *borrows its
@@ -45,7 +44,6 @@ mod secure;
 pub mod serve;
 mod stage;
 mod stages;
-mod stream;
 
 pub use error::{PipelineError, Result};
 pub use fault::{
@@ -63,7 +61,6 @@ pub use stages::{
     BinStage, DnnStage, IntentSchedule, KalmanStage, PacketizeStage, ReplaySource, SenseStage,
     SpikeStage, WienerStage,
 };
-pub use stream::{StreamReport, StreamSet};
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
@@ -74,7 +71,6 @@ pub mod prelude {
         BinStage, DnnStage, IntentSchedule, KalmanStage, PacketizeStage, ReplaySource, SenseStage,
         SpikeStage, WienerStage,
     };
-    pub use crate::stream::{StreamReport, StreamSet};
     pub use crate::{
         Frame, FrameBuf, FrameKind, Pipeline, PipelineError, Precision, Result, Stage, StageOutput,
         StageTelemetry,

@@ -1,13 +1,15 @@
 //! Fleet serving: multiplexing many implant sessions over the shared
 //! scheduler.
 //!
-//! [`crate::StreamSet`] serves a *fixed* set of homogeneous streams by
-//! driving every pipeline the same number of steps. A deployed host
-//! serves a *fleet*: sessions (one per patient-device link) come and
-//! go, differ in channel count, decoder, fault plan, and security
-//! state, and demand arrives unevenly — so the serving layer needs
-//! admission, eviction, fair scheduling, per-session backpressure, and
-//! a disciplined answer to oversubscription. This module provides it:
+//! A deployed host serves a *fleet*: sessions (one per patient-device
+//! link) come and go, differ in channel count, decoder, fault plan,
+//! and security state, and demand arrives unevenly — so the serving
+//! layer needs admission, eviction, fair scheduling, per-session
+//! backpressure, and a disciplined answer to oversubscription. This
+//! module provides it, and it is the crate's only multi-session
+//! driver: a fixed set of homogeneous streams is a [`Fleet`] with the
+//! default [`FleetConfig`] and one class, where each stream requests
+//! its steps and one [`Fleet::drive_epoch`] runs them all.
 //!
 //! * A [`Fleet`] admits independent [`SessionSpec`]s — each an owned
 //!   [`Pipeline`] with its own ARQ/auth state, fault plan, precision,
@@ -89,8 +91,9 @@
 //! [`Pipeline::instrument`], so one registry scrape sees the whole
 //! fleet at both granularities. An unobserved fleet holds no handles
 //! and records nothing; when it also gives a session no deadline
-//! budget, that session's per-step hot path makes **no clock
-//! syscalls** at all.
+//! budget, the fleet adds **no clock reads of its own** to that
+//! session's per-step hot path (the pipeline's per-stage busy-time
+//! stopwatch still runs inside [`Pipeline::step`]).
 
 use std::collections::HashMap;
 use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
@@ -444,9 +447,13 @@ impl SessionState {
     }
 }
 
-/// Fleet-level registry handles (the `{prefix}.{metric}` family).
+/// An observed fleet's registry wiring: the registry and prefix each
+/// admitted session is instrumented under, plus the fleet-level
+/// handles (the `{prefix}.{metric}` family).
 #[derive(Debug)]
-struct FleetObs {
+struct FleetObs<'a> {
+    registry: &'a Registry,
+    prefix: String,
     sessions: Gauge,
     admitted: Counter,
     evicted: Counter,
@@ -465,9 +472,11 @@ struct FleetObs {
     class_step_ns: [Histogram; PriorityClass::COUNT],
 }
 
-impl FleetObs {
-    fn register(registry: &Registry, prefix: &str) -> Self {
+impl<'a> FleetObs<'a> {
+    fn register(registry: &'a Registry, prefix: &str) -> Self {
         Self {
+            registry,
+            prefix: prefix.to_string(),
             sessions: registry.gauge(&format!("{prefix}.sessions")),
             admitted: registry.counter(&format!("{prefix}.admitted")),
             evicted: registry.counter(&format!("{prefix}.evicted")),
@@ -518,8 +527,7 @@ pub struct Fleet<'a> {
     /// Accounting from the most recent epoch — kept even when the
     /// epoch's `Result` carried a stage error instead of the report.
     last_epoch: EpochReport,
-    observe: Option<(&'a Registry, String)>,
-    obs: Option<FleetObs>,
+    obs: Option<FleetObs<'a>>,
 }
 
 impl<'a> Fleet<'a> {
@@ -536,7 +544,6 @@ impl<'a> Fleet<'a> {
             next_id: 0,
             epochs: 0,
             last_epoch: EpochReport::default(),
-            observe: None,
             obs: None,
         }
     }
@@ -553,7 +560,6 @@ impl<'a> Fleet<'a> {
     ) -> Self {
         let mut fleet = Self::new(scheduler, config);
         fleet.obs = Some(FleetObs::register(registry, prefix));
-        fleet.observe = Some((registry, prefix.to_string()));
         fleet
     }
 
@@ -635,8 +641,8 @@ impl<'a> Fleet<'a> {
         let id = self.next_id;
         self.next_id += 1;
         let mut pipeline = spec.pipeline;
-        if let Some((registry, prefix)) = &self.observe {
-            pipeline.instrument(registry, &format!("{prefix}.s{id}"));
+        if let Some(obs) = &self.obs {
+            pipeline.instrument(obs.registry, &format!("{}.s{id}", obs.prefix));
         }
         let state = SessionState {
             id,
@@ -725,8 +731,8 @@ impl<'a> Fleet<'a> {
     ///    and workers steal freely inside a class. Each step of a
     ///    session with a deadline budget is timed against it; the same
     ///    measurement feeds the `step_ns` histograms, and when neither
-    ///    is needed (unobserved fleet, no budget) the hot path makes
-    ///    no clock syscalls.
+    ///    is needed (unobserved fleet, no budget) the fleet adds no
+    ///    clock reads of its own around the step.
     /// 3. **Account** (serial): per-session, per-class, and fleet
     ///    totals — including deadline misses — land in the
     ///    [`EpochReport`] and the registry.
@@ -797,8 +803,9 @@ impl<'a> Fleet<'a> {
 
         // Clock discipline: the epoch stopwatch runs only for observed
         // fleets; per-step stopwatches additionally run for sessions
-        // with a deadline budget. The unobserved, budget-less hot path
-        // makes no clock syscalls at all.
+        // with a deadline budget. On the unobserved, budget-less hot
+        // path the fleet adds no clock reads of its own (the
+        // pipeline's per-stage stopwatch still runs).
         let obs_on = self.obs.is_some();
         let obs = &self.obs;
         let epoch_start = obs_on.then(Instant::now);
@@ -977,7 +984,6 @@ mod tests {
     use super::*;
     use crate::fault::{ConcealStage, DegradePolicy};
     use crate::stages::{BinStage, IntentSchedule, PacketizeStage, SenseStage};
-    use crate::stream::StreamSet;
 
     fn scheduler(workers: usize) -> Scheduler {
         Scheduler::new(NonZeroUsize::new(workers).unwrap())
@@ -1027,27 +1033,35 @@ mod tests {
     }
 
     #[test]
-    fn single_session_fleet_matches_a_standalone_stream_set() {
-        let sched = scheduler(1);
-        let mut fleet = Fleet::new(&sched, config(8, 64));
-        let id = fleet.admit(SessionSpec::new(sense_chain(7))).unwrap();
-        assert_eq!(fleet.request(id, 24).unwrap(), 24);
-        while fleet.peek(id).unwrap().backlog > 0 {
-            fleet.drive_epoch().unwrap();
+    fn single_session_fleet_matches_a_serial_step_loop() {
+        let mut baseline = sense_chain(7);
+        let mut emitted = 0;
+        for _ in 0..24 {
+            if baseline.step().unwrap().is_some() {
+                emitted += 1;
+            }
         }
-        let report = fleet.evict(id).unwrap();
+        let baseline = baseline.telemetry();
 
-        let mut set = StreamSet::build(1, |_| Ok(sense_chain(7))).unwrap();
-        let baseline = &set.drive(24, &scheduler(1)).unwrap()[0];
+        for workers in [1, 64] {
+            let sched = scheduler(workers);
+            let mut fleet = Fleet::new(&sched, config(8, 64));
+            let id = fleet.admit(SessionSpec::new(sense_chain(7))).unwrap();
+            assert_eq!(fleet.request(id, 24).unwrap(), 24);
+            while fleet.peek(id).unwrap().backlog > 0 {
+                fleet.drive_epoch().unwrap();
+            }
+            let report = fleet.evict(id).unwrap();
 
-        assert_eq!(report.steps, baseline.steps);
-        assert_eq!(report.emitted, baseline.emitted);
-        assert_eq!(report.telemetry.len(), baseline.telemetry.len());
-        for (a, b) in report.telemetry.iter().zip(&baseline.telemetry) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.frames_in, b.frames_in);
-            assert_eq!(a.frames_out, b.frames_out);
-            assert_eq!(a.bytes_out, b.bytes_out, "byte-identical wire output");
+            assert_eq!(report.steps, 24, "{workers} workers");
+            assert_eq!(report.emitted, emitted);
+            assert_eq!(report.telemetry.len(), baseline.len());
+            for (a, b) in report.telemetry.iter().zip(&baseline) {
+                assert_eq!(a.name, b.name);
+                assert_eq!(a.frames_in, b.frames_in);
+                assert_eq!(a.frames_out, b.frames_out);
+                assert_eq!(a.bytes_out, b.bytes_out, "byte-identical wire output");
+            }
         }
     }
 
@@ -1118,10 +1132,12 @@ mod tests {
 
     #[test]
     fn every_backlogged_session_advances_each_epoch() {
-        for workers in [1, 4] {
+        // 32 workers is more workers than sessions; an empty fleet
+        // drives to an all-zero report.
+        for (workers, sessions) in [(1, 17), (4, 17), (32, 17), (8, 0)] {
             let sched = scheduler(workers);
             let mut fleet = Fleet::new(&sched, config(2, 64));
-            let ids: Vec<SessionId> = (0..17)
+            let ids: Vec<SessionId> = (0..sessions)
                 .map(|s| fleet.admit(SessionSpec::new(sense_chain(s))).unwrap())
                 .collect();
             for &id in &ids {
@@ -1132,9 +1148,12 @@ mod tests {
                 .map(|&id| fleet.peek(id).unwrap().steps)
                 .collect();
             let report = fleet.drive_epoch().unwrap();
-            assert_eq!(report.sessions, 17);
+            if sessions == 0 {
+                assert_eq!(report, EpochReport::default());
+            }
+            assert_eq!(report.sessions, ids.len());
             assert_eq!(report.starved, 0, "{workers} workers");
-            assert_eq!(report.steps, 17 * 2, "quantum steps each");
+            assert_eq!(report.steps, sessions * 2, "quantum steps each");
             for (&id, &b) in ids.iter().zip(&before) {
                 let after = fleet.peek(id).unwrap().steps;
                 assert_eq!(after, b + 2, "fair quantum for {id}");
