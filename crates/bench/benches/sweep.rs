@@ -2,10 +2,11 @@
 //! Pareto extraction, and serial vs. parallel grid evaluation.
 
 use std::num::NonZeroUsize;
-use std::time::Instant;
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mindful_core::explore::{pareto_frontier, pareto_frontier_naive, CandidatePoint};
+use mindful_core::obs::clock;
 use mindful_core::pool::Scheduler;
 use mindful_core::soc::wireless_socs;
 use mindful_core::sweep::{ProjectionCache, SweepGrid};
@@ -68,12 +69,12 @@ fn bench_pareto(c: &mut Criterion) {
 /// skyline must agree with the oracle and beat it by at least 10x.
 fn report_frontier_speedup(_c: &mut Criterion) {
     let large = random_candidates(100_000, 7);
-    let start = Instant::now();
+    let start = clock::now_ns();
     let fast = pareto_frontier(black_box(&large));
-    let skyline = start.elapsed();
-    let start = Instant::now();
+    let skyline = Duration::from_nanos(clock::since_ns(start));
+    let start = clock::now_ns();
     let slow = pareto_frontier_naive(black_box(&large));
-    let naive = start.elapsed();
+    let naive = Duration::from_nanos(clock::since_ns(start));
     assert_eq!(fast, slow, "skyline must match the naive oracle");
     let speedup = naive.as_secs_f64() / skyline.as_secs_f64();
     println!("pareto/speedup_100k   skyline {skyline:?} vs naive {naive:?} ({speedup:.0}x)",);

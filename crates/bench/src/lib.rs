@@ -10,15 +10,15 @@
 //! stay thin.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
+use mindful_core::obs::clock;
 pub use mindful_experiments as experiments;
 
 /// Wall time of one call of `f`, in nanoseconds.
 fn time_ns(f: &mut impl FnMut()) -> f64 {
-    let start = Instant::now();
+    let start = clock::now_ns();
     f();
-    start.elapsed().as_secs_f64() * 1e9
+    clock::since_ns(start) as f64
 }
 
 /// The upper median of `times` (the element at `len / 2` once sorted).

@@ -1,7 +1,7 @@
 //! Shared environment-knob parsing.
 //!
 //! Every boolean `MINDFUL_*` knob (`MINDFUL_SOAK_QUICK`,
-//! `MINDFUL_BENCH_QUICK`, `MINDFUL_OBS`, …) goes through one parser so
+//! `MINDFUL_BENCH_QUICK`, `MINDFUL_SIMD`, …) goes through one parser so
 //! they all accept the same spellings and — crucially — all *reject*
 //! garbage the same way: an unparsable value defers to the knob's
 //! built-in default instead of being silently (mis)interpreted. This

@@ -11,19 +11,20 @@
 //!   relaxed atomics into per-worker cache-padded shards
 //!   ([`metrics::SHARDS`]); histograms bin into fixed log₂ buckets.
 //!   Span guards ([`span()`]) stamp enter/exit times into a
-//!   `const`-initialized per-thread ring. The pipeline and inference
-//!   engine's zero-allocation proofs hold with all of this enabled.
+//!   `const`-initialized per-thread ring inside a capture window. The
+//!   zero-allocation proofs hold with all of this recording.
 //! * **Scraping** (allocating, reader-side): [`Registry::snapshot`]
 //!   merges shards into a deterministic, name-sorted [`Snapshot`] that
 //!   exports as JSON lines ([`Snapshot::to_jsonl`], round-trippable via
 //!   [`Snapshot::from_jsonl`]), CSV ([`Snapshot::to_csv`]), or a human
 //!   `Display` summary.
 //!
-//! Metrics answer "how much / how often"; spans (switchable at run
-//! time via [`OBS_ENV`]) answer "where did the time go" for one
-//! thread's recent work. Both are always compiled; see DESIGN.md §10
-//! for the architecture discussion.
+//! Metrics answer "how much / how often"; spans answer "where did the
+//! time go" between [`clear_spans`] and [`drain_spans`]. Every timer
+//! reads the one [`clock`]. All of it is always compiled; see
+//! DESIGN.md §10 for the architecture discussion.
 
+pub mod clock;
 pub mod export;
 pub mod metrics;
 pub mod names;
@@ -35,7 +36,4 @@ pub use metrics::{
     bucket_index, bucket_upper_edge, Counter, Gauge, Histogram, HistogramState, BUCKETS, SHARDS,
 };
 pub use registry::{CounterSample, GaugeSample, HistogramSample, Registry, Snapshot};
-pub use span::{
-    clear_spans, drain_spans, obs_override, span, spans_enabled, SpanGuard, SpanRecord, OBS_ENV,
-    SPAN_RING_CAPACITY,
-};
+pub use span::{clear_spans, drain_spans, span, SpanGuard, SpanRecord, SPAN_RING_CAPACITY};

@@ -1,42 +1,30 @@
 //! Lightweight span tracing: enter/exit timestamps into a per-thread
-//! ring buffer.
+//! ring buffer, recorded only inside a capture window.
 //!
-//! A span is opened with [`span`] and recorded when its guard drops.
-//! Records land in a fixed-capacity, `const`-initialized thread-local
-//! ring (no heap, no locks, no cross-thread traffic), so instrumenting
-//! a hot path costs two monotonic-clock reads and a few stores — and
-//! the zero-allocation proofs of the pipeline and inference engine
-//! hold with tracing on.
-//!
-//! One switch controls tracing: the [`OBS_ENV`] environment variable
-//! (`MINDFUL_OBS`), read once per process; see [`obs_override`] for
-//! the accepted values. Tracing defaults to *on*; unparsable values
-//! keep the default. A disabled run hands out inert guards that read
-//! no clock and record nothing.
-//!
-//! The ring is per-thread by design: a worker drains its own spans (or
-//! simply lets them be overwritten), and there is no global collector
-//! to contend on. [`drain_spans`] empties the calling thread's ring.
+//! A span is opened with [`span`] and recorded when its guard drops,
+//! into a fixed-capacity, `const`-initialized thread-local ring (no
+//! heap, no locks), so the zero-allocation proofs hold while spans
+//! record. [`clear_spans`] empties the calling thread's ring and opens
+//! its capture window; [`drain_spans`] hands back the records and
+//! closes it. A span outside the window (or still open when it closes)
+//! reads no [`clock`] and records nothing.
 
-use std::cell::RefCell;
-use std::sync::OnceLock;
-use std::time::Instant;
+use std::cell::{Cell, RefCell};
 
-/// Environment variable that switches span recording at run time.
-pub const OBS_ENV: &str = "MINDFUL_OBS";
+use super::clock;
 
 /// Capacity of each thread's span ring; older spans are overwritten.
 pub const SPAN_RING_CAPACITY: usize = 256;
 
 /// One recorded span: a static name plus enter/exit timestamps in
-/// nanoseconds since an arbitrary process-local epoch.
+/// nanoseconds on the [`clock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Static label passed to [`span`].
     pub name: &'static str,
-    /// Entry timestamp (ns since the process obs epoch).
+    /// Entry timestamp ([`clock::now_ns`]).
     pub start_ns: u64,
-    /// Exit timestamp (ns since the process obs epoch).
+    /// Exit timestamp ([`clock::now_ns`]).
     pub end_ns: u64,
 }
 
@@ -46,42 +34,6 @@ impl SpanRecord {
     pub fn elapsed_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
-}
-
-/// Parses an [`OBS_ENV`] value into an explicit on/off override.
-///
-/// Accepted (case-insensitive, surrounding whitespace ignored):
-/// `1`, `true`, `on`, `yes` → `Some(true)`; `0`, `false`, `off`, `no`
-/// → `Some(false)`. Anything else — including empty and garbage like
-/// `"maybe"` — returns `None`, deferring to the built-in default
-/// (enabled) rather than guessing. The pure-parser split mirrors
-/// [`crate::pool::thread_override`] so the garbage paths are testable
-/// without racing on the process environment.
-#[must_use]
-pub fn obs_override(raw: &str) -> Option<bool> {
-    crate::env::parse_flag(raw)
-}
-
-/// Whether span recording is active: not switched off via
-/// [`OBS_ENV`]. The environment is read once and cached for the life
-/// of the process.
-#[must_use]
-pub fn spans_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var(OBS_ENV)
-            .ok()
-            .as_deref()
-            .and_then(obs_override)
-            .unwrap_or(true)
-    })
-}
-
-/// Nanoseconds since the process-local epoch (first use).
-fn now_ns() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = EPOCH.get_or_init(Instant::now);
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 struct Ring {
@@ -123,59 +75,55 @@ impl Ring {
 
 thread_local! {
     static RING: RefCell<Ring> = const { RefCell::new(Ring::new()) };
+    static CAPTURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn capturing() -> bool {
+    CAPTURING.with(Cell::get)
 }
 
 /// An open span; the interval is recorded into the thread's ring when
-/// the guard drops. With tracing disabled at run time the guard is
-/// inert.
+/// the guard drops. A guard opened outside a capture window is inert.
 #[derive(Debug)]
 #[must_use = "a span measures the scope of its guard; binding to _ drops it immediately"]
 pub struct SpanGuard {
     name: &'static str,
-    start_ns: u64,
-    /// Whether the guard will record on drop.
-    armed: bool,
-}
-
-impl SpanGuard {
-    /// Whether this guard will record a span when dropped.
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
+    /// Entry timestamp; `None` for an inert guard.
+    start_ns: Option<u64>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.armed {
-            let record = SpanRecord {
-                name: self.name,
-                start_ns: self.start_ns,
-                end_ns: now_ns(),
-            };
-            RING.with(|ring| ring.borrow_mut().push(record));
+        if let Some(start_ns) = self.start_ns {
+            if capturing() {
+                let record = SpanRecord {
+                    name: self.name,
+                    start_ns,
+                    end_ns: clock::now_ns(),
+                };
+                RING.with(|ring| ring.borrow_mut().push(record));
+            }
         }
     }
 }
 
 /// Opens a span named `name` on the calling thread.
 ///
-/// Allocation-free and lock-free; a disabled run returns an inert
-/// guard whose drop does nothing.
+/// Allocation-free and lock-free; outside a capture window it returns
+/// an inert guard that reads no clock and whose drop does nothing.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    let armed = spans_enabled();
     SpanGuard {
         name,
-        start_ns: if armed { now_ns() } else { 0 },
-        armed,
+        start_ns: capturing().then(clock::now_ns),
     }
 }
 
-/// Drains the calling thread's span ring into `out` (oldest first) and
-/// returns how many spans were overwritten before they could be
-/// drained.
+/// Drains the calling thread's span ring into `out` (oldest first),
+/// closes its capture window, and returns how many spans were
+/// overwritten before they could be drained.
 pub fn drain_spans(out: &mut Vec<SpanRecord>) -> u64 {
+    CAPTURING.with(|on| on.set(false));
     RING.with(|ring| {
         let mut ring = ring.borrow_mut();
         let start = (ring.head + SPAN_RING_CAPACITY - ring.len) % SPAN_RING_CAPACITY;
@@ -189,31 +137,20 @@ pub fn drain_spans(out: &mut Vec<SpanRecord>) -> u64 {
     })
 }
 
-/// Discards the calling thread's recorded spans.
+/// Discards the calling thread's recorded spans and opens its capture
+/// window: spans record from here until the next [`drain_spans`].
 pub fn clear_spans() {
     RING.with(|ring| {
         let mut ring = ring.borrow_mut();
         ring.len = 0;
         ring.overwritten = 0;
     });
+    CAPTURING.with(|on| on.set(true));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn obs_override_parses_explicit_values_and_rejects_garbage() {
-        for on in ["1", "true", "ON", " yes ", "True"] {
-            assert_eq!(obs_override(on), Some(true), "{on:?}");
-        }
-        for off in ["0", "false", "OFF", " no ", "False"] {
-            assert_eq!(obs_override(off), Some(false), "{off:?}");
-        }
-        for garbage in ["", "  ", "maybe", "2", "-1", "on please", "0.5"] {
-            assert_eq!(obs_override(garbage), None, "{garbage:?}");
-        }
-    }
 
     #[test]
     fn spans_record_and_drain_in_order() {
@@ -224,16 +161,14 @@ mod tests {
         }
         let mut spans = Vec::new();
         let overwritten = drain_spans(&mut spans);
-        if spans_enabled() {
-            assert_eq!(overwritten, 0);
-            // Guards drop in reverse declaration order.
-            assert_eq!(spans.len(), 2);
-            assert_eq!(spans[0].name, "inner");
-            assert_eq!(spans[1].name, "outer");
-            assert!(spans[1].end_ns >= spans[1].start_ns);
-            let _ = spans[0].elapsed_ns();
-        }
-        // A second drain finds nothing either way.
+        assert_eq!(overwritten, 0);
+        // Guards drop in reverse declaration order.
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].name, "inner");
+        assert_eq!(spans[1].name, "outer");
+        assert!(spans[1].end_ns >= spans[1].start_ns);
+        assert!(spans[1].elapsed_ns() >= spans[0].elapsed_ns());
+        // A second drain finds nothing.
         spans.clear();
         drain_spans(&mut spans);
         assert!(spans.is_empty());
@@ -242,9 +177,6 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_beyond_capacity() {
         clear_spans();
-        if !spans_enabled() {
-            return;
-        }
         for _ in 0..SPAN_RING_CAPACITY + 10 {
             let _s = span("tick");
         }
@@ -252,5 +184,66 @@ mod tests {
         let overwritten = drain_spans(&mut spans);
         assert_eq!(spans.len(), SPAN_RING_CAPACITY);
         assert_eq!(overwritten, 10);
+    }
+
+    #[test]
+    fn a_span_outside_the_window_records_nothing_and_reads_no_clock() {
+        let mut spans = Vec::new();
+        drain_spans(&mut spans);
+        spans.clear();
+        let reads = clock::reads();
+        {
+            let _s = span("unseen");
+        }
+        assert_eq!(clock::reads(), reads, "no clock read outside a window");
+        clear_spans();
+        assert_eq!(drain_spans(&mut spans), 0);
+        assert!(spans.is_empty(), "nothing recorded before the window");
+    }
+
+    #[test]
+    fn the_window_opens_at_clear_and_closes_at_drain() {
+        let mut spans = Vec::new();
+        clear_spans();
+        let reads = clock::reads();
+        {
+            let _s = span("inside");
+        }
+        assert_eq!(clock::reads() - reads, 2, "enter and exit");
+        drain_spans(&mut spans);
+        assert_eq!(spans.len(), 1);
+        {
+            let _s = span("after");
+        }
+        spans.clear();
+        drain_spans(&mut spans);
+        assert!(spans.is_empty(), "the drain closed the window");
+        // A guard still open when its window closes records nothing.
+        clear_spans();
+        let open = span("cut");
+        drain_spans(&mut spans);
+        let reads = clock::reads();
+        drop(open);
+        assert_eq!(clock::reads(), reads);
+        drain_spans(&mut spans);
+        assert!(spans.is_empty());
+    }
+
+    #[test]
+    fn an_outer_guard_records_after_an_inner_one_drops() {
+        clear_spans();
+        {
+            let _outer = span("outer");
+            {
+                let _inner = span("inner");
+            }
+            let _sibling = span("sibling");
+        }
+        let mut spans = Vec::new();
+        drain_spans(&mut spans);
+        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["inner", "sibling", "outer"]);
+        assert!(spans[2].start_ns <= spans[0].start_ns);
+        assert!(spans[2].end_ns >= spans[1].end_ns);
     }
 }

@@ -331,12 +331,12 @@ impl SweepGrid {
         prefix: &str,
     ) -> Result<SweepResult> {
         let _span = crate::obs::span("sweep.evaluate");
-        let start = std::time::Instant::now();
+        let start = crate::obs::clock::now_ns();
         let result = self.evaluate_cached(cache, scheduler);
-        let elapsed = start.elapsed();
+        let elapsed_ns = crate::obs::clock::since_ns(start);
         registry
             .histogram(&format!("{prefix}.eval_ns"))
-            .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+            .record(elapsed_ns);
         if let Ok(result) = &result {
             registry
                 .counter(&format!("{prefix}.points"))
@@ -350,9 +350,8 @@ impl SweepGrid {
             registry
                 .gauge(&format!("{prefix}.cache_misses"))
                 .set(result.cache_misses());
-            let secs = elapsed.as_secs_f64();
-            let rate = if secs > 0.0 {
-                (result.len() as f64 / secs) as u64
+            let rate = if elapsed_ns > 0 {
+                (result.len() as f64 * 1e9 / elapsed_ns as f64) as u64
             } else {
                 u64::MAX
             };

@@ -729,7 +729,7 @@ mod tests {
 
     #[test]
     fn forward_batch_records_one_span_per_layer_per_sample() {
-        use mindful_core::obs::{clear_spans, drain_spans, spans_enabled};
+        use mindful_core::obs::{clear_spans, drain_spans};
 
         let arch = ModelFamily::Mlp.architecture(BASE_CHANNELS).unwrap();
         let net = Network::with_seeded_weights(arch, 21);
@@ -740,16 +740,15 @@ mod tests {
         clear_spans();
         let got = net.forward_batch(&batch, &one).unwrap();
         // Single-threaded, so the per-layer spans landed on this
-        // thread: one per MLP layer per sample, none when switched off.
+        // thread: one per MLP layer per sample.
         let mut spans = Vec::new();
         assert_eq!(drain_spans(&mut spans), 0);
         let dense = spans.iter().filter(|r| r.name == "dnn.dense").count();
-        let expected = if spans_enabled() {
-            net.architecture().len() * batch.len()
-        } else {
-            0
-        };
-        assert_eq!(dense, expected, "one span per dense layer per sample");
+        assert_eq!(
+            dense,
+            net.architecture().len() * batch.len(),
+            "one span per dense layer per sample"
+        );
         assert_eq!(dense, spans.len(), "an MLP has only dense layers");
         for (sample, out) in batch.iter().zip(&got) {
             assert_eq!(out, &net.forward(sample).unwrap());

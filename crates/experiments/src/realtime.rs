@@ -35,10 +35,9 @@
 use std::num::{NonZeroU32, NonZeroUsize};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 use mindful_accel::alloc::best_allocation;
-use mindful_core::obs::{clear_spans, drain_spans, Registry, Snapshot};
+use mindful_core::obs::{clear_spans, clock, drain_spans, Registry, Snapshot};
 use mindful_core::pool::Scheduler;
 use mindful_core::regimes::standard_split_designs;
 use mindful_core::throughput::sensing_throughput;
@@ -110,9 +109,8 @@ pub struct MeasuredThroughput {
     /// Whether the batched outputs matched per-sample `forward` calls
     /// exactly (they must — same kernels, same workspaces).
     pub consistent: bool,
-    /// Per-layer spans recorded by one single-threaded batch:
-    /// `layers × batch` when span tracing is active, 0 when switched
-    /// off via `MINDFUL_OBS`.
+    /// Per-layer spans recorded by one single-threaded batch inside a
+    /// capture window (`clear_spans` … `drain_spans`): `layers × batch`.
     pub layer_spans: u64,
 }
 
@@ -310,9 +308,9 @@ fn measure_throughput() -> Result<Vec<MeasuredThroughput>> {
             .collect();
         // Warm the pool path once, then time one full batch.
         let outputs = net.forward_batch(&frames, &scheduler)?;
-        let start = Instant::now();
+        let start = clock::now_ns();
         let timed = net.forward_batch(&frames, &scheduler)?;
-        let elapsed = start.elapsed();
+        let elapsed_ns = clock::since_ns(start) as f64;
         // One more batch, single-threaded, so the per-layer spans land
         // on this thread's ring and can be counted — and the serial
         // path provably computes the same outputs.
@@ -332,7 +330,7 @@ fn measure_throughput() -> Result<Vec<MeasuredThroughput>> {
             precision: Precision::F32,
             batch: BATCH,
             threads: scheduler.workers().get(),
-            per_sample: TimeSpan::from_seconds(elapsed.as_secs_f64() / BATCH as f64),
+            per_sample: TimeSpan::from_nanoseconds(elapsed_ns / BATCH as f64),
             consistent,
             layer_spans,
         });
@@ -344,9 +342,9 @@ fn measure_throughput() -> Result<Vec<MeasuredThroughput>> {
             continue;
         };
         let q_outputs = quantized.forward_batch(&frames, &scheduler)?;
-        let start = Instant::now();
+        let start = clock::now_ns();
         let q_timed = quantized.forward_batch(&frames, &scheduler)?;
-        let elapsed = start.elapsed();
+        let elapsed_ns = clock::since_ns(start) as f64;
         clear_spans();
         let mut ws = quantized.workspace();
         let q_single: Vec<Vec<f32>> = frames
@@ -360,7 +358,7 @@ fn measure_throughput() -> Result<Vec<MeasuredThroughput>> {
             precision: Precision::Int8,
             batch: BATCH,
             threads: scheduler.workers().get(),
-            per_sample: TimeSpan::from_seconds(elapsed.as_secs_f64() / BATCH as f64),
+            per_sample: TimeSpan::from_nanoseconds(elapsed_ns / BATCH as f64),
             consistent: q_timed == q_outputs && q_single == q_outputs,
             layer_spans: spans.len() as u64 + overwritten,
         });
@@ -439,9 +437,9 @@ fn measure_streaming() -> Result<Vec<MeasuredStreaming>> {
             // then time one steady-state epoch — the serving shape the
             // `pipeline` bench measures.
             drive()?;
-            let start = Instant::now();
+            let start = clock::now_ns();
             drive()?;
-            let elapsed = start.elapsed();
+            let elapsed_ns = clock::since_ns(start) as f64;
             let reports = ids
                 .iter()
                 .map(|&id| fleet.peek(id))
@@ -463,8 +461,8 @@ fn measure_streaming() -> Result<Vec<MeasuredStreaming>> {
                 streams: STREAMS,
                 steps: STEPS as usize,
                 threads: scheduler.workers().get(),
-                per_frame: TimeSpan::from_seconds(
-                    elapsed.as_secs_f64() / (STREAMS * STEPS as usize) as f64,
+                per_frame: TimeSpan::from_nanoseconds(
+                    elapsed_ns / (STREAMS * STEPS as usize) as f64,
                 ),
                 dnn_latency: TimeSpan::from_seconds(dnn.mean_latency().as_secs_f64()),
                 peak_buffer_bytes: first.telemetry.iter().map(|t| t.peak_buffer_bytes).sum(),
@@ -566,7 +564,7 @@ fn measure_fleet() -> Result<Vec<MeasuredFleet>> {
         }
         fleet.drive_epoch()?;
         let mut by_class = [ClassReport::default(); PriorityClass::COUNT];
-        let start = Instant::now();
+        let start = clock::now_ns();
         for _ in 0..FLEET_EPOCHS {
             for &(id, _, demand) in &ids {
                 assert_eq!(fleet.request(id, demand)?, demand);
@@ -578,7 +576,7 @@ fn measure_fleet() -> Result<Vec<MeasuredFleet>> {
                 acc.deadline_misses += class.deadline_misses;
             }
         }
-        let elapsed = start.elapsed();
+        let elapsed_ns = clock::since_ns(start) as f64;
         let mut degraded = [0_u64; PriorityClass::COUNT];
         for (id, class, _) in ids {
             let report = fleet.evict(id)?;
@@ -600,7 +598,7 @@ fn measure_fleet() -> Result<Vec<MeasuredFleet>> {
                 shed: by_class[ci].shed,
                 deadline_misses: by_class[ci].deadline_misses,
                 degraded: degraded[ci],
-                elapsed: TimeSpan::from_seconds(elapsed.as_secs_f64()),
+                elapsed: TimeSpan::from_nanoseconds(elapsed_ns),
             });
         }
     }
@@ -1053,17 +1051,13 @@ mod tests {
     fn layer_spans_count_layers_times_batch_when_tracing_is_active() {
         let study = study();
         for m in &study.measured {
-            if mindful_core::obs::spans_enabled() {
-                let layers = m.family.architecture(BASE_CHANNELS).unwrap().len() as u64;
-                assert_eq!(
-                    m.layer_spans,
-                    layers * m.batch as u64,
-                    "{}: one span per layer per sample",
-                    m.family
-                );
-            } else {
-                assert_eq!(m.layer_spans, 0, "{}", m.family);
-            }
+            let layers = m.family.architecture(BASE_CHANNELS).unwrap().len() as u64;
+            assert_eq!(
+                m.layer_spans,
+                layers * m.batch as u64,
+                "{}: one span per layer per sample",
+                m.family
+            );
         }
     }
 

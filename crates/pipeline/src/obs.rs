@@ -176,8 +176,7 @@ impl SlotObs {
             self.bytes_out.add(step.wire_bytes);
         }
         self.buffer_bytes.set(step.buffer_bytes as u64);
-        self.latency_ns
-            .record(u64::try_from(step.elapsed.as_nanos()).unwrap_or(u64::MAX));
+        self.latency_ns.record(step.elapsed_ns);
     }
 
     /// Mirrors the stage's latest fault and security snapshots into

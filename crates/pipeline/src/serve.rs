@@ -89,18 +89,19 @@
 //! Each admitted session is additionally instrumented as
 //! `{prefix}.s{id}.{stage-index}.{stage}.{metric}` via
 //! [`Pipeline::instrument`], so one registry scrape sees the whole
-//! fleet at both granularities. An unobserved fleet holds no handles
+//! fleet at both granularities. Every stopwatch reads
+//! [`mindful_core::obs::clock`]. An unobserved fleet holds no handles
 //! and records nothing; when it also gives a session no deadline
 //! budget, the fleet adds **no clock reads of its own** to that
 //! session's per-step hot path (the pipeline's per-stage busy-time
-//! stopwatch still runs inside [`Pipeline::step`]).
+//! stopwatch still runs inside [`Pipeline::step`]). A budget adds two
+//! reads per step; an observed fleet adds two per step and two per
+//! epoch. The crate's `clock_reads` test pins these counts.
 
 use std::collections::HashMap;
 use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
-use std::time::Instant;
 
-use mindful_core::obs::Registry;
-use mindful_core::obs::{Counter, Gauge, Histogram};
+use mindful_core::obs::{clock, Counter, Gauge, Histogram, Registry};
 use mindful_core::pool::{Scheduler, TaskSlot};
 
 use crate::error::{PipelineError, Result};
@@ -801,14 +802,13 @@ impl<'a> Fleet<'a> {
             }
         }
 
-        // Clock discipline: the epoch stopwatch runs only for observed
-        // fleets; per-step stopwatches additionally run for sessions
-        // with a deadline budget. On the unobserved, budget-less hot
-        // path the fleet adds no clock reads of its own (the
-        // pipeline's per-stage stopwatch still runs).
+        // Clock discipline (pinned by the `clock_reads` test): the epoch
+        // stopwatch runs only for observed fleets; per-step stopwatches
+        // also run for sessions with a deadline budget. On the
+        // unobserved, budget-less hot path the fleet reads no clock.
         let obs_on = self.obs.is_some();
         let obs = &self.obs;
-        let epoch_start = obs_on.then(Instant::now);
+        let epoch_start = obs_on.then(clock::now_ns);
         let phases: [&[usize]; PriorityClass::COUNT] =
             std::array::from_fn(|c| self.ready[c].as_slice());
         self.scheduler
@@ -819,7 +819,7 @@ impl<'a> Fleet<'a> {
                 let timed = obs_on || state.deadline_ns.is_some();
                 let budget = state.deadline_ns.unwrap_or(u64::MAX);
                 for _ in 0..state.epoch_grant {
-                    let t = if timed { Some(Instant::now()) } else { None };
+                    let t = timed.then(clock::now_ns);
                     match state.pipeline.step() {
                         Ok(out) => {
                             if out.is_some() {
@@ -833,7 +833,7 @@ impl<'a> Fleet<'a> {
                         }
                     }
                     if let Some(t) = t {
-                        let nanos = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        let nanos = clock::since_ns(t);
                         if let Some(obs) = obs {
                             obs.record_step(state.class, nanos);
                         }
@@ -864,8 +864,7 @@ impl<'a> Fleet<'a> {
                     }
                 }
             });
-        let epoch_nanos =
-            epoch_start.map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let epoch_nanos = epoch_start.map(clock::since_ns);
         self.epochs += 1;
 
         let mut report = EpochReport::default();

@@ -1,8 +1,8 @@
 //! The [`Stage`] trait and the [`Pipeline`] driver.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mindful_core::obs::Registry;
+use mindful_core::obs::{clock, Registry};
 
 use crate::error::{PipelineError, Result};
 use crate::fault::FaultTelemetry;
@@ -108,7 +108,7 @@ impl StageTelemetry {
     fn record(&mut self, step: &StepRecord) {
         self.frames_in += u64::from(step.input);
         self.frames_out += u64::from(step.emitted);
-        self.busy += step.elapsed;
+        self.busy += Duration::from_nanos(step.elapsed_ns);
         self.bytes_out += step.wire_bytes;
         self.peak_buffer_bytes = self.peak_buffer_bytes.max(step.buffer_bytes);
     }
@@ -139,8 +139,8 @@ pub(crate) struct StepRecord {
     /// Backing storage of the output buffer after the step, whether or
     /// not it emitted.
     pub(crate) buffer_bytes: usize,
-    /// Wall time inside the stage.
-    pub(crate) elapsed: Duration,
+    /// Wall time inside the stage, in nanoseconds.
+    pub(crate) elapsed_ns: u64,
 }
 
 struct Slot {
@@ -152,14 +152,14 @@ struct Slot {
 }
 
 impl Slot {
-    /// Accounts one call into the stage that took `elapsed` and
+    /// Accounts one call into the stage that took `elapsed_ns` and
     /// returned `outcome`: a `process` call when `input`, otherwise a
     /// `finish` call.
     ///
     /// The stage's fault and security snapshots are copied (and
     /// mirrored into the registry) after every call. A `finish` call
     /// that flushed nothing is not a step and counts nothing else.
-    fn account(&mut self, elapsed: Duration, input: bool, outcome: StageOutput) {
+    fn account(&mut self, elapsed_ns: u64, input: bool, outcome: StageOutput) {
         self.telemetry.faults = self.stage.fault_telemetry();
         self.telemetry.secure = self.stage.secure_telemetry();
         if let Some(obs) = &self.obs {
@@ -180,7 +180,7 @@ impl Slot {
                 _ => 0,
             },
             buffer_bytes: self.out.capacity_bytes(),
-            elapsed,
+            elapsed_ns,
         };
         self.telemetry.record(&step);
         if let Some(obs) = &self.obs {
@@ -358,9 +358,9 @@ impl Pipeline {
                     .out
                     .as_frame(),
             };
-            let t = Instant::now();
+            let t = clock::now_ns();
             let outcome = slot.stage.process(&frame, &mut slot.out)?;
-            slot.account(t.elapsed(), true, outcome);
+            slot.account(clock::since_ns(t), true, outcome);
             if outcome == StageOutput::Pending {
                 return Ok(false);
             }
@@ -388,9 +388,9 @@ impl Pipeline {
         for i in 0..self.slots.len() {
             loop {
                 let slot = &mut self.slots[i];
-                let t = Instant::now();
+                let t = clock::now_ns();
                 let outcome = slot.stage.finish(&mut slot.out)?;
-                slot.account(t.elapsed(), false, outcome);
+                slot.account(clock::since_ns(t), false, outcome);
                 if outcome == StageOutput::Pending {
                     break;
                 }

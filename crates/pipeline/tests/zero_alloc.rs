@@ -480,6 +480,7 @@ fn warm_instrumented_dnn_chain_is_allocation_free() {
     let ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
     let channels = ni.channels() as u64;
     let network = Network::with_seeded_weights(ModelFamily::Mlp.architecture(channels).unwrap(), 7);
+    let layers = network.architecture().len() as u64;
     let mut pipeline = Pipeline::new()
         .with_stage(SenseStage::from_interface(ni, IntentSchedule::FigureEight))
         .with_stage(DnnStage::new(network, 10).unwrap())
@@ -503,13 +504,12 @@ fn warm_instrumented_dnn_chain_is_allocation_free() {
         registry.snapshot().counter("dnnchain.1.dnn.frames_in"),
         Some(2 + 32)
     );
-    if mindful_core::obs::spans_enabled() {
-        let mut spans = Vec::new();
-        let overwritten = mindful_core::obs::drain_spans(&mut spans);
-        assert!(
-            spans.len() as u64 + overwritten > 0,
-            "per-layer spans were recorded during the measured steps"
-        );
-        assert!(spans.iter().all(|s| s.name.starts_with("dnn.")));
-    }
+    let mut spans = Vec::new();
+    let overwritten = mindful_core::obs::drain_spans(&mut spans);
+    assert_eq!(
+        spans.len() as u64 + overwritten,
+        32 * layers,
+        "one span per layer per measured step"
+    );
+    assert!(spans.iter().all(|s| s.name.starts_with("dnn.")));
 }
