@@ -262,7 +262,7 @@ impl Network {
         workspace: &'w mut Workspace,
     ) -> Result<&'w [f32]> {
         self.check_input(input)?;
-        Ok(self.run_layers(input, self.arch.len(), false, workspace))
+        Ok(self.run_layers(input, self.arch.len(), false, workspace, |_, _| ()))
     }
 
     /// Runs the network on a batch of samples as a client of
@@ -288,7 +288,7 @@ impl Network {
             inputs,
             || self.workspace(),
             |ws, _, sample| {
-                self.run_layers(sample.as_ref(), self.arch.len(), false, ws)
+                self.run_layers(sample.as_ref(), self.arch.len(), false, ws, |_, _| ())
                     .to_vec()
             },
         ))
@@ -335,8 +335,31 @@ impl Network {
         let relu_last = keep < self.arch.len();
         SCRATCH.with(|ws| {
             let mut ws = ws.borrow_mut();
-            Ok(self.run_layers(input, keep, relu_last, &mut ws).to_vec())
+            Ok(self
+                .run_layers(input, keep, relu_last, &mut ws, |_, _| ())
+                .to_vec())
         })
+    }
+
+    /// Runs every layer but the last, each followed by ReLU, and hands
+    /// `visit(k, activations)` the input of every layer `k ≥ 1`: in one
+    /// pass, the values [`Network::forward_prefix`]`(input, k)` returns
+    /// for each `k < len`, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::ShapeMismatch`] for a wrong input width.
+    pub(crate) fn visit_boundaries(
+        &self,
+        input: &[f32],
+        visit: impl FnMut(usize, &[f32]),
+    ) -> Result<()> {
+        self.check_input(input)?;
+        SCRATCH.with(|ws| {
+            let mut ws = ws.borrow_mut();
+            self.run_layers(input, self.arch.len() - 1, true, &mut ws, visit);
+        });
+        Ok(())
     }
 
     fn check_input(&self, input: &[f32]) -> Result<()> {
@@ -352,12 +375,14 @@ impl Network {
     /// Executes the first `keep` layers through the blocked kernels.
     /// ReLU follows every layer but the last; `relu_last` extends it to
     /// the last executed layer (the partitioned-prefix semantics).
+    /// `visit(idx + 1, out)` sees each layer's finished output.
     fn run_layers<'w>(
         &self,
         input: &[f32],
         keep: usize,
         relu_last: bool,
         workspace: &'w mut Workspace,
+        mut visit: impl FnMut(usize, &[f32]),
     ) -> &'w [f32] {
         workspace.ensure(self.max_width.max(input.len()));
         let Workspace { a, b, .. } = workspace;
@@ -374,6 +399,7 @@ impl Network {
                     *v = v.max(0.0);
                 }
             }
+            visit(idx + 1, &nxt[..out_width]);
             core::mem::swap(&mut cur, &mut nxt);
             width = out_width;
         }

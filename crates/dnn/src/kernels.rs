@@ -30,6 +30,12 @@
 //!   results are **bit-identical**, not merely close
 //!   (`tests/simd_kernels.rs`).
 //!
+//! * The **int8** kernels: [`matvec_i8_into_at`] (exact integer
+//!   arithmetic, saturating bias add) and the two quantizers
+//!   [`quantize_i8_into_at`] and [`requantize_relu_into_at`]. Their
+//!   scalar paths round half away from zero without libm, and every
+//!   level equals the `f32::round` expressions bit for bit.
+//!
 //! [`dense_into`] and [`conv1d_into`] are the dispatching entry points
 //! [`crate::infer::Network`] runs. Naive vs. blocked agreement is
 //! summation-order-limited; the property tests in
@@ -331,9 +337,9 @@ fn conv1d_into_impl(
     }
 }
 
-/// Widening i8 × i8 → i32 dot product at an explicit dispatch level.
-/// Integer arithmetic is exact, so every level returns the same value
-/// as [`dot_i8_scalar`].
+/// Widening i8 × i8 → i32 dot product at an explicit dispatch level:
+/// a one-row [`matvec_i8_into_at`]. Integer arithmetic is exact, so
+/// every level returns the same value as [`dot_i8_scalar`].
 ///
 /// # Panics
 ///
@@ -341,7 +347,9 @@ fn conv1d_into_impl(
 #[must_use]
 pub fn dot_i8_at(level: SimdLevel, x: &[i8], w: &[i8]) -> i32 {
     assert_eq!(x.len(), w.len(), "i8 dot operand lengths");
-    simd::dot_i8_simd(level, x, w).unwrap_or_else(|| dot_i8_scalar(x, w))
+    let mut out = [0];
+    matvec_i8_into_at(level, x, w, &[0], &mut out);
+    out[0]
 }
 
 /// Scalar widening i8 dot product — the fallback and exactness oracle
@@ -361,8 +369,12 @@ pub fn dot_i8_scalar(x: &[i8], w: &[i8]) -> i32 {
 
 /// Quantized dense matvec: row-major i8 weights, i32 bias and
 /// accumulators — `out[j] = bias[j] + Σ_k x[k] · w[j·n + k]` — the
-/// accelerator's 8-bit datapath shape. Dispatches each row's dot
-/// product to the SIMD path resolved at startup.
+/// accelerator's 8-bit datapath shape. The bias add saturates at the
+/// i32 range (a bias quantized against a tiny calibrated scale sits at
+/// `i32::MAX`); elsewhere it is the plain sum. Dispatches to the SIMD
+/// path resolved at startup: on AVX2 a four-row `maddubs` kernel, exact
+/// for every weight and for inputs in `-127..=127` (an input holding
+/// `-128` runs the scalar loop).
 ///
 /// # Panics
 ///
@@ -387,9 +399,75 @@ pub fn matvec_i8_into_at(
     let inputs = x.len();
     assert_eq!(weights.len(), inputs * out.len(), "i8 weight count");
     assert_eq!(bias.len(), out.len(), "i8 bias count");
+    if simd::matvec_i8_simd(level, x, weights, bias, out) {
+        return;
+    }
     for (j, (o, &b)) in out.iter_mut().zip(bias).enumerate() {
-        let row = &weights[j * inputs..(j + 1) * inputs];
-        *o = b + dot_i8_at(level, x, row);
+        *o = b.saturating_add(dot_i8_scalar(x, &weights[j * inputs..(j + 1) * inputs]));
+    }
+}
+
+/// `c.round() as i8` for `c` in `[-128, 127]`, without libm: the
+/// baseline x86-64 target has no SSE4.1, so `f32::round` is a call.
+/// `trunc(c)` moves one step away from zero where the exact fraction
+/// `c − trunc(c)` reaches ±0.5 (half away from zero, as `f32::round`).
+/// NaN gives 0, as `NaN as i8` does.
+#[inline]
+fn round_i8(c: f32) -> i8 {
+    let t = c as i32;
+    let frac = c - t as f32;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i8
+}
+
+/// `(v / scale).round().clamp(-127.0, 127.0) as i8`, bit for bit and
+/// libm-free. NaN gives 0 and ±∞ gives ±127.
+#[inline]
+#[must_use]
+pub(crate) fn quantize_i8(v: f32, scale: f32) -> i8 {
+    round_i8((v / scale).clamp(-127.0, 127.0))
+}
+
+/// `(acc.max(0) as f32 * m).round().min(127.0) as i8`, bit for bit and
+/// libm-free. `f32::min` returns 127 for NaN, and `as i8` saturates
+/// at −128, so clamping first leaves every value unchanged.
+#[inline]
+#[must_use]
+#[allow(clippy::manual_clamp)] // `clamp` would keep NaN, which must give 127
+pub(crate) fn requantize_relu_i8(acc: i32, m: f32) -> i8 {
+    round_i8((acc.max(0) as f32 * m).min(127.0).max(-128.0))
+}
+
+/// Ingress quantizer at an explicit dispatch level:
+/// `out[i] = (input[i] / scale).round().clamp(-127.0, 127.0) as i8`,
+/// bit for bit on every level (NaN → 0, ±∞ → ±127, −0.5 → −1).
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn quantize_i8_into_at(level: SimdLevel, input: &[f32], scale: f32, out: &mut [i8]) {
+    assert_eq!(input.len(), out.len(), "quantizer lengths");
+    if simd::quantize_i8_simd(level, input, scale, out) {
+        return;
+    }
+    for (q, &v) in out.iter_mut().zip(input) {
+        *q = quantize_i8(v, scale);
+    }
+}
+
+/// ReLU + requantizer at an explicit dispatch level:
+/// `out[i] = (acc[i].max(0) as f32 * m).round().min(127.0) as i8`, bit
+/// for bit on every level — the int8 layer-to-layer transition.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn requantize_relu_into_at(level: SimdLevel, acc: &[i32], m: f32, out: &mut [i8]) {
+    assert_eq!(acc.len(), out.len(), "requantizer lengths");
+    if simd::requantize_relu_simd(level, acc, m, out) {
+        return;
+    }
+    for (q, &a) in out.iter_mut().zip(acc) {
+        *q = requantize_relu_i8(a, m);
     }
 }
 

@@ -16,9 +16,12 @@
 //!   happen in the integer domain), and dequantized once at the
 //!   boundary. [`QuantizedNetwork::forward_into`] reuses the same
 //!   [`Workspace`] arena as the `f32` engine and performs **zero heap
-//!   allocations** once warm (`tests/zero_alloc.rs`); the matvec
-//!   dispatches to the widening i8 SIMD kernel
-//!   ([`crate::kernels::matvec_i8_into`]).
+//!   allocations** once warm (`tests/zero_alloc.rs`). The matvec and
+//!   both quantizers dispatch to the SIMD kernels
+//!   ([`crate::kernels::matvec_i8_into_at`], a four-row `maddubs`
+//!   kernel on AVX2, and the libm-free
+//!   [`crate::kernels::quantize_i8_into_at`] /
+//!   [`crate::kernels::requantize_relu_into_at`]).
 //!
 //! ## Scale derivation
 //!
@@ -28,7 +31,8 @@
 //! Weight scales are exact per layer (the max is taken over the
 //! layer's weights). Activation scales come from *calibration*: the
 //! `f32` network runs a caller-supplied (or default synthetic) sample
-//! set and records each layer boundary's absolute maximum. Biases are
+//! set and records each layer boundary's absolute maximum, every
+//! boundary in one ReLU'd pass per sample. Biases are
 //! pre-scaled into each layer's accumulator domain
 //! (`s_in · s_w`), and the layer-to-layer transition collapses into a
 //! single `f32` multiplier `m_k = s_in·s_w / s_next` applied at
@@ -40,6 +44,7 @@ use crate::arch::LayerSpec;
 use crate::error::{DnnError, Result};
 use crate::infer::{Network, Workspace};
 use crate::kernels;
+use crate::simd;
 
 /// A dense layer quantized to the accelerator's 8-bit datatype.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,7 +98,7 @@ impl QuantizedDense {
         let weight_scale = max_abs / 127.0;
         let weights: Vec<i8> = weights_f32
             .iter()
-            .map(|w| (w / weight_scale).round().clamp(-127.0, 127.0) as i8)
+            .map(|&w| kernels::quantize_i8(w, weight_scale))
             .collect();
         // Accumulator domain: x_i8 · w_i8 sums scale by (input·weight).
         let acc_scale = input_scale * weight_scale;
@@ -149,7 +154,7 @@ impl QuantizedDense {
             });
         }
         Ok(x.iter()
-            .map(|v| (v / self.input_scale).round().clamp(-127.0, 127.0) as i8)
+            .map(|&v| kernels::quantize_i8(v, self.input_scale))
             .collect())
     }
 
@@ -251,7 +256,8 @@ impl QuantizedNetwork {
             });
         }
         // Per-boundary absolute maxima: ranges[0] is the network input,
-        // ranges[k] the (post-ReLU) input of layer k.
+        // ranges[k] the (post-ReLU) input of layer k, all recorded in
+        // one pass per sample.
         let depth = arch.len();
         let mut ranges = vec![0.0_f32; depth];
         for sample in calibration {
@@ -262,12 +268,9 @@ impl QuantizedNetwork {
                 });
             }
             ranges[0] = sample.iter().fold(ranges[0], |m, v| m.max(v.abs()));
-            for (k, range) in ranges.iter_mut().enumerate().skip(1) {
-                let acts = network.forward_prefix(sample, k)?;
-                for v in &acts {
-                    *range = range.max(v.abs());
-                }
-            }
+            network.visit_boundaries(sample, |k, acts| {
+                ranges[k] = acts.iter().fold(ranges[k], |m, v| m.max(v.abs()));
+            })?;
         }
         let scales: Vec<f32> = ranges
             .iter()
@@ -287,7 +290,7 @@ impl QuantizedNetwork {
             let weight_scale = max_abs / 127.0;
             let weights: Vec<i8> = weights_f32
                 .iter()
-                .map(|w| (w / weight_scale).round().clamp(-127.0, 127.0) as i8)
+                .map(|&w| kernels::quantize_i8(w, weight_scale))
                 .collect();
             let in_scale = scales[index];
             let acc_scale = in_scale * weight_scale;
@@ -440,16 +443,20 @@ impl QuantizedNetwork {
         workspace.ensure_quant(self.max_width.max(input.len()));
         let (qa, qb, acc, dequant) = workspace.quant_arenas();
         let (mut cur, mut nxt) = (qa, qb);
-        let ingress = self.layers[0].in_scale;
-        for (q, &v) in cur.iter_mut().zip(input) {
-            *q = (v / ingress).round().clamp(-127.0, 127.0) as i8;
-        }
+        let level = simd::level();
+        kernels::quantize_i8_into_at(
+            level,
+            input,
+            self.layers[0].in_scale,
+            &mut cur[..input.len()],
+        );
         let last = self.layers.len() - 1;
         let mut width = input.len();
         for (index, layer) in self.layers.iter().enumerate() {
             let _layer_span = mindful_core::obs::span("dnn.dense_i8");
             debug_assert_eq!(width, layer.inputs);
-            kernels::matvec_i8_into(
+            kernels::matvec_i8_into_at(
+                level,
                 &cur[..layer.inputs],
                 &layer.weights,
                 &layer.bias,
@@ -466,9 +473,12 @@ impl QuantizedNetwork {
             } else {
                 // ReLU + requantize into the next layer's i8 domain in
                 // one pass; positive accumulators can only clip high.
-                for (q, &a) in nxt[..layer.outputs].iter_mut().zip(&acc[..layer.outputs]) {
-                    *q = (a.max(0) as f32 * layer.requant).round().min(127.0) as i8;
-                }
+                kernels::requantize_relu_into_at(
+                    level,
+                    &acc[..layer.outputs],
+                    layer.requant,
+                    &mut nxt[..layer.outputs],
+                );
             }
             core::mem::swap(&mut cur, &mut nxt);
             width = layer.outputs;

@@ -11,9 +11,16 @@
 //!   (eight outputs per instruction), 128-bit on NEON.
 //! * `axpy_simd` — the interior AXPY of the 1-D convolution
 //!   (`out[i] += w · x[i]` over the valid overlap).
-//! * `dot_i8_simd` — the widening i8 × i8 → i32 dot product of the
-//!   quantized matvec (`pmaddwd` on sign-extended 16-bit lanes on
-//!   AVX2, `smull`/`sadalp` on NEON).
+//! * `matvec_i8_simd` — the quantized i8 × i8 → i32 matvec. On AVX2 a
+//!   four-row kernel loads each 32-byte slice of the input once and
+//!   multiplies it into four weight rows with `vpmaddubsw` (32 MACs per
+//!   instruction), widening pairs to i32 with `vpmaddwd` by ones and
+//!   reducing four rows with one `vphaddd` tree. NEON keeps a per-row
+//!   `smull`/`sadalp` dot product.
+//! * `quantize_i8_simd` and `requantize_relu_simd` — the int8 ingress
+//!   quantizer and the ReLU + requantizer between layers, rounding half
+//!   away from zero without the libm `roundf` call that `f32::round`
+//!   compiles to on the baseline (pre-SSE4.1) x86-64 target.
 //!
 //! ## Bit-level equivalence
 //!
@@ -21,9 +28,12 @@
 //! its blocked scalar twin — independent output lanes, multiplies and
 //! adds associated identically, **no FMA contraction** — so the SIMD
 //! results are bit-identical to the scalar path, not merely close. The
-//! integer dot product is exact arithmetic and trivially so. Property
-//! tests in `tests/simd_kernels.rs` pin this across odd shapes (1,
-//! block-edge, block+1).
+//! integer matvec is exact arithmetic: `vpmaddubsw` pairs stay below
+//! 2¹⁵ for every weight, and an input holding `-128` (which no
+//! quantizer emits) runs the scalar loop. The two quantizers equal
+//! their scalar `f32::round` expressions bit for bit, NaN and ±∞
+//! included. Tests in `tests/simd_kernels.rs` pin all of this across
+//! odd shapes (1, block-edge, block+1) and the rounding edges.
 //!
 //! ## Dispatch
 //!
@@ -181,22 +191,79 @@ pub(crate) fn axpy_simd(level: SimdLevel, out: &mut [f32], x: &[f32], w: f32) ->
     }
 }
 
-/// Widening i8 dot product at `level`; integer arithmetic, so exactly
-/// equal to the scalar loop. `None` when `level` has no vector path.
-pub(crate) fn dot_i8_simd(level: SimdLevel, x: &[i8], w: &[i8]) -> Option<i32> {
-    debug_assert_eq!(x.len(), w.len());
+/// Quantized matvec at `level`: `out[j] = bias[j] + Σ_k x[k]·w[j·n + k]`
+/// with a saturating bias add. Integer arithmetic, so exactly equal to
+/// the scalar loop.
+///
+/// Returns `false` when `level` has no vector path here, and on AVX2
+/// when `x` holds `-128` — the one input value the `maddubs` operand
+/// order cannot represent (`sign` wraps it). Both quantizers clamp to
+/// ±127, so the network never takes that fallback.
+pub(crate) fn matvec_i8_simd(
+    level: SimdLevel,
+    x: &[i8],
+    weights: &[i8],
+    bias: &[i32],
+    out: &mut [i32],
+) -> bool {
+    debug_assert_eq!(weights.len(), x.len() * out.len());
+    debug_assert_eq!(bias.len(), out.len());
     match level {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
             // SAFETY: `level` is only `Avx2` after runtime detection.
-            Some(unsafe { dot_i8_avx2(x, w) })
+            unsafe { matvec_i8_avx2(x, weights, bias, out) }
         }
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => {
-            // SAFETY: NEON is baseline on aarch64.
-            Some(unsafe { dot_i8_neon(x, w) })
+            let n = x.len();
+            for (j, (o, &b)) in out.iter_mut().zip(bias).enumerate() {
+                // SAFETY: NEON is baseline on aarch64.
+                let dot = unsafe { dot_i8_neon(x, &weights[j * n..(j + 1) * n]) };
+                *o = b.saturating_add(dot);
+            }
+            true
         }
-        _ => None,
+        _ => false,
+    }
+}
+
+/// Ingress quantizer at `level`: `out[i] = (input[i] / scale).round()
+/// .clamp(-127.0, 127.0) as i8`, bit for bit. Returns `false` when
+/// `level` has no vector path here.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn quantize_i8_simd(
+    level: SimdLevel,
+    input: &[f32],
+    scale: f32,
+    out: &mut [i8],
+) -> bool {
+    debug_assert_eq!(input.len(), out.len());
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            // SAFETY: `level` is only `Avx2` after runtime detection.
+            unsafe { quantize_i8_avx2(input, scale, out) };
+            true
+        }
+        _ => false,
+    }
+}
+
+/// ReLU + requantizer at `level`: `out[i] = (acc[i].max(0) as f32 · m)
+/// .round().min(127.0) as i8`, bit for bit. Returns `false` when
+/// `level` has no vector path here.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn requantize_relu_simd(level: SimdLevel, acc: &[i32], m: f32, out: &mut [i8]) -> bool {
+    debug_assert_eq!(acc.len(), out.len());
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            // SAFETY: `level` is only `Avx2` after runtime detection.
+            unsafe { requantize_relu_avx2(acc, m, out) };
+            true
+        }
+        _ => false,
     }
 }
 
@@ -452,41 +519,208 @@ unsafe fn axpy_avx2(out: &mut [f32], x: &[f32], w: f32) {
     }
 }
 
+/// Four-row i8 matvec. Each 32-byte slice of `x` is loaded once and
+/// used for four weight rows; rows past the last multiple of four run
+/// the same kernel one at a time. One scan of `x` picks the operand
+/// form (see [`dot_rows_i8_avx2`]); returns `false`, writing nothing,
+/// when `x` holds `-128`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dot_i8_avx2(x: &[i8], w: &[i8]) -> i32 {
+unsafe fn matvec_i8_avx2(x: &[i8], weights: &[i8], bias: &[i32], out: &mut [i32]) -> bool {
+    match x.iter().fold(0, |m, &v| m.min(v)) {
+        i8::MIN => false,
+        0 => {
+            matvec_i8_avx2_with::<false>(x, weights, bias, out);
+            true
+        }
+        _ => {
+            matvec_i8_avx2_with::<true>(x, weights, bias, out);
+            true
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matvec_i8_avx2_with<const SIGNED_X: bool>(
+    x: &[i8],
+    weights: &[i8],
+    bias: &[i32],
+    out: &mut [i32],
+) {
+    let n = x.len();
+    let rows = out.len();
+    let wp = weights.as_ptr();
+    let mut j = 0;
+    while j + 4 <= rows {
+        // SAFETY: rows j..j + 4 lie inside `weights` (n · rows bytes).
+        let sums = dot_rows_i8_avx2::<4, SIGNED_X>(x, wp.add(j * n));
+        for (r, s) in sums.into_iter().enumerate() {
+            out[j + r] = bias[j + r].saturating_add(s);
+        }
+        j += 4;
+    }
+    while j < rows {
+        // SAFETY: row j lies inside `weights`.
+        let [s, ..] = dot_rows_i8_avx2::<1, SIGNED_X>(x, wp.add(j * n));
+        out[j] = bias[j].saturating_add(s);
+        j += 1;
+    }
+}
+
+/// Dot products of `x` with the `R ≤ 4` consecutive `x.len()`-byte
+/// weight rows starting at `w`, in lanes `0..R` (the rest are zero).
+///
+/// Per row and 32 bytes, `maddubs` multiplies unsigned by signed bytes
+/// and adds adjacent pairs into i16; `madd` by ones then widens the
+/// pairs into i32 lanes. The operands:
+///
+/// * `SIGNED_X`: `maddubs(abs(w), sign(x, w))`, i.e. `|w| ≤ 128` times
+///   `±x`. Exact for every weight, `-128` included. It is wrong only
+///   where `x` holds `-128`, which `sign` cannot negate, so the caller
+///   routes such inputs to the scalar kernel. (The mirrored order
+///   `maddubs(abs(x), sign(w, x))` would instead be wrong for
+///   `w = -128`, which the public kernel accepts.)
+/// * otherwise `x` is known non-negative — every post-ReLU hidden layer
+///   — and `maddubs(x, w)` needs no `abs`/`sign` at all.
+///
+/// Either way a pair sums to at most 2·128·127 = 32 512 < 2¹⁵, so
+/// nothing saturates and the result is exact.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_rows_i8_avx2<const R: usize, const SIGNED_X: bool>(
+    x: &[i8],
+    w: *const i8,
+) -> [i32; 4] {
     use core::arch::x86_64::{
-        __m128i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_extracti128_si256,
-        _mm256_madd_epi16, _mm256_setzero_si256, _mm_add_epi32, _mm_cvtsi128_si32, _mm_loadu_si128,
-        _mm_shuffle_epi32,
+        __m128i, __m256i, _mm256_abs_epi8, _mm256_add_epi32, _mm256_castsi256_si128,
+        _mm256_extracti128_si256, _mm256_hadd_epi32, _mm256_loadu_si256, _mm256_madd_epi16,
+        _mm256_maddubs_epi16, _mm256_set1_epi16, _mm256_setzero_si256, _mm256_sign_epi8,
+        _mm_add_epi32, _mm_storeu_si128,
     };
     let n = x.len();
     let xp = x.as_ptr();
-    let wp = w.as_ptr();
-    let mut acc = _mm256_setzero_si256();
+    let ones = _mm256_set1_epi16(1);
+    let mut acc = [_mm256_setzero_si256(); 4];
     let mut i = 0;
-    // Sixteen i8 lanes per pass: sign-extend to i16, multiply-add
-    // adjacent pairs into eight i32 lanes. |x·w| <= 127² and pairs sum
-    // to < 2^15·2, so nothing saturates; the arithmetic is exact.
-    while i + 16 <= n {
-        // SAFETY: i + 16 <= n bounds the 128-bit loads.
-        let xv = _mm256_cvtepi8_epi16(_mm_loadu_si128(xp.add(i).cast::<__m128i>()));
-        let wv = _mm256_cvtepi8_epi16(_mm_loadu_si128(wp.add(i).cast::<__m128i>()));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xv, wv));
-        i += 16;
+    while i + 32 <= n {
+        // SAFETY: i + 32 <= n bounds the 256-bit loads of `x` and of
+        // each of the R rows.
+        let xv = _mm256_loadu_si256(xp.add(i).cast::<__m256i>());
+        for (r, a) in acc.iter_mut().enumerate().take(R) {
+            let wv = _mm256_loadu_si256(w.add(r * n + i).cast::<__m256i>());
+            let pairs = if SIGNED_X {
+                _mm256_maddubs_epi16(_mm256_abs_epi8(wv), _mm256_sign_epi8(xv, wv))
+            } else {
+                _mm256_maddubs_epi16(xv, wv)
+            };
+            *a = _mm256_add_epi32(*a, _mm256_madd_epi16(pairs, ones));
+        }
+        i += 32;
     }
-    let lo = _mm256_extracti128_si256::<0>(acc);
-    let hi = _mm256_extracti128_si256::<1>(acc);
-    let q = _mm_add_epi32(lo, hi);
-    let q = _mm_add_epi32(q, _mm_shuffle_epi32::<0b00_00_11_10>(q));
-    let q = _mm_add_epi32(q, _mm_shuffle_epi32::<0b00_00_00_01>(q));
-    let mut sum = _mm_cvtsi128_si32(q);
+    // One reduction for all four rows: two rounds of pairwise adds
+    // leave [row0, row1, row2, row3] in each 128-bit half.
+    let h = _mm256_hadd_epi32(
+        _mm256_hadd_epi32(acc[0], acc[1]),
+        _mm256_hadd_epi32(acc[2], acc[3]),
+    );
+    let q = _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256::<1>(h));
+    let mut sums = [0_i32; 4];
+    _mm_storeu_si128(sums.as_mut_ptr().cast::<__m128i>(), q);
     while i < n {
-        // SAFETY: i < n.
-        sum += i32::from(*xp.add(i)) * i32::from(*wp.add(i));
+        let xi = i32::from(*xp.add(i));
+        for (r, s) in sums.iter_mut().enumerate().take(R) {
+            // SAFETY: i < n.
+            *s += xi * i32::from(*w.add(r * n + i));
+        }
         i += 1;
     }
-    sum
+    sums
+}
+
+/// Rounds eight lanes already clamped into `[-128, 127]` half away from
+/// zero, as `f32::round` does, and stores them as i8 at `out`:
+/// `trunc(c)`, plus one where `c − trunc(c) ≥ 0.5`, minus one where it
+/// is `≤ −0.5`. The difference is exact below 2²³, and unlike
+/// `floor(c + 0.5)` this does not round 0.49999997 up.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn round_store_i8x8(c: core::arch::x86_64::__m256, out: *mut i8) {
+    use core::arch::x86_64::{
+        __m128i, _mm256_add_epi32, _mm256_castps_si256, _mm256_castsi256_si128, _mm256_cmp_ps,
+        _mm256_cvtepi32_ps, _mm256_cvttps_epi32, _mm256_extracti128_si256, _mm256_set1_ps,
+        _mm256_sub_epi32, _mm256_sub_ps, _mm_packs_epi16, _mm_packs_epi32, _mm_storel_epi64,
+        _CMP_GE_OQ, _CMP_LE_OQ,
+    };
+    let t = _mm256_cvttps_epi32(c);
+    let frac = _mm256_sub_ps(c, _mm256_cvtepi32_ps(t));
+    // Comparison masks are all-ones (−1) where true.
+    let up = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GE_OQ>(frac, _mm256_set1_ps(0.5)));
+    let down = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LE_OQ>(frac, _mm256_set1_ps(-0.5)));
+    let r = _mm256_add_epi32(_mm256_sub_epi32(t, up), down);
+    let words = _mm_packs_epi32(_mm256_castsi256_si128(r), _mm256_extracti128_si256::<1>(r));
+    // SAFETY: the caller bounds eight bytes at `out`.
+    _mm_storel_epi64(out.cast::<__m128i>(), _mm_packs_epi16(words, words));
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_i8_avx2(input: &[f32], scale: f32, out: &mut [i8]) {
+    use core::arch::x86_64::{
+        _mm256_and_ps, _mm256_cmp_ps, _mm256_div_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps,
+        _mm256_set1_ps, _CMP_ORD_Q,
+    };
+    let n = input.len();
+    let xp = input.as_ptr();
+    let op = out.as_mut_ptr();
+    let s = _mm256_set1_ps(scale);
+    let (lo, hi) = (_mm256_set1_ps(-127.0), _mm256_set1_ps(127.0));
+    let mut i = 0;
+    while i + 8 <= n {
+        // SAFETY: i + 8 <= n bounds the load and the store.
+        // The division stays: a reciprocal multiply changes the bits.
+        let v = _mm256_div_ps(_mm256_loadu_ps(xp.add(i)), s);
+        // `clamp`: `min`/`max` return their second operand when one is
+        // NaN, so this order carries NaN through, and the ordered mask
+        // then zeroes it, as `NaN as i8` does.
+        let c = _mm256_max_ps(lo, _mm256_min_ps(hi, v));
+        round_store_i8x8(
+            _mm256_and_ps(c, _mm256_cmp_ps::<_CMP_ORD_Q>(v, v)),
+            op.add(i),
+        );
+        i += 8;
+    }
+    for (q, &v) in out[i..].iter_mut().zip(&input[i..]) {
+        *q = crate::kernels::quantize_i8(v, scale);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn requantize_relu_avx2(acc: &[i32], m: f32, out: &mut [i8]) {
+    use core::arch::x86_64::{
+        __m256i, _mm256_cvtepi32_ps, _mm256_loadu_si256, _mm256_max_epi32, _mm256_max_ps,
+        _mm256_min_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_si256,
+    };
+    let n = acc.len();
+    let ap = acc.as_ptr();
+    let op = out.as_mut_ptr();
+    let mv = _mm256_set1_ps(m);
+    let (lo, hi) = (_mm256_set1_ps(-128.0), _mm256_set1_ps(127.0));
+    let zero = _mm256_setzero_si256();
+    let mut i = 0;
+    while i + 8 <= n {
+        // SAFETY: i + 8 <= n bounds the load and the store.
+        let a = _mm256_max_epi32(_mm256_loadu_si256(ap.add(i).cast::<__m256i>()), zero);
+        let v = _mm256_mul_ps(_mm256_cvtepi32_ps(a), mv);
+        // `v` first: `min` then returns 127 for a NaN lane, as
+        // `f32::min` does. The −128 floor is where `as i8` saturates.
+        round_store_i8x8(_mm256_max_ps(_mm256_min_ps(v, hi), lo), op.add(i));
+        i += 8;
+    }
+    for (q, &a) in out[i..].iter_mut().zip(&acc[i..]) {
+        *q = crate::kernels::requantize_relu_i8(a, m);
+    }
 }
 
 // --------------------------------------------------------------- aarch64

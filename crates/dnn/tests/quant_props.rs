@@ -1,6 +1,7 @@
 //! Property tests for the int8 quantization scheme: round-trip error
-//! bounds, the integer matvec against an f32 oracle, and the end-to-end
-//! quantized network against the f32 engine.
+//! bounds, the integer matvec against an f32 oracle, the end-to-end
+//! quantized network against the f32 engine, the one-pass calibration
+//! against per-prefix runs, and the saturating bias add.
 
 use mindful_dnn::arch::{Architecture, LayerSpec};
 use mindful_dnn::infer::Network;
@@ -126,4 +127,81 @@ proptest! {
             }
         }
     }
+}
+
+/// A dense chain of the given widths with seeded weights.
+fn dense_chain(widths: &[u64], seed: u64) -> Network {
+    let layers = widths
+        .windows(2)
+        .map(|w| LayerSpec::Dense {
+            inputs: w[0],
+            outputs: w[1],
+        })
+        .collect();
+    Network::with_seeded_weights(Architecture::new("qchain", layers).unwrap(), seed)
+}
+
+proptest! {
+    /// One calibration pass per sample yields the scales and weights
+    /// the per-boundary `forward_prefix` runs gave, bit for bit.
+    #[test]
+    fn one_pass_calibration_matches_the_forward_prefix_oracle(
+        depth in 1_usize..6,
+        seed in 0_u64..200,
+        width in 4_u64..40,
+        samples in 1_usize..4,
+    ) {
+        let widths: Vec<u64> = (0..=depth as u64).map(|k| width + 3 * k).collect();
+        let net = dense_chain(&widths, seed);
+        let input = widths[0] as usize;
+        let calibration: Vec<Vec<f32>> = (0..samples)
+            .map(|s| {
+                (0..input)
+                    .map(|i| ((i + 7 * s) as f32 * 0.37 + seed as f32).sin() * 2.0)
+                    .collect()
+            })
+            .collect();
+        let q = QuantizedNetwork::from_network(&net, &calibration).unwrap();
+
+        // The oracle: ranges[0] is the input, ranges[k] the ReLU'd
+        // prefix of k layers; scales and weights as documented.
+        let mut ranges = vec![0.0_f32; depth];
+        for sample in &calibration {
+            ranges[0] = sample.iter().fold(ranges[0], |m, v| m.max(v.abs()));
+            for (k, range) in ranges.iter_mut().enumerate().skip(1) {
+                for v in net.forward_prefix(sample, k).unwrap() {
+                    *range = range.max(v.abs());
+                }
+            }
+        }
+        for (k, range) in ranges.iter().enumerate() {
+            let scale = range.max(1e-6) / 127.0;
+            prop_assert_eq!(q.activation_scale(k).to_bits(), scale.to_bits(), "scale {}", k);
+            let weights = net.layer_weights(k);
+            let max_abs = weights.iter().fold(0.0_f32, |m, w| m.max(w.abs())).max(1e-6);
+            let ws = max_abs / 127.0;
+            prop_assert_eq!(q.weight_scale(k).to_bits(), ws.to_bits(), "weight scale {}", k);
+            let expect: Vec<i8> = weights
+                .iter()
+                .map(|w| (w / ws).round().clamp(-127.0, 127.0) as i8)
+                .collect();
+            prop_assert_eq!(q.layer_weights(k), &expect[..], "weights {}", k);
+        }
+    }
+}
+
+/// Regression: calibrating a 1024-input layer on the all-zero set
+/// floors every activation scale, so the quantized bias saturates at
+/// `i32::MAX`. A 0.5-valued input then overflowed the bias add
+/// (`attempt to add with overflow` with overflow checks on, a silently
+/// wrapped accumulator without). The add now saturates on every level.
+#[test]
+fn saturated_bias_does_not_overflow_the_accumulator() {
+    let net = dense_chain(&[1024, 16, 4], 3);
+    let q = QuantizedNetwork::from_network(&net, &[vec![0.0_f32; 1024]]).unwrap();
+    let input = vec![0.5_f32; 1024];
+    let mut ws = q.workspace();
+    let out = q.forward_into(&input, &mut ws).unwrap().to_vec();
+    assert_eq!(out.len(), 4);
+    assert!(out.iter().all(|v| v.is_finite()), "{out:?}");
 }

@@ -10,7 +10,7 @@
 
 use mindful_dnn::kernels::{
     conv1d_into_at, conv1d_into_scalar, dense_into_at, dense_into_scalar, dot_i8_at, dot_i8_scalar,
-    matvec_i8_into_at, transpose_dense,
+    matvec_i8_into_at, quantize_i8_into_at, requantize_relu_into_at, transpose_dense,
 };
 use mindful_dnn::simd::{detected_level, SimdLevel};
 use proptest::prelude::*;
@@ -147,18 +147,310 @@ fn i8_dot_is_exact_at_block_edges_and_extremes() {
     }
 }
 
+/// Exact i64 reference for the matvec: the dot product plus the bias,
+/// saturated into i32.
+fn matvec_reference(x: &[i8], weights: &[i8], bias: &[i32]) -> Vec<i32> {
+    let n = x.len();
+    bias.iter()
+        .enumerate()
+        .map(|(j, &b)| {
+            let dot: i64 = x
+                .iter()
+                .zip(&weights[j * n..(j + 1) * n])
+                .map(|(&a, &w)| i64::from(a) * i64::from(w))
+                .sum();
+            (i64::from(b) + dot).clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32
+        })
+        .collect()
+}
+
+/// The matvec at the scalar and the detected level against the i64
+/// reference.
+fn assert_matvec_exact(x: &[i8], weights: &[i8], bias: &[i32], context: &str) {
+    let expect = matvec_reference(x, weights, bias);
+    for level in [SimdLevel::Scalar, detected_level()] {
+        let mut out = vec![7_i32; bias.len()];
+        matvec_i8_into_at(level, x, weights, bias, &mut out);
+        assert_eq!(out, expect, "{context} @{level}");
+    }
+}
+
+/// Every row count 1..=9 (four-row blocks plus 0–3 leftover rows) at
+/// widths on both sides of each 32-byte step, plus wide layers, with
+/// inputs from each of the kernel's three regimes: non-negative
+/// (post-ReLU), signed within ±127 (ingress), and holding `-128` (the
+/// scalar fallback). Weights cover the full i8 range.
 #[test]
 fn i8_matvec_matches_the_scalar_path() {
-    let level = detected_level();
-    for &(inputs, outputs) in &[(1_usize, 1_usize), (5, 3), (64, 40), (65, 17), (128, 128)] {
-        let x = tensor_i8(inputs, 11);
-        let weights = tensor_i8(inputs * outputs, 13);
-        let bias: Vec<i32> = (0..outputs as i32).map(|i| i * 1000 - 500).collect();
-        let mut scalar = vec![0_i32; outputs];
-        let mut simd = vec![-1_i32; outputs];
-        matvec_i8_into_at(SimdLevel::Scalar, &x, &weights, &bias, &mut scalar);
-        matvec_i8_into_at(level, &x, &weights, &bias, &mut simd);
-        assert_eq!(simd, scalar, "matvec {inputs}x{outputs} @{level}");
+    let widths = [1_usize, 8, 31, 32, 33, 63, 64, 65, 96, 100, 128];
+    let shapes = (1_usize..=9)
+        .flat_map(|rows| widths.iter().map(move |&width| (rows, width)))
+        .chain([(40, 64), (17, 65), (128, 128)]);
+    for (rows, width) in shapes {
+        let seed = (rows * 1_000 + width) as u64;
+        let weights = tensor_i8(rows * width, seed);
+        let bias: Vec<i32> = (0..rows as i32).map(|j| j * 977 - 3_000).collect();
+        let signed: Vec<i8> = tensor_i8(width, seed ^ 0x55)
+            .into_iter()
+            .map(|v| v.max(-127))
+            .collect();
+        let relu: Vec<i8> = signed.iter().map(|&v| v.max(0)).collect();
+        let mut with_min = signed.clone();
+        with_min[width / 2] = i8::MIN;
+        for (x, regime) in [(&relu, "relu"), (&signed, "signed"), (&with_min, "-128")] {
+            assert_matvec_exact(x, &weights, &bias, &format!("{rows}x{width} {regime}"));
+        }
+    }
+}
+
+/// All sign extremes against each other: inputs alternating between
+/// two of {−127, 0, 127} (and −128 for the fallback) times weights
+/// alternating between two of {−128, −127, −1, 0, 1, 127}, at a width
+/// of whole 32-byte slices and one with a tail.
+#[test]
+fn i8_matvec_is_exact_at_all_sign_extremes() {
+    let xs = [-128_i8, -127, 0, 127];
+    let ws = [-128_i8, -127, -1, 0, 1, 127];
+    for width in [64_usize, 70] {
+        for &xa in &xs {
+            for &xb in &xs {
+                let x: Vec<i8> = (0..width)
+                    .map(|i| if i % 2 == 0 { xa } else { xb })
+                    .collect();
+                // One row per (even, odd) weight pair: 36 rows.
+                let mut weights = Vec::with_capacity(ws.len() * ws.len() * width);
+                for &wa in &ws {
+                    for &wb in &ws {
+                        weights.extend((0..width).map(|i| if i % 2 == 0 { wa } else { wb }));
+                    }
+                }
+                let rows = ws.len() * ws.len();
+                let bias = vec![0_i32; rows];
+                assert_matvec_exact(&x, &weights, &bias, &format!("x ({xa},{xb}) w{width}"));
+            }
+        }
+    }
+}
+
+/// The bias add saturates on every level instead of overflowing.
+#[test]
+fn i8_matvec_bias_add_saturates() {
+    let width = 64;
+    let x = vec![127_i8; width];
+    let mut weights = vec![127_i8; width];
+    weights.extend(vec![-128_i8; width]);
+    weights.extend(vec![0_i8; width]);
+    weights.extend(vec![-128_i8; width]);
+    weights.extend(vec![127_i8; width]);
+    let bias = [i32::MAX, i32::MIN, i32::MAX, i32::MAX - 5, i32::MIN + 5];
+    assert_matvec_exact(&x, &weights, &bias, "saturating bias");
+}
+
+/// The ingress quantizer's scalar expression.
+fn quantize_expr(v: f32, scale: f32) -> i8 {
+    (v / scale).round().clamp(-127.0, 127.0) as i8
+}
+
+/// The ReLU + requantizer's scalar expression.
+fn requantize_expr(a: i32, m: f32) -> i8 {
+    (a.max(0) as f32 * m).round().min(127.0) as i8
+}
+
+/// Runs both quantizers at the scalar and the detected level over every
+/// rotation of `values`, so each value meets every vector lane and the
+/// scalar tail.
+fn assert_quantizers_match(values: &[f32], scales: &[f32], accs: &[i32], mults: &[f32]) {
+    for level in [SimdLevel::Scalar, detected_level()] {
+        for shift in 0..values.len() {
+            let mut v = values.to_vec();
+            v.rotate_left(shift);
+            for &scale in scales {
+                let mut out = vec![99_i8; v.len()];
+                quantize_i8_into_at(level, &v, scale, &mut out);
+                for (i, (&q, &x)) in out.iter().zip(&v).enumerate() {
+                    assert_eq!(
+                        q,
+                        quantize_expr(x, scale),
+                        "quantize {x} / {scale} lane {i} @{level}"
+                    );
+                }
+            }
+        }
+        for shift in 0..accs.len() {
+            let mut a = accs.to_vec();
+            a.rotate_left(shift);
+            for &m in mults {
+                let mut out = vec![99_i8; a.len()];
+                requantize_relu_into_at(level, &a, m, &mut out);
+                for (i, (&q, &x)) in out.iter().zip(&a).enumerate() {
+                    assert_eq!(
+                        q,
+                        requantize_expr(x, m),
+                        "requantize {x} * {m} lane {i} @{level}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The libm-free quantizers equal `f32::round`'s half-away-from-zero at
+/// ties, just below them (0.49999997, which `floor(v + 0.5)` rounds
+/// up), at NaN and ±∞, at ±127.5 and the i32 extremes.
+#[test]
+fn quantizers_match_their_scalar_expressions_at_the_edges() {
+    let below_half = 0.499_999_97_f32;
+    let values = [
+        0.5,
+        -0.5,
+        1.5,
+        -1.5,
+        2.5,
+        -2.5,
+        below_half,
+        -below_half,
+        1.0 + below_half,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        127.5,
+        -127.5,
+        126.5,
+        -126.5,
+        127.499_99,
+        -127.499_99,
+        128.0,
+        -128.0,
+        1e30,
+        -1e30,
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+    ];
+    let scales = [
+        1.0,
+        0.5,
+        2.0,
+        1.0 / 127.0,
+        3.0,
+        1e-30,
+        f32::INFINITY,
+        f32::NAN,
+    ];
+    let accs = [
+        i32::MIN,
+        i32::MIN + 1,
+        i32::MAX,
+        i32::MAX - 1,
+        -1,
+        0,
+        1,
+        2,
+        3,
+        5,
+        253,
+        254,
+        255,
+        256,
+        16_777_217,
+        -16_777_217,
+    ];
+    let mults = [
+        0.5,
+        0.25,
+        below_half,
+        1.0,
+        1e-3,
+        3.7,
+        127.5,
+        1e-9,
+        -0.5,
+        -1.0,
+        f32::MAX,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MIN_POSITIVE,
+    ];
+    assert_quantizers_match(&values, &scales, &accs, &mults);
+}
+
+/// 100k pseudo-random accumulators over the whole i32 range, at
+/// multipliers spanning the network's requantization scales.
+#[test]
+fn requantizer_matches_on_random_accumulators() {
+    let mut state = 0x2545_F491_4F6C_DD1D_u64;
+    let accs: Vec<i32> = (0..100_000)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            // Alternate full-range draws with small ones near the
+            // rounding grid of the multipliers below.
+            if i % 2 == 0 {
+                (state >> 32) as i32
+            } else {
+                ((state >> 32) as i32) >> 16
+            }
+        })
+        .collect();
+    for level in [SimdLevel::Scalar, detected_level()] {
+        for m in [1e-5_f32, 3.3e-4, 1e-3, 7.7e-3, 0.5] {
+            let mut out = vec![0_i8; accs.len()];
+            requantize_relu_into_at(level, &accs, m, &mut out);
+            for (&q, &a) in out.iter().zip(&accs) {
+                assert_eq!(q, requantize_expr(a, m), "requantize {a} * {m} @{level}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn i8_matvec_is_exact_for_random_shapes(
+        rows in 1_usize..=9,
+        width in 1_usize..=140,
+        seed in 0_u64..1_000,
+        regime in 0_u8..3,
+    ) {
+        let weights = tensor_i8(rows * width, seed);
+        let bias: Vec<i32> = tensor_i8(rows, seed ^ 3).into_iter().map(|b| i32::from(b) << 20).collect();
+        let x: Vec<i8> = tensor_i8(width, seed ^ 9)
+            .into_iter()
+            .map(|v| match regime {
+                0 => v.max(0),
+                1 => v.max(-127),
+                _ => v,
+            })
+            .collect();
+        let expect = matvec_reference(&x, &weights, &bias);
+        let mut out = vec![0_i32; rows];
+        matvec_i8_into_at(detected_level(), &x, &weights, &bias, &mut out);
+        prop_assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn quantizers_match_their_scalar_expressions_for_random_values(
+        bits in prop::collection::vec(any::<u32>(), 1..40),
+        accs in prop::collection::vec(any::<i32>(), 1..40),
+        scale in 1e-4_f32..10.0,
+        m in 1e-9_f32..1e-2,
+    ) {
+        let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let level = detected_level();
+        let mut q = vec![0_i8; values.len()];
+        quantize_i8_into_at(level, &values, scale, &mut q);
+        for (&got, &v) in q.iter().zip(&values) {
+            prop_assert_eq!(got, quantize_expr(v, scale), "{} / {}", v, scale);
+        }
+        let mut r = vec![0_i8; accs.len()];
+        requantize_relu_into_at(level, &accs, m, &mut r);
+        for (&got, &a) in r.iter().zip(&accs) {
+            prop_assert_eq!(got, requantize_expr(a, m), "{} * {}", a, m);
+        }
     }
 }
 
