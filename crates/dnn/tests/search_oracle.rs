@@ -425,3 +425,202 @@ fn growing_search_keeps_a_point_whose_relaxed_bound_is_exact() {
         want
     );
 }
+
+/// A config whose `latency_ns` MAC and free link put the partitioned MLP
+/// of `active` channels at `channels` total just above utilization 1,
+/// inside the feasibility slack (the MAC power is bisected as in
+/// [`edge_config`]).
+fn config_at_the_edge(
+    design: &SplitDesign,
+    channels: u64,
+    active: u64,
+    latency_ns: f64,
+) -> IntegrationConfig {
+    let config = |milliwatts: f64| IntegrationConfig {
+        node: TechnologyNode::custom(
+            "edge",
+            45.0,
+            TimeSpan::from_nanoseconds(latency_ns),
+            Power::from_milliwatts(milliwatts),
+        )
+        .unwrap(),
+        energy_per_bit: Energy::from_picojoules(0.0),
+        ..IntegrationConfig::paper_45nm()
+    };
+    let utilization = |milliwatts: f64| {
+        evaluate_partitioned_active(
+            design,
+            ModelFamily::Mlp,
+            channels,
+            active,
+            &config(milliwatts),
+        )
+        .unwrap()
+        .budget_utilization()
+    };
+    let (mut under, mut over) = (1e-9, 1e3);
+    assert!(utilization(under) < 1.0 && utilization(over) > 1.0);
+    for _ in 0..200 {
+        let mid = 0.5 * (under + over);
+        if utilization(mid) > 1.0 {
+            over = mid;
+        } else {
+            under = mid;
+        }
+    }
+    let config = config(over);
+    let point =
+        evaluate_partitioned_active(design, ModelFamily::Mlp, channels, active, &config).unwrap();
+    assert!(
+        point.budget_utilization() > 1.0 && point.is_feasible(),
+        "{point}"
+    );
+    config
+}
+
+fn bisc() -> SplitDesign {
+    standard_split_designs()
+        .into_iter()
+        .find(|d| d.scaled().spec().id() == 1)
+        .unwrap()
+}
+
+#[test]
+fn dropout_search_keeps_a_point_whose_mac_floor_is_exact() {
+    // BISC's 81.92 Mbps cap splits the MLP at 1024 active channels after
+    // layer 2 (2048 values, 41 Mbps; layer 1's 8192 would need 164). A
+    // MAC of 500 / 393 216.5 ns leaves B = 393 216 deadline steps, and 64
+    // shared MACs run both layers (8192 sequences of 1024 steps, then 2048
+    // of 8192) in 1024·128 + 8192·32 = B steps. So the allocation is the
+    // floor ⌈25 165 824 / B⌉ = 64 exactly, while layer 1's stop bound
+    // asks for 22. Actives 128, 1024, 1920, ...: the answer's utilization
+    // is its floor, so a floor one MAC higher would skip it.
+    let design = bisc();
+    let config = config_at_the_edge(&design, 4096, 1024, 500_000.0 / 393_216.5);
+    let point =
+        evaluate_partitioned_active(&design, ModelFamily::Mlp, 4096, 1024, &config).unwrap();
+    assert_eq!(point.keep_layers(), 2);
+    assert_eq!(point.computation_power(), config.node.mac_power() * 64.0);
+    let deadline = DeadlineSteps::new(config.node, ModelFamily::Mlp.deadline()).unwrap();
+    assert_eq!(deadline.steps(), 393_216);
+    let kept = ModelFamily::Mlp
+        .architecture(1024)
+        .unwrap()
+        .prefix(2)
+        .unwrap()
+        .workload()
+        .unwrap();
+    assert_eq!(kept.total_macs(), 64 * 393_216);
+    assert_eq!(deadline.min_mac_hw(&kept.layers()[0]).unwrap(), 22);
+    let want =
+        oracle_max_active_channels_partitioned(&design, ModelFamily::Mlp, 4096, &config, 896);
+    assert_eq!(want, Ok(Some(1024)));
+    assert_eq!(
+        max_active_channels_partitioned(&design, ModelFamily::Mlp, 4096, &config, 896),
+        want
+    );
+}
+
+#[test]
+fn single_step_ranges_match_the_oracles() {
+    // A step past `channels − 128` (or `limit − n_ref`) leaves one step.
+    let mut found = 0;
+    for design in standard_split_designs() {
+        let reference = design.reference_channels();
+        for family in ModelFamily::ALL {
+            for config in fig12_configs() {
+                let what = format!("SoC {} {family} {config:?}", design.scaled().spec().id());
+                let got = max_active_channels_partitioned(&design, family, 1024, &config, 897);
+                let want =
+                    oracle_max_active_channels_partitioned(&design, family, 1024, &config, 897);
+                assert_eq!(got, want, "dropout: {what}");
+                found += usize::from(matches!(got, Ok(Some(_))));
+                let limit = reference + 511;
+                let got = max_channels_partitioned(&design, family, &config, 512, limit);
+                let want = oracle_max_channels_partitioned(&design, family, &config, 512, limit);
+                assert_eq!(got, want, "growing: {what}");
+                found += usize::from(matches!(got, Ok(Some(_))));
+            }
+        }
+    }
+    assert!(found > 10, "only {found} feasible answers");
+}
+
+#[test]
+fn dropout_search_finds_an_answer_at_the_base_channels() {
+    // A 50 ns MAC leaves B = 10 000 steps. BISC keeps only layer 1 up to
+    // 512 active channels, which takes ⌈8n' / ⌊B / n'⌋⌉ MACs: 14 at 128,
+    // 21 at 160, and more from there (and the later splits keep more).
+    // Tuned to fit at 128, nothing above it fits.
+    let design = bisc();
+    let config = config_at_the_edge(&design, 4096, BASE_CHANNELS, 50.0);
+    let want = oracle_max_active_channels_partitioned(&design, ModelFamily::Mlp, 4096, &config, 32);
+    assert_eq!(want, Ok(Some(BASE_CHANNELS)));
+    assert_eq!(
+        max_active_channels_partitioned(&design, ModelFamily::Mlp, 4096, &config, 32),
+        want
+    );
+}
+
+#[test]
+fn answers_one_step_below_the_stop_match_the_oracles() {
+    // Yang's edge point at 1250 channels on steps of 2: layer 1 at 1252
+    // needs ⌈10 016 / ⌊250 000 / 1252⌋⌉ = 51 MACs, one more than the
+    // answer's whole allocation, so the dropout stop is the very next
+    // step. The growing search from 1024 on steps of 2 meets the same
+    // answer, its relaxed bound exact there.
+    let design = yang();
+    let first = ModelFamily::Mlp.architecture(1252).unwrap().layers()[0]
+        .workload()
+        .unwrap();
+    let config = edge_config(&design, 4096);
+    let deadline = DeadlineSteps::new(config.node, ModelFamily::Mlp.deadline()).unwrap();
+    assert_eq!(deadline.min_mac_hw(&first).unwrap(), 51);
+    let want = oracle_max_active_channels_partitioned(&design, ModelFamily::Mlp, 4096, &config, 2);
+    assert_eq!(want, Ok(Some(1250)));
+    assert_eq!(
+        max_active_channels_partitioned(&design, ModelFamily::Mlp, 4096, &config, 2),
+        want
+    );
+    let config = edge_config(&design, 1250);
+    let want = oracle_max_channels_partitioned(&design, ModelFamily::Mlp, &config, 2, LIMIT);
+    assert_eq!(want, Ok(Some(1250)));
+    assert_eq!(
+        max_channels_partitioned(&design, ModelFamily::Mlp, &config, 2, LIMIT),
+        want
+    );
+}
+
+#[test]
+fn a_stop_at_the_first_step_leaves_no_answer() {
+    // A 1 W MAC: layer 1's bound overruns every budget at the first step.
+    let config = IntegrationConfig {
+        node: TechnologyNode::custom(
+            "hot",
+            45.0,
+            TimeSpan::from_nanoseconds(2.0),
+            Power::from_milliwatts(1e3),
+        )
+        .unwrap(),
+        ..IntegrationConfig::paper_45nm()
+    };
+    for design in standard_split_designs() {
+        for family in ModelFamily::ALL {
+            let what = format!("SoC {} {family}", design.scaled().spec().id());
+            let want = oracle_max_active_channels_partitioned(&design, family, 4096, &config, 32);
+            assert_eq!(want, Ok(None), "{what}");
+            assert_eq!(
+                max_active_channels_partitioned(&design, family, 4096, &config, 32),
+                want,
+                "{what}"
+            );
+            let want = oracle_max_channels_partitioned(&design, family, &config, 64, LIMIT);
+            assert_eq!(want, Ok(None), "{what}");
+            assert_eq!(
+                max_channels_partitioned(&design, family, &config, 64, LIMIT),
+                want,
+                "{what}"
+            );
+        }
+    }
+}
