@@ -9,7 +9,7 @@ use mindful_core::explore::{pareto_frontier, pareto_frontier_naive, CandidatePoi
 use mindful_core::obs::clock;
 use mindful_core::pool::Scheduler;
 use mindful_core::soc::wireless_socs;
-use mindful_core::sweep::{ProjectionCache, SweepGrid};
+use mindful_core::sweep::SweepGrid;
 use mindful_core::units::{Area, Power};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,11 +95,6 @@ fn bench_sweep(c: &mut Criterion) {
     });
     group.bench_function("evaluate_8_threads", |b| {
         b.iter(|| black_box(grid.evaluate_on(&eight).unwrap()))
-    });
-    group.bench_function("evaluate_warm_cache", |b| {
-        let cache = ProjectionCache::new();
-        grid.evaluate_cached(&cache, &serial).unwrap();
-        b.iter(|| black_box(grid.evaluate_cached(&cache, &serial).unwrap()))
     });
     group.bench_function("feasible_frontier", |b| {
         let result = grid.evaluate_on(&serial).unwrap();

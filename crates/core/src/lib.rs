@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::soc::{
         published_socs, soc_by_id, wireless_socs, NiTechnology, SocSpec, STANDARD_CHANNELS,
     };
-    pub use crate::sweep::{ProjectionCache, SweepGrid, SweepPoint, SweepResult};
+    pub use crate::sweep::{SweepGrid, SweepPoint, SweepResult};
     pub use crate::throughput::sensing_throughput;
     pub use crate::units::{Area, DataRate, Energy, Frequency, Power, PowerDensity, TimeSpan};
     pub use crate::{CoreError, Result};

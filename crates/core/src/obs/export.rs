@@ -1,5 +1,5 @@
-//! Snapshot exporters: JSON-lines (with a round-trip parser), CSV, and
-//! a human-readable `Display` summary.
+//! Snapshot exporters: JSON-lines (with a round-trip parser) and a
+//! human-readable `Display` summary.
 //!
 //! The JSON-lines form is the machine interchange format: one object
 //! per metric, every histogram bucket included, and
@@ -147,36 +147,6 @@ impl Snapshot {
             }
         }
         Ok(snapshot)
-    }
-
-    /// Serializes the snapshot as CSV with one `(name, kind, field,
-    /// value)` row per scalar. Histograms emit their summary fields
-    /// plus one `bucket_<k>` row per *non-empty* bucket (the JSON-lines
-    /// form is the lossless one; CSV is for spreadsheets and diffs).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("name,kind,field,value\n");
-        for c in &self.counters {
-            let _ = writeln!(out, "{},counter,value,{}", c.name, c.value);
-        }
-        for g in &self.gauges {
-            let _ = writeln!(out, "{},gauge,value,{}", g.name, g.value);
-            let _ = writeln!(out, "{},gauge,high_water,{}", g.name, g.high_water);
-        }
-        for h in &self.histograms {
-            let _ = writeln!(out, "{},histogram,count,{}", h.name, h.state.count);
-            let _ = writeln!(out, "{},histogram,sum,{}", h.name, h.state.sum);
-            if let Some(min) = h.state.min_value() {
-                let _ = writeln!(out, "{},histogram,min,{min}", h.name);
-            }
-            let _ = writeln!(out, "{},histogram,max,{}", h.name, h.state.max);
-            for (k, b) in h.state.buckets.iter().enumerate() {
-                if *b > 0 {
-                    let _ = writeln!(out, "{},histogram,bucket_{k},{b}", h.name);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -465,20 +435,6 @@ mod tests {
             assert_eq!(err.line, 2, "line numbers are 1-based and exact");
             assert!(err.to_string().contains("line 2"));
         }
-    }
-
-    #[test]
-    fn csv_lists_scalars_and_nonzero_buckets() {
-        let csv = sample_registry().snapshot().to_csv();
-        assert!(csv.starts_with("name,kind,field,value\n"));
-        assert!(csv.contains("pipeline.0.sense.frames_in,counter,value,40\n"));
-        assert!(csv.contains("pipeline.2.bin.buffer_bytes,gauge,high_water,4096\n"));
-        assert!(csv.contains("pipeline.1.spike.latency_ns,histogram,count,5\n"));
-        // 1024 and 2048 sit exactly on bucket edges: 1024 → bucket 11,
-        // 2048 → bucket 12.
-        assert!(csv.contains("pipeline.1.spike.latency_ns,histogram,bucket_11,2\n"));
-        assert!(csv.contains("pipeline.1.spike.latency_ns,histogram,bucket_12,1\n"));
-        assert!(!csv.contains("bucket_0,"), "empty buckets are omitted");
     }
 
     #[test]

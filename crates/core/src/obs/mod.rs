@@ -16,8 +16,7 @@
 //! * **Scraping** (allocating, reader-side): [`Registry::snapshot`]
 //!   merges shards into a deterministic, name-sorted [`Snapshot`] that
 //!   exports as JSON lines ([`Snapshot::to_jsonl`], round-trippable via
-//!   [`Snapshot::from_jsonl`]), CSV ([`Snapshot::to_csv`]), or a human
-//!   `Display` summary.
+//!   [`Snapshot::from_jsonl`]) or a human `Display` summary.
 //!
 //! Metrics answer "how much / how often"; spans answer "where did the
 //! time go" between [`clear_spans`] and [`drain_spans`]. Every timer

@@ -15,19 +15,15 @@
 //! * [`SweepGrid::map`] — enumerate the grid and apply an arbitrary
 //!   per-cell function (used by the RF- and DNN-aware experiment
 //!   sweeps, which bring their own models).
-//! * [`SweepGrid::evaluate_on`] / [`SweepGrid::evaluate_cached`] — the
-//!   built-in power/area evaluation: project every cell under its
-//!   regime (memoized in a thread-safe [`ProjectionCache`]), derate
-//!   non-sensing power by the cell's communication efficiency, and
-//!   report budget utilization.
+//! * [`SweepGrid::evaluate_on`] — the built-in power/area evaluation:
+//!   project every cell under its regime, derate non-sensing power by
+//!   the cell's communication efficiency, and report budget
+//!   utilization. Each cell projects directly: a projection is a bounds
+//!   check and six multiplications, cheaper than a memo lookup.
 //!
 //! The worker count is the scheduler's; see [`crate::pool`] for how
 //! [`Scheduler::with_default_threads`] resolves it from the machine
 //! and the `MINDFUL_SWEEP_THREADS` environment variable.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::error::{CoreError, Result};
 use crate::explore::{pareto_frontier, CandidatePoint};
@@ -254,25 +250,11 @@ impl SweepGrid {
         scheduler.map_init(&indices, || (), |(), _, &i| f(self.coord(i)))
     }
 
-    /// Evaluates every cell on `scheduler` with a fresh projection
-    /// cache.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::evaluate_cached`].
-    pub fn evaluate_on(&self, scheduler: &Scheduler) -> Result<SweepResult> {
-        self.evaluate_cached(&ProjectionCache::new(), scheduler)
-    }
-
-    /// Evaluates every cell, memoizing projections in `cache`.
+    /// Evaluates every cell on `scheduler`.
     ///
     /// Each SoC is first scaled to the 1024-channel standard and split;
-    /// each cell then projects that split under its regime (through the
-    /// cache, so cells differing only in efficiency share one
-    /// projection) and derates non-sensing power by `1/efficiency`.
-    ///
-    /// A reused cache is only valid across grids whose SoC axes are
-    /// identical, because entries are keyed by SoC axis position.
+    /// each cell then projects that split under its regime and derates
+    /// non-sensing power by `1/efficiency`.
     ///
     /// # Errors
     ///
@@ -283,56 +265,40 @@ impl SweepGrid {
     ///
     /// When several cells fail, the error of the first failing cell in
     /// grid order is returned, so failures are deterministic too.
-    pub fn evaluate_cached(
-        &self,
-        cache: &ProjectionCache,
-        scheduler: &Scheduler,
-    ) -> Result<SweepResult> {
+    pub fn evaluate_on(&self, scheduler: &Scheduler) -> Result<SweepResult> {
         let splits = self.splits()?;
         let rows = self.map(scheduler, |coord| {
-            let projection = cache.project(
-                coord.soc_index,
-                &splits[coord.soc_index],
-                coord.regime,
-                coord.channels,
-            )?;
+            let projection = splits[coord.soc_index].project(coord.regime, coord.channels)?;
             Ok(SweepPoint::from_projection(&coord, &projection))
         });
         let points = rows.into_iter().collect::<Result<Vec<SweepPoint>>>()?;
-        Ok(SweepResult {
-            points,
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-        })
+        Ok(SweepResult { points })
     }
 
-    /// [`Self::evaluate_cached`] that additionally records engine
+    /// [`Self::evaluate_on`] that additionally records engine
     /// metrics into `registry` under `prefix`:
     ///
     /// * `{prefix}.points` (counter) — points evaluated, cumulative.
     /// * `{prefix}.evaluations` (counter) — sweep calls, cumulative.
-    /// * `{prefix}.cache_hits` / `{prefix}.cache_misses` (gauges) —
-    ///   mirror of the cache's cumulative counters after this sweep.
     /// * `{prefix}.eval_ns` (histogram) — wall time per sweep call.
     /// * `{prefix}.points_per_sec` (gauge) — this sweep's throughput;
     ///   the high-water mark keeps the best rate seen.
     ///
-    /// The result is identical to [`Self::evaluate_cached`]; failed
+    /// The result is identical to [`Self::evaluate_on`]; failed
     /// sweeps record nothing but the elapsed time.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::evaluate_cached`].
+    /// Same as [`Self::evaluate_on`].
     pub fn evaluate_observed(
         &self,
-        cache: &ProjectionCache,
         scheduler: &Scheduler,
         registry: &crate::obs::Registry,
         prefix: &str,
     ) -> Result<SweepResult> {
         let _span = crate::obs::span("sweep.evaluate");
         let start = crate::obs::clock::now_ns();
-        let result = self.evaluate_cached(cache, scheduler);
+        let result = self.evaluate_on(scheduler);
         let elapsed_ns = crate::obs::clock::since_ns(start);
         registry
             .histogram(&format!("{prefix}.eval_ns"))
@@ -344,12 +310,6 @@ impl SweepGrid {
             registry
                 .counter(&format!("{prefix}.evaluations"))
                 .increment();
-            registry
-                .gauge(&format!("{prefix}.cache_hits"))
-                .set(result.cache_hits());
-            registry
-                .gauge(&format!("{prefix}.cache_misses"))
-                .set(result.cache_misses());
             let rate = if elapsed_ns > 0 {
                 (result.len() as f64 * 1e9 / elapsed_ns as f64) as u64
             } else {
@@ -366,23 +326,17 @@ impl SweepGrid {
     /// raw [`Projection`]s in grid order.
     ///
     /// Projections do not depend on the efficiency axis, so grids with
-    /// a non-trivial efficiency axis get one (cached) projection per
-    /// `(SoC, regime, channels)` repeated across efficiencies; use
+    /// a non-trivial efficiency axis repeat the projection of each
+    /// `(SoC, regime, channels)` across efficiencies; use
     /// [`Self::evaluate_on`] when efficiency should derate power.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::evaluate_cached`].
+    /// Same as [`Self::evaluate_on`].
     pub fn project(&self, scheduler: &Scheduler) -> Result<Vec<Projection>> {
         let splits = self.splits()?;
-        let cache = ProjectionCache::new();
         self.map(scheduler, |coord| {
-            cache.project(
-                coord.soc_index,
-                &splits[coord.soc_index],
-                coord.regime,
-                coord.channels,
-            )
+            splits[coord.soc_index].project(coord.regime, coord.channels)
         })
         .into_iter()
         .collect()
@@ -393,81 +347,6 @@ impl SweepGrid {
             .iter()
             .map(|spec| Ok(SplitDesign::from_scaled(scale_to_standard(spec)?)))
             .collect()
-    }
-}
-
-/// Thread-safe memo table for [`SplitDesign::project`] calls.
-///
-/// Keys are `(SoC axis position, regime, channels)`; concurrent misses
-/// on the same key may both compute the projection, but the result is
-/// identical so the race is benign. Hit/miss counters are approximate
-/// only in that sense — for a serial evaluation they are exact.
-#[derive(Debug, Default)]
-pub struct ProjectionCache {
-    entries: Mutex<HashMap<(usize, ScalingRegime, u64), Projection>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ProjectionCache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Projects `split` under `regime` at `channels`, memoized under
-    /// `(soc_index, regime, channels)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SplitDesign::project`] errors (never cached).
-    pub fn project(
-        &self,
-        soc_index: usize,
-        split: &SplitDesign,
-        regime: ScalingRegime,
-        channels: u64,
-    ) -> Result<Projection> {
-        let key = (soc_index, regime, channels);
-        if let Some(hit) = self.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let projection = split.project(regime, channels)?;
-        self.lock().insert(key, projection);
-        Ok(projection)
-    }
-
-    /// Number of memoized projections.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the cache holds no projections.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Number of lookups served from the memo table.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that had to compute a projection.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<(usize, ScalingRegime, u64), Projection>> {
-        self.entries
-            .lock()
-            .expect("projection cache lock poisoned: a worker panicked")
     }
 }
 
@@ -543,8 +422,6 @@ impl SweepPoint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     points: Vec<SweepPoint>,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 impl SweepResult {
@@ -570,18 +447,6 @@ impl SweepResult {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Projection-cache hits observed during evaluation.
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Projection-cache misses observed during evaluation.
-    #[must_use]
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses
     }
 
     /// The points that respect the safety budget, in grid order.
@@ -666,41 +531,26 @@ mod tests {
     fn evaluate_observed_matches_plain_and_records_engine_metrics() {
         let grid = toy_grid();
         let registry = crate::obs::Registry::new();
-        let cache = ProjectionCache::new();
         let observed = grid
-            .evaluate_observed(&cache, &sched(1), &registry, "sweep")
+            .evaluate_observed(&sched(1), &registry, "sweep")
             .unwrap();
         let plain = grid.evaluate_on(&sched(1)).unwrap();
         assert_eq!(observed.points(), plain.points());
         let s = registry.snapshot();
         assert_eq!(s.counter("sweep.points"), Some(grid.len() as u64));
         assert_eq!(s.counter("sweep.evaluations"), Some(1));
-        assert_eq!(
-            s.gauge("sweep.cache_hits").map(|(v, _)| v),
-            Some(observed.cache_hits())
-        );
-        assert_eq!(
-            s.gauge("sweep.cache_misses").map(|(v, _)| v),
-            Some(observed.cache_misses())
-        );
         assert_eq!(s.histogram("sweep.eval_ns").unwrap().count, 1);
         assert!(s.gauge("sweep.points_per_sec").unwrap().0 > 0);
-        // A second sweep through the same warm cache accumulates the
-        // counters and refreshes the gauges.
+        // A second sweep accumulates the counters and the histogram.
         let again = grid
-            .evaluate_observed(&cache, &sched(1), &registry, "sweep")
+            .evaluate_observed(&sched(1), &registry, "sweep")
             .unwrap();
+        assert_eq!(again.points(), plain.points());
         let s = registry.snapshot();
         assert_eq!(s.counter("sweep.points"), Some(2 * grid.len() as u64));
         assert_eq!(s.counter("sweep.evaluations"), Some(2));
-        assert_eq!(
-            s.gauge("sweep.cache_hits").map(|(v, _)| v),
-            Some(again.cache_hits())
-        );
-        assert!(
-            again.cache_hits() > observed.cache_hits(),
-            "warm cache turns the second sweep into hits"
-        );
+        assert_eq!(s.histogram("sweep.eval_ns").unwrap().count, 2);
+        assert!(s.gauge("sweep.points_per_sec").unwrap().0 > 0);
     }
 
     #[test]
@@ -853,27 +703,44 @@ mod tests {
         );
     }
 
+    /// Oracle: every cell is its split's projection, computed here by
+    /// hand, with non-sensing power derated by `1/efficiency`.
     #[test]
-    fn projection_cache_memoizes_across_efficiencies() {
+    fn cells_match_hand_computed_projections_bit_for_bit() {
         let grid = toy_grid();
-        let result = grid.evaluate_on(&sched(1)).unwrap();
-        // 3 efficiencies share each (soc, regime, channels) projection.
-        let unique = (grid.len() / grid.efficiencies().len()) as u64;
-        assert_eq!(result.cache_misses(), unique);
-        assert_eq!(result.cache_hits(), grid.len() as u64 - unique);
-    }
-
-    #[test]
-    fn reused_cache_serves_every_projection_the_second_time() {
-        let grid = toy_grid();
-        let cache = ProjectionCache::new();
-        let first = grid.evaluate_cached(&cache, &sched(1)).unwrap();
-        let misses_after_first = cache.misses();
-        let second = grid.evaluate_cached(&cache, &sched(1)).unwrap();
-        assert_eq!(cache.misses(), misses_after_first);
-        assert_eq!(cache.len() as u64, misses_after_first);
-        assert!(!cache.is_empty());
-        assert_eq!(first.points(), second.points());
+        assert_eq!((grid.regimes().len(), grid.efficiencies().len()), (2, 3));
+        let splits: Vec<SplitDesign> = grid
+            .socs()
+            .iter()
+            .map(|spec| SplitDesign::from_scaled(scale_to_standard(spec).unwrap()))
+            .collect();
+        let expected: Vec<Projection> = (0..grid.len())
+            .map(|i| {
+                let c = grid.coord(i);
+                splits[c.soc_index].project(c.regime, c.channels).unwrap()
+            })
+            .collect();
+        for workers in [1, 3] {
+            let points = grid.evaluate_on(&sched(workers)).unwrap().into_points();
+            assert_eq!(points.len(), grid.len());
+            for (i, (point, projection)) in points.iter().zip(&expected).enumerate() {
+                let eff = grid.coord(i).efficiency;
+                let power =
+                    projection.sensing_power() + projection.non_sensing_power() * eff.recip();
+                let utilization = power / projection.power_budget();
+                assert_eq!(point.power.watts().to_bits(), power.watts().to_bits());
+                assert_eq!(
+                    point.area.square_meters().to_bits(),
+                    projection.total_area().square_meters().to_bits()
+                );
+                assert_eq!(point.budget_utilization.to_bits(), utilization.to_bits());
+                assert_eq!(
+                    point.sensing_area_fraction.to_bits(),
+                    projection.sensing_area_fraction().to_bits()
+                );
+            }
+            assert_eq!(grid.project(&sched(workers)).unwrap(), expected);
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use mindful_core::explore::{best_by_channels, CandidatePoint};
 use mindful_core::obs::{Registry, Snapshot};
 use mindful_core::pool::Scheduler;
 use mindful_core::soc::wireless_socs;
-use mindful_core::sweep::{ProjectionCache, SweepGrid, SweepResult};
+use mindful_core::sweep::{SweepGrid, SweepResult};
 use mindful_plot::{Csv, LineChart, Series};
 
 use crate::error::Result;
@@ -62,12 +62,8 @@ pub fn grid() -> Result<SweepGrid> {
 /// grid).
 pub fn generate() -> Result<Explore> {
     let registry = Registry::new();
-    let result = grid()?.evaluate_observed(
-        &ProjectionCache::new(),
-        &Scheduler::with_default_threads(),
-        &registry,
-        "sweep",
-    )?;
+    let result =
+        grid()?.evaluate_observed(&Scheduler::with_default_threads(), &registry, "sweep")?;
     let frontier = result.feasible_frontier()?;
     Ok(Explore {
         result,
@@ -136,11 +132,6 @@ pub fn render(fig: &Explore, dir: &Path) -> Result<Artifacts> {
         feasible,
         fig.frontier.len(),
     ));
-    artifacts.report(format!(
-        "Explore: projection cache reused {} of {} lookups",
-        fig.result.cache_hits(),
-        fig.result.cache_hits() + fig.result.cache_misses(),
-    ));
     artifacts.write_file(dir, "explore_obs.jsonl", &fig.snapshot.to_jsonl())?;
     if let Some(eval) = fig.snapshot.histogram("sweep.eval_ns") {
         artifacts.report(format!(
@@ -203,7 +194,6 @@ mod tests {
         let artifacts = render(&fig, &dir).unwrap();
         assert_eq!(artifacts.files().len(), 4);
         assert!(artifacts.report_text().contains("on the frontier"));
-        assert!(artifacts.report_text().contains("projection cache reused"));
         assert!(artifacts.report_text().contains("engine observed"));
         let csv = std::fs::read_to_string(dir.join("explore.csv")).unwrap();
         assert!(csv.lines().count() > 1);

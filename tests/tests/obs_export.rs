@@ -89,10 +89,9 @@ fn jsonl_export_matches_the_golden_snapshot() {
 }
 
 #[test]
-fn csv_and_display_renderings_are_deterministic() {
-    let a = reference_snapshot();
-    let b = reference_snapshot();
-    assert_eq!(a.to_csv(), b.to_csv());
-    assert_eq!(a.to_string(), b.to_string());
-    assert!(a.to_csv().starts_with("name,kind,field,value"));
+fn display_rendering_is_deterministic() {
+    assert_eq!(
+        reference_snapshot().to_string(),
+        reference_snapshot().to_string()
+    );
 }
