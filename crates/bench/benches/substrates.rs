@@ -132,6 +132,47 @@ fn bench_decode(c: &mut Criterion) {
     c.bench_function("decode/spike_detect_64ch", |b| {
         b.iter(|| black_box(detector.step(black_box(&rows[17])).unwrap()))
     });
+
+    // The shapes the 1024-channel motor chain runs: spike detection on
+    // raw ADC codes and the Kalman step on window-4 binned counts.
+    let mut ni = NeuralInterface::new(32, 600, 10, 5).unwrap();
+    let frames = ni.record_trajectory(256).unwrap();
+    let code_rows: Vec<Vec<f64>> = frames
+        .iter()
+        .map(|f| f.samples.iter().map(|&c| f64::from(c)).collect())
+        .collect();
+    let mut detector = SpikeDetector::calibrate(&code_rows[..64], 2.5, 3).unwrap();
+    let events: Vec<Vec<bool>> = code_rows
+        .iter()
+        .map(|r| detector.step(r).unwrap())
+        .collect();
+    let bins = BinAccumulator::new(ni.channels(), 4)
+        .unwrap()
+        .bin_all(&events)
+        .unwrap();
+    let bin_rows: Vec<Vec<f64>> = bins
+        .iter()
+        .map(|b| b.iter().map(|&c| f64::from(c)).collect())
+        .collect();
+    let bin_intents: Vec<(f64, f64)> = (0..bins.len())
+        .map(|k| {
+            let i = frames[4 * k + 3].intent;
+            (i.x, i.y)
+        })
+        .collect();
+    let mut kalman = KalmanDecoder::calibrate(&bin_rows, &bin_intents).unwrap();
+    let mut out = Vec::with_capacity(ni.channels());
+    c.bench_function("decode/spike_detect_codes_1024ch", |b| {
+        b.iter(|| {
+            detector
+                .step_codes_into(black_box(&frames[17].samples), &mut out)
+                .unwrap();
+            black_box(&out);
+        })
+    });
+    c.bench_function("decode/kalman_step_counts_1024ch", |b| {
+        b.iter(|| black_box(kalman.step_counts(black_box(&bins[17])).unwrap()))
+    });
 }
 
 fn bench_thermal(c: &mut Criterion) {

@@ -20,10 +20,10 @@ const MIN_SAMPLES: usize = 16;
 pub struct KalmanDecoder {
     /// Per-channel baseline.
     baseline: Vec<f64>,
-    /// Per-channel observation row (h_x, h_y).
-    gain: Vec<(f64, f64)>,
-    /// Per-channel observation noise variance (floored).
-    noise: Vec<f64>,
+    /// Per-channel information terms `[hx·hx·w, hx·hy·w, hy·hy·w, hx·w,
+    /// hy·w]` of the observation row `(hx, hy)` and the inverse noise
+    /// variance `w = 1/r`, each rounded as the update once computed it.
+    info_terms: Vec<[f64; 5]>,
     /// State transition coefficient.
     a: f64,
     /// Process noise variance.
@@ -83,8 +83,7 @@ impl KalmanDecoder {
         let ginv = invert3(&g).ok_or(DecodeError::Singular)?;
 
         let mut baseline = vec![0.0; channels];
-        let mut gain = vec![(0.0, 0.0); channels];
-        let mut noise = vec![0.0; channels];
+        let mut info_terms = vec![[0.0; 5]; channels];
         for c in 0..channels {
             let (mut s0, mut s1, mut s2) = (0.0, 0.0, 0.0);
             for (row, &(vx, vy)) in observations.iter().zip(intents) {
@@ -97,13 +96,13 @@ impl KalmanDecoder {
             let hx = ginv[1][0] * s0 + ginv[1][1] * s1 + ginv[1][2] * s2;
             let hy = ginv[2][0] * s0 + ginv[2][1] * s1 + ginv[2][2] * s2;
             baseline[c] = b;
-            gain[c] = (hx, hy);
             let mut ss = 0.0;
             for (row, &(vx, vy)) in observations.iter().zip(intents) {
                 let e = row[c] - (b + hx * vx + hy * vy);
                 ss += e * e;
             }
-            noise[c] = (ss / n).max(1e-9);
+            let w = 1.0 / (ss / n).max(1e-9);
+            info_terms[c] = [hx * hx * w, hx * hy * w, hy * hy * w, hx * w, hy * w];
         }
 
         // Fit AR(1) dynamics on the intents.
@@ -127,8 +126,7 @@ impl KalmanDecoder {
 
         Ok(Self {
             baseline,
-            gain,
-            noise,
+            info_terms,
             a,
             q,
             state: Vec2::default(),
@@ -170,15 +168,39 @@ impl KalmanDecoder {
     /// * [`DecodeError::NonFinite`] for a NaN or infinite channel.
     /// * [`DecodeError::Singular`] if the covariance degenerates.
     pub fn step(&mut self, frame: &[f64]) -> Result<Vec2> {
-        if frame.len() != self.channels() {
-            return Err(DecodeError::ShapeMismatch {
-                expected: self.channels(),
-                actual: frame.len(),
-            });
-        }
+        self.check_width(frame.len())?;
         if let Some(channel) = frame.iter().position(|z| !z.is_finite()) {
             return Err(DecodeError::NonFinite { channel });
         }
+        self.update(frame)
+    }
+
+    /// Like [`KalmanDecoder::step`], but reads binned event counts
+    /// directly. Bit-identical to `step` on the counts widened to f64.
+    /// There is no non-finite scan: every `u32` is finite as an f64.
+    ///
+    /// # Errors
+    ///
+    /// * [`DecodeError::ShapeMismatch`] for a wrong frame width.
+    /// * [`DecodeError::Singular`] if the covariance degenerates.
+    pub fn step_counts(&mut self, counts: &[u32]) -> Result<Vec2> {
+        self.check_width(counts.len())?;
+        self.update(counts)
+    }
+
+    fn check_width(&self, width: usize) -> Result<()> {
+        if width == self.channels() {
+            Ok(())
+        } else {
+            Err(DecodeError::ShapeMismatch {
+                expected: self.channels(),
+                actual: width,
+            })
+        }
+    }
+
+    /// Predict and update on a checked, finite frame.
+    fn update<T: Copy + Into<f64>>(&mut self, frame: &[T]) -> Result<Vec2> {
         // Predict.
         let predicted = self.state * self.a;
         let p = Mat2::scalar(self.a * self.a)
@@ -189,16 +211,12 @@ impl KalmanDecoder {
         let p_inv = p.inverse()?;
         let mut info = p_inv;
         let mut info_vec = p_inv.mul_vec(predicted);
-        for ((&(hx, hy), &r), (&z, &b)) in self
-            .gain
-            .iter()
-            .zip(&self.noise)
-            .zip(frame.iter().zip(&self.baseline))
+        for (&[xx, xy, yy, xw, yw], (&z, &b)) in
+            self.info_terms.iter().zip(frame.iter().zip(&self.baseline))
         {
-            let w = 1.0 / r;
-            info = info + Mat2::new(hx * hx * w, hx * hy * w, hx * hy * w, hy * hy * w);
-            let innovation = z - b;
-            info_vec = info_vec + Vec2::new(hx * w * innovation, hy * w * innovation);
+            info = info + Mat2::new(xx, xy, xy, yy);
+            let innovation = z.into() - b;
+            info_vec = info_vec + Vec2::new(xw * innovation, yw * innovation);
         }
         self.covariance = info.inverse()?;
         self.state = self.covariance.mul_vec(info_vec);
@@ -441,6 +459,79 @@ mod tests {
                 "reset after rejection must match a fresh decoder"
             );
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+        /// `step_counts` is `step` on the widened counts, bit for bit:
+        /// two clones of one calibrated decoder agree in `to_bits` on
+        /// the state and the covariance after every one of 240 random
+        /// count frames.
+        #[test]
+        fn step_counts_is_bit_identical_to_step(seed in 0_u64..10_000, channels in 1_usize..48) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Mostly bin-sized counts, with an occasional full-range one.
+            let count = |rng: &mut StdRng| match rng.random::<u64>() % 16 {
+                0 => rng.random::<u32>(),
+                r => (r % 5) as u32,
+            };
+            let intents: Vec<(f64, f64)> = (0..64)
+                .map(|k| ((k as f64 * 0.1).sin(), (k as f64 * 0.17).cos()))
+                .collect();
+            let observations: Vec<Vec<f64>> = intents
+                .iter()
+                .map(|_| (0..channels).map(|_| (rng.random::<u64>() % 5) as f64).collect())
+                .collect();
+            let mut on_counts = KalmanDecoder::calibrate(&observations, &intents).unwrap();
+            let mut on_values = on_counts.clone();
+            let (mut counts, mut values) = (Vec::new(), Vec::new());
+            for step in 0..240 {
+                counts.clear();
+                counts.extend((0..channels).map(|_| count(&mut rng)));
+                values.clear();
+                values.extend(counts.iter().map(|&c| f64::from(c)));
+                let a = on_counts.step_counts(&counts).unwrap();
+                let b = on_values.step(&values).unwrap();
+                let bits = |d: &KalmanDecoder, v: Vec2| {
+                    let p = d.covariance;
+                    [v.x, v.y, p.a, p.b, p.c, p.d].map(f64::to_bits)
+                };
+                proptest::prop_assert_eq!(bits(&on_counts, a), bits(&on_values, b), "step {}", step);
+            }
+            proptest::prop_assert!(on_counts.step_counts(&counts[1..]).is_err());
+        }
+    }
+
+    /// Hoisting `1/r` out of the update changed no bit: the digest of
+    /// every decoded state and the final covariance were recorded from
+    /// the per-channel division update this one replaced, on this same
+    /// session.
+    #[test]
+    fn hoisted_terms_decode_the_same_bits_as_the_division_update() {
+        let (obs, intents) = synthetic(24, 600, 0.2, 3);
+        let mut decoder = KalmanDecoder::calibrate(&obs, &intents).unwrap();
+        let digest = decoder
+            .decode(&obs)
+            .unwrap()
+            .iter()
+            .flat_map(|v| [v.x, v.y])
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
+                (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3)
+            });
+        let p = decoder.covariance;
+        assert_eq!(
+            (digest, [p.a, p.b, p.c, p.d].map(f64::to_bits)),
+            (
+                0xf09b_2654_cb34_caf3,
+                [
+                    0x3f45_e071_92e7_d934,
+                    0xbeea_7c7f_2346_2d64,
+                    0xbeea_7c7f_2346_2d64,
+                    0x3f4a_1f2c_fe4e_c9a5,
+                ]
+            )
+        );
     }
 
     #[test]

@@ -11,13 +11,24 @@
 use crate::error::{DecodeError, Result};
 
 /// A per-channel threshold spike detector.
+///
+/// Frames arrive either as analog values ([`SpikeDetector::step_into`])
+/// or as raw ADC codes ([`SpikeDetector::step_codes_into`]). Both paths
+/// share one refractory state, and on codes they fire exactly where the
+/// f64 compare `f64::from(code) > threshold` would.
 #[derive(Debug, Clone)]
 pub struct SpikeDetector {
     threshold: Vec<f64>,
     baseline: Vec<f64>,
-    refractory: usize,
+    /// Lowest code that fires on each channel: `f64::from(c) > t`
+    /// holds exactly when `c >= min_code` (and the channel is live).
+    min_code: Vec<u16>,
+    /// False where no u16 code exceeds the threshold (`t >= 65 535` or
+    /// NaN) — the one case `min_code` cannot encode.
+    live: Vec<bool>,
+    refractory: u16,
     /// Steps remaining in each channel's refractory window.
-    holdoff: Vec<usize>,
+    holdoff: Vec<u16>,
 }
 
 impl SpikeDetector {
@@ -29,8 +40,9 @@ impl SpikeDetector {
     ///
     /// * [`DecodeError::InsufficientData`] for fewer than 32 rows.
     /// * [`DecodeError::ShapeMismatch`] for ragged rows.
-    /// * [`DecodeError::InvalidParameter`] for a non-positive `k` or
-    ///   `refractory`.
+    /// * [`DecodeError::InvalidParameter`] for a non-positive `k`, or
+    ///   for a `refractory` of zero or above `u16::MAX` (the refractory
+    ///   countdown is held in 16 bits).
     pub fn calibrate(segment: &[Vec<f64>], k: f64, refractory: usize) -> Result<Self> {
         if segment.len() < 32 {
             return Err(DecodeError::InsufficientData {
@@ -44,12 +56,15 @@ impl SpikeDetector {
                 value: k,
             });
         }
-        if refractory == 0 {
-            return Err(DecodeError::InvalidParameter {
-                name: "refractory",
-                value: 0.0,
-            });
-        }
+        let refractory = match u16::try_from(refractory) {
+            Ok(r) if r > 0 => r,
+            _ => {
+                return Err(DecodeError::InvalidParameter {
+                    name: "refractory",
+                    value: refractory as f64,
+                })
+            }
+        };
         let channels = segment[0].len();
         if channels == 0 {
             return Err(DecodeError::ShapeMismatch {
@@ -79,9 +94,12 @@ impl SpikeDetector {
             baseline.push(med);
             threshold.push(med + k * sigma);
         }
+        let (min_code, live) = threshold.iter().map(|&t| code_cutoff(t)).unzip();
         Ok(Self {
             threshold,
             baseline,
+            min_code,
+            live,
             refractory,
             holdoff: vec![0; channels],
         })
@@ -152,6 +170,39 @@ impl SpikeDetector {
         Ok(())
     }
 
+    /// Like [`SpikeDetector::step_into`], but reads raw ADC codes: a
+    /// code fires exactly where `f64::from(code) > threshold` would, so
+    /// the two paths may be interleaved on one detector. The loop is
+    /// branch-free over narrow lanes, so it vectorizes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::ShapeMismatch`] for a wrong frame width.
+    pub fn step_codes_into(&mut self, codes: &[u16], events: &mut Vec<bool>) -> Result<()> {
+        let n = self.channels();
+        if codes.len() != n {
+            return Err(DecodeError::ShapeMismatch {
+                expected: n,
+                actual: codes.len(),
+            });
+        }
+        events.clear();
+        events.resize(n, false);
+        let r = self.refractory;
+        for ((((event, &c), &min), &live), hold) in events
+            .iter_mut()
+            .zip(codes)
+            .zip(&self.min_code)
+            .zip(&self.live)
+            .zip(&mut self.holdoff)
+        {
+            let fire = (*hold == 0) & (c >= min) & live;
+            *hold = if fire { r } else { hold.saturating_sub(1) };
+            *event = fire;
+        }
+        Ok(())
+    }
+
     /// Counts detections per channel over a whole recording.
     ///
     /// # Errors
@@ -166,6 +217,21 @@ impl SpikeDetector {
             }
         }
         Ok(counts)
+    }
+}
+
+/// The integer cutoff for threshold `t`: `(min_code, live)` such that
+/// `f64::from(c) > t` holds exactly when `live && c >= min_code`.
+fn code_cutoff(t: f64) -> (u16, bool) {
+    if t < 0.0 {
+        // Includes −∞; −0.0 is not below zero and takes the next arm.
+        (0, true)
+    } else if t < f64::from(u16::MAX) {
+        // 0 <= t < 65 535, so ⌊t⌋ + 1 <= 65 535 and the cast is exact.
+        (t.floor() as u16 + 1, true)
+    } else {
+        // t >= 65 535 or NaN: no code exceeds it.
+        (u16::MAX, false)
     }
 }
 
@@ -288,6 +354,77 @@ mod tests {
         assert!(SpikeDetector::calibrate(&ragged, 4.0, 2).is_err());
         let mut det = SpikeDetector::calibrate(&quiet, 4.0, 2).unwrap();
         assert!(det.step(&[0.0; 2]).is_err());
+    }
+
+    /// A one-channel detector with its threshold set to `t` (and the
+    /// cutoff derived from it, as calibration does).
+    fn with_threshold(t: f64) -> SpikeDetector {
+        let mut det = SpikeDetector::calibrate(&noise_segment(1, 32, 5), 4.0, 1).unwrap();
+        det.threshold[0] = t;
+        (det.min_code[0], det.live[0]) = code_cutoff(t);
+        det
+    }
+
+    #[test]
+    fn code_cutoff_matches_the_f64_compare_at_the_edges() {
+        let cases: [(f64, Option<u16>); 11] = [
+            (f64::NEG_INFINITY, Some(0)),
+            (-1.5, Some(0)),
+            (-0.5, Some(0)),
+            (-0.0, Some(1)),
+            (0.0, Some(1)),
+            (0.5, Some(1)),
+            (1.0, Some(2)),
+            (65_534.5, Some(65_535)),
+            (65_535.0, None),
+            (f64::INFINITY, None),
+            (f64::NAN, None),
+        ];
+        for (t, expected) in cases {
+            let (min_code, live) = code_cutoff(t);
+            assert_eq!(live.then_some(min_code), expected, "cutoff at t = {t}");
+            for code in [0_u16, 1, 65_534, 65_535] {
+                let want = f64::from(code) > t;
+                // The cutoff itself...
+                assert_eq!(live && code >= min_code, want, "t = {t}, code = {code}");
+                // ...and a fresh detector's first step on that code.
+                let mut det = with_threshold(t);
+                let mut events = Vec::new();
+                det.step_codes_into(&[code], &mut events).unwrap();
+                assert_eq!(events, vec![want], "step at t = {t}, code = {code}");
+            }
+        }
+    }
+
+    #[test]
+    fn code_and_value_steps_share_one_refractory_window() {
+        let mut det = with_threshold(10.0);
+        let mut events = Vec::new();
+        det.step_into(&[11.0], &mut events).unwrap();
+        assert_eq!(events, vec![true]);
+        assert_eq!(det.holdoff, vec![1]);
+        det.step_codes_into(&[11], &mut events).unwrap();
+        assert_eq!(events, vec![false], "held off by the f64 step");
+        det.step_codes_into(&[11], &mut events).unwrap();
+        assert_eq!(events, vec![true]);
+        det.step_into(&[11.0], &mut events).unwrap();
+        assert_eq!(events, vec![false], "held off by the code step");
+        assert!(det.step_codes_into(&[1, 2], &mut events).is_err());
+    }
+
+    #[test]
+    fn refractory_beyond_u16_is_rejected() {
+        let quiet = noise_segment(2, 64, 6);
+        let too_long = usize::from(u16::MAX) + 1;
+        match SpikeDetector::calibrate(&quiet, 4.0, too_long) {
+            Err(DecodeError::InvalidParameter { name, value }) => {
+                assert_eq!(name, "refractory");
+                assert_eq!(value, too_long as f64);
+            }
+            other => panic!("expected a refractory rejection, got {other:?}"),
+        }
+        let det = SpikeDetector::calibrate(&quiet, 4.0, usize::from(u16::MAX)).unwrap();
+        assert_eq!(det.refractory, u16::MAX);
     }
 
     #[test]

@@ -139,3 +139,64 @@ proptest! {
         prop_assert!(counts.iter().sum::<u64>() <= 2);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The integer-code path is the f64 path: one detector stepped
+    /// with a random mix of code and value frames tracks a twin that
+    /// only ever sees the codes widened to f64, event for event, and
+    /// ends in the same refractory state. Thresholds span below zero,
+    /// the code range and beyond it, and codes land on each channel's
+    /// cutoff and its neighbours.
+    #[test]
+    fn spike_codes_and_values_interleave_exactly(
+        seed in 0_u64..10_000,
+        k in 0.5_f64..6.0,
+        refractory in 1_usize..6,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let channels = 1 + (rng.random::<u64>() % 24) as usize;
+        // Per-channel calibration level: below zero, mid-range, or at
+        // the top of the u16 code range.
+        let levels: Vec<f64> = (0..channels)
+            .map(|_| match rng.random::<u64>() % 3 {
+                0 => -40.0,
+                1 => 2048.0,
+                _ => 65_530.0,
+            })
+            .collect();
+        let quiet: Vec<Vec<f64>> = (0..48)
+            .map(|_| levels.iter().map(|&l| l + (rng.random::<f64>() - 0.5) * 20.0).collect())
+            .collect();
+        let mut mixed = SpikeDetector::calibrate(&quiet, k, refractory).unwrap();
+        let mut twin = mixed.clone();
+        let thresholds = twin.thresholds().to_vec();
+        let (mut codes, mut values, mut a, mut b) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for step in 0..64 {
+            codes.clear();
+            codes.extend(thresholds.iter().map(|&t| {
+                let near = t.clamp(0.0, 65_535.0).floor() as u16;
+                match rng.random::<u64>() % 4 {
+                    0 => near.saturating_sub(1),
+                    1 => near,
+                    2 => near.saturating_add(1),
+                    _ => rng.random::<u16>(),
+                }
+            }));
+            values.clear();
+            values.extend(codes.iter().map(|&c| f64::from(c)));
+            if rng.random::<bool>() {
+                mixed.step_codes_into(&codes, &mut a).unwrap();
+            } else {
+                mixed.step_into(&values, &mut a).unwrap();
+            }
+            twin.step_into(&values, &mut b).unwrap();
+            prop_assert_eq!(&a, &b, "events diverge at step {}", step);
+        }
+        // Debug covers every field, the refractory countdowns included.
+        prop_assert_eq!(format!("{mixed:?}"), format!("{twin:?}"));
+    }
+}

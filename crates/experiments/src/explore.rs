@@ -135,9 +135,9 @@ pub fn render(fig: &Explore, dir: &Path) -> Result<Artifacts> {
     artifacts.write_file(dir, "explore_obs.jsonl", &fig.snapshot.to_jsonl())?;
     if let Some(eval) = fig.snapshot.histogram("sweep.eval_ns") {
         artifacts.report(format!(
-            "Explore: engine observed {} points in {:.0} ms ({} points/s)",
+            "Explore: engine observed {} points in {:.0} µs ({} points/s)",
             fig.snapshot.counter("sweep.points").unwrap_or(0),
-            eval.sum as f64 / 1e6,
+            eval.sum as f64 / 1e3,
             fig.snapshot
                 .gauge("sweep.points_per_sec")
                 .map_or(0, |(v, _)| v),
@@ -194,7 +194,15 @@ mod tests {
         let artifacts = render(&fig, &dir).unwrap();
         assert_eq!(artifacts.files().len(), 4);
         assert!(artifacts.report_text().contains("on the frontier"));
-        assert!(artifacts.report_text().contains("engine observed"));
+        let report = artifacts.report_text();
+        let observed = report
+            .split("engine observed ")
+            .nth(1)
+            .and_then(|rest| rest.split(" points in ").nth(1))
+            .and_then(|rest| rest.split(" µs").next())
+            .and_then(|us| us.parse::<f64>().ok())
+            .expect("the report carries the sweep time in µs");
+        assert!(observed > 0.0, "sweep time reads {observed} µs");
         let csv = std::fs::read_to_string(dir.join("explore.csv")).unwrap();
         assert!(csv.lines().count() > 1);
         // The exported engine scrape parses back to the carried snapshot.

@@ -142,18 +142,13 @@ impl Stage for ReplaySource {
 /// Threshold spike detection over digitized codes (or analog values).
 pub struct SpikeStage {
     detector: SpikeDetector,
-    /// Codes-to-f64 conversion scratch.
-    scratch: Vec<f64>,
 }
 
 impl SpikeStage {
     /// Wraps a calibrated detector.
     #[must_use]
     pub fn new(detector: SpikeDetector) -> Self {
-        Self {
-            detector,
-            scratch: Vec::new(),
-        }
+        Self { detector }
     }
 }
 
@@ -163,21 +158,16 @@ impl Stage for SpikeStage {
     }
 
     fn process(&mut self, input: &Frame<'_>, out: &mut FrameBuf) -> Result<StageOutput> {
-        let frame: &[f64] = match input {
-            Frame::Codes(codes) => {
-                self.scratch.clear();
-                self.scratch.extend(codes.iter().map(|&c| f64::from(c)));
-                &self.scratch
-            }
-            Frame::Values(values) => values,
+        match input {
+            Frame::Codes(codes) => self.detector.step_codes_into(codes, out.begin_events())?,
+            Frame::Values(values) => self.detector.step_into(values, out.begin_events())?,
             other => {
                 return Err(PipelineError::UnexpectedFrame {
                     stage: "spike",
                     actual: other.kind(),
                 })
             }
-        };
-        self.detector.step_into(frame, out.begin_events())?;
+        }
         Ok(StageOutput::Emitted)
     }
 }
@@ -239,18 +229,13 @@ impl Stage for BinStage {
 /// Streaming Kalman decoding of binned counts into a 2-D intent.
 pub struct KalmanStage {
     decoder: KalmanDecoder,
-    /// Counts-to-f64 conversion scratch.
-    scratch: Vec<f64>,
 }
 
 impl KalmanStage {
     /// Wraps a calibrated decoder.
     #[must_use]
     pub fn new(decoder: KalmanDecoder) -> Self {
-        Self {
-            decoder,
-            scratch: Vec::new(),
-        }
+        Self { decoder }
     }
 }
 
@@ -260,13 +245,9 @@ impl Stage for KalmanStage {
     }
 
     fn process(&mut self, input: &Frame<'_>, out: &mut FrameBuf) -> Result<StageOutput> {
-        let frame: &[f64] = match input {
-            Frame::Counts(counts) => {
-                self.scratch.clear();
-                self.scratch.extend(counts.iter().map(|&c| f64::from(c)));
-                &self.scratch
-            }
-            Frame::Values(values) => values,
+        let state = match input {
+            Frame::Counts(counts) => self.decoder.step_counts(counts)?,
+            Frame::Values(values) => self.decoder.step(values)?,
             other => {
                 return Err(PipelineError::UnexpectedFrame {
                     stage: "kalman",
@@ -274,7 +255,6 @@ impl Stage for KalmanStage {
                 })
             }
         };
-        let state = self.decoder.step(frame)?;
         let buf = out.begin_values();
         buf.push(state.x);
         buf.push(state.y);
