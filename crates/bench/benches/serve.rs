@@ -17,8 +17,8 @@
 //! sessions/sec, p99, and deadline-miss rows — land in
 //! `results/bench/BENCH_serve.json`. A second paired measurement pins
 //! the clock-syscall fix: an unobserved, budget-less fleet epoch
-//! (where the fleet adds no per-step clock reads of its own; the
-//! pipelines' per-stage stopwatches still run) may never run slower
+//! (where neither the fleet nor its uninstrumented pipelines read a
+//! clock per step) may never run slower
 //! than the observed epoch beyond noise. Set `MINDFUL_BENCH_QUICK=1`
 //! (as CI does) to shrink iteration counts.
 
@@ -124,9 +124,8 @@ fn build_fleet<'a>(
 }
 
 /// Builds the obs-off twin: same sessions, no registry, no deadline
-/// budgets — the configuration where the fleet adds no clock reads of
-/// its own to the epoch hot path (the pipelines' per-stage stopwatches
-/// still run).
+/// budgets — the configuration where neither the fleet nor its
+/// uninstrumented pipelines read a clock on the epoch hot path.
 fn build_unobserved_fleet<'a>(
     scheduler: &'a Scheduler,
     net: &Arc<Network>,

@@ -2,11 +2,11 @@
 //!
 //! [`crate::Pipeline::instrument`] registers one metric family per
 //! stage in a [`mindful_core::obs::Registry`] and stores the returned
-//! handles in the stage's slot; the driver then records into them on
-//! every step. Registration is the only allocating part — recording is
-//! relaxed atomics, so the pipeline's zero-allocation guarantee holds
-//! for instrumented runs (proven by the crate's counting-allocator
-//! test).
+//! handles in the stage's slot; the pipeline then times every stage
+//! call and records into them. Registration is the only allocating
+//! part — recording is relaxed atomics, so the pipeline's
+//! zero-allocation guarantee holds for instrumented runs (proven by
+//! the crate's counting-allocator test).
 //!
 //! Metric names follow `{prefix}.{index}.{stage}.{metric}`:
 //!
@@ -33,13 +33,14 @@
 //! as [`crate::StageTelemetry`] (the driver classifies it once), so a
 //! scrape of a pipeline instrumented before its first step equals its
 //! telemetry field for field. An uninstrumented pipeline holds no
-//! handles and records nothing here.
+//! handles, records nothing here, reads no clock and asks no stage for
+//! a snapshot while it steps.
 
 use mindful_core::obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::fault::FaultTelemetry;
 use crate::secure::SecureTelemetry;
-use crate::stage::StepRecord;
+use crate::stage::{Stage, StepRecord};
 
 /// Per-field gauges mirroring a stage's [`FaultTelemetry`] snapshot.
 #[derive(Debug, Clone)]
@@ -179,20 +180,20 @@ impl SlotObs {
         self.latency_ns.record(step.elapsed_ns);
     }
 
-    /// Mirrors the stage's latest fault and security snapshots into
-    /// the `faults.*` and `secure.*` gauges (each a no-op for a stage
-    /// without that gauge set).
+    /// Mirrors `stage`'s current fault and security snapshots into the
+    /// `faults.*` and `secure.*` gauges. A stage without a gauge set is
+    /// not asked for that snapshot.
     #[inline]
-    pub(crate) fn record_snapshots(
-        &self,
-        faults: Option<&FaultTelemetry>,
-        secure: Option<&SecureTelemetry>,
-    ) {
-        if let (Some(gauges), Some(t)) = (&self.faults, faults) {
-            gauges.set(t);
+    pub(crate) fn record_snapshots(&self, stage: &dyn Stage) {
+        if let Some(gauges) = &self.faults {
+            if let Some(t) = stage.fault_telemetry() {
+                gauges.set(&t);
+            }
         }
-        if let (Some(gauges), Some(t)) = (&self.secure, secure) {
-            gauges.set(t);
+        if let Some(gauges) = &self.secure {
+            if let Some(t) = stage.secure_telemetry() {
+                gauges.set(&t);
+            }
         }
     }
 }

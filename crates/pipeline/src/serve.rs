@@ -90,13 +90,15 @@
 //! `{prefix}.s{id}.{stage-index}.{stage}.{metric}` via
 //! [`Pipeline::instrument`], so one registry scrape sees the whole
 //! fleet at both granularities. Every stopwatch reads
-//! [`mindful_core::obs::clock`]. An unobserved fleet holds no handles
-//! and records nothing; when it also gives a session no deadline
-//! budget, the fleet adds **no clock reads of its own** to that
-//! session's per-step hot path (the pipeline's per-stage busy-time
-//! stopwatch still runs inside [`Pipeline::step`]). A budget adds two
-//! reads per step; an observed fleet adds two per step and two per
-//! epoch. The crate's `clock_reads` test pins these counts.
+//! [`mindful_core::obs::clock`]. An unobserved fleet holds no handles,
+//! records nothing and leaves its sessions uninstrumented, so their
+//! per-stage stopwatches stay off too; when it also gives a session no
+//! deadline budget, that session's per-step hot path reads **no
+//! clock** at all. A budget adds two reads per step (the fleet's own
+//! step stopwatch); an observed fleet adds two per step and two per
+//! epoch, plus two per stage reached inside each instrumented
+//! [`Pipeline::step`]. The crate's `clock_reads` test pins these
+//! counts.
 
 use std::collections::HashMap;
 use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
@@ -805,7 +807,8 @@ impl<'a> Fleet<'a> {
         // Clock discipline (pinned by the `clock_reads` test): the epoch
         // stopwatch runs only for observed fleets; per-step stopwatches
         // also run for sessions with a deadline budget. On the
-        // unobserved, budget-less hot path the fleet reads no clock.
+        // unobserved, budget-less hot path neither the fleet nor the
+        // (uninstrumented) session pipeline reads a clock.
         let obs_on = self.obs.is_some();
         let obs = &self.obs;
         let epoch_start = obs_on.then(clock::now_ns);

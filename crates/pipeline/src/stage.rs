@@ -51,9 +51,11 @@ pub trait Stage: Send {
 
     /// A snapshot of the stage's fault counters, if it has any.
     ///
-    /// Fault-aware stages (injectors, links, concealers) override this;
-    /// the driver copies the snapshot into
-    /// [`StageTelemetry::faults`] after every step.
+    /// Fault-aware stages (injectors, links, concealers) override this
+    /// and return `Some` from construction on (all zeros before their
+    /// first step). [`Pipeline::telemetry`] reads it into
+    /// [`StageTelemetry::faults`] when called; an instrumented
+    /// pipeline also mirrors it into the registry after every step.
     fn fault_telemetry(&self) -> Option<FaultTelemetry> {
         None
     }
@@ -61,8 +63,9 @@ pub trait Stage: Send {
     /// A snapshot of the stage's security counters, if it has any.
     ///
     /// Security-aware stages (authenticated links, the neural
-    /// firewall) override this; the driver copies the snapshot into
-    /// [`StageTelemetry::secure`] after every step.
+    /// firewall) override this. [`Pipeline::telemetry`] reads it into
+    /// [`StageTelemetry::secure`] when called; an instrumented
+    /// pipeline also mirrors it into the registry after every step.
     fn secure_telemetry(&self) -> Option<SecureTelemetry> {
         None
     }
@@ -77,17 +80,20 @@ pub struct StageTelemetry {
     pub frames_in: u64,
     /// Frames the stage emitted (≤ `frames_in` for windowing stages).
     pub frames_out: u64,
-    /// Cumulative wall time inside [`Stage::process`].
+    /// Cumulative wall time inside [`Stage::process`] and flushing
+    /// [`Stage::finish`] calls. Only an instrumented pipeline
+    /// ([`Pipeline::instrument`]) runs the stage stopwatch; otherwise
+    /// this stays [`Duration::ZERO`].
     pub busy: Duration,
     /// Cumulative wire bytes emitted (non-zero only for byte sinks).
     pub bytes_out: u64,
     /// Peak backing storage of the stage's output buffer.
     pub peak_buffer_bytes: usize,
-    /// Latest fault-counter snapshot ([`None`] for fault-unaware
-    /// stages).
+    /// The stage's fault counters when [`Pipeline::telemetry`] was
+    /// called ([`None`] for fault-unaware stages).
     pub faults: Option<FaultTelemetry>,
-    /// Latest security-counter snapshot ([`None`] for stages outside
-    /// the trust boundary).
+    /// The stage's security counters when [`Pipeline::telemetry`] was
+    /// called ([`None`] for stages outside the trust boundary).
     pub secure: Option<SecureTelemetry>,
 }
 
@@ -113,7 +119,8 @@ impl StageTelemetry {
         self.peak_buffer_bytes = self.peak_buffer_bytes.max(step.buffer_bytes);
     }
 
-    /// Mean time per input frame ([`Duration::ZERO`] before any frame).
+    /// Mean time per input frame ([`Duration::ZERO`] before any frame,
+    /// and on an uninstrumented pipeline, whose `busy` stays zero).
     #[must_use]
     pub fn mean_latency(&self) -> Duration {
         if self.frames_in == 0 {
@@ -139,7 +146,8 @@ pub(crate) struct StepRecord {
     /// Backing storage of the output buffer after the step, whether or
     /// not it emitted.
     pub(crate) buffer_bytes: usize,
-    /// Wall time inside the stage, in nanoseconds.
+    /// Wall time inside the stage, in nanoseconds (zero when the
+    /// pipeline is not instrumented).
     pub(crate) elapsed_ns: u64,
 }
 
@@ -156,17 +164,12 @@ impl Slot {
     /// returned `outcome`: a `process` call when `input`, otherwise a
     /// `finish` call.
     ///
-    /// The stage's fault and security snapshots are copied (and
-    /// mirrored into the registry) after every call. A `finish` call
+    /// An instrumented slot mirrors the stage's fault and security
+    /// snapshots into the registry after every call. A `finish` call
     /// that flushed nothing is not a step and counts nothing else.
     fn account(&mut self, elapsed_ns: u64, input: bool, outcome: StageOutput) {
-        self.telemetry.faults = self.stage.fault_telemetry();
-        self.telemetry.secure = self.stage.secure_telemetry();
         if let Some(obs) = &self.obs {
-            obs.record_snapshots(
-                self.telemetry.faults.as_ref(),
-                self.telemetry.secure.as_ref(),
-            );
+            obs.record_snapshots(&*self.stage);
         }
         let emitted = outcome == StageOutput::Emitted;
         if !input && !emitted {
@@ -228,7 +231,9 @@ impl Pipeline {
 
     /// Registers per-stage metrics in `registry` under
     /// `{prefix}.{index}.{stage}` and records into them from every
-    /// subsequent step (see [`crate::obs`] for the metric table).
+    /// subsequent step (see [`crate::obs`] for the metric table). It
+    /// also turns on the stage stopwatch behind
+    /// [`StageTelemetry::busy`]: two clock reads per stage call.
     ///
     /// Registration allocates (names, registry entries); the recording
     /// it enables does not, so the warm pipeline stays allocation-free
@@ -358,9 +363,9 @@ impl Pipeline {
                     .out
                     .as_frame(),
             };
-            let t = clock::now_ns();
+            let t = slot.obs.is_some().then(clock::now_ns);
             let outcome = slot.stage.process(&frame, &mut slot.out)?;
-            slot.account(clock::since_ns(t), true, outcome);
+            slot.account(t.map_or(0, clock::since_ns), true, outcome);
             if outcome == StageOutput::Pending {
                 return Ok(false);
             }
@@ -388,9 +393,9 @@ impl Pipeline {
         for i in 0..self.slots.len() {
             loop {
                 let slot = &mut self.slots[i];
-                let t = clock::now_ns();
+                let t = slot.obs.is_some().then(clock::now_ns);
                 let outcome = slot.stage.finish(&mut slot.out)?;
-                slot.account(clock::since_ns(t), false, outcome);
+                slot.account(t.map_or(0, clock::since_ns), false, outcome);
                 if outcome == StageOutput::Pending {
                     break;
                 }
@@ -402,10 +407,18 @@ impl Pipeline {
         Ok(completed)
     }
 
-    /// A snapshot of every stage's counters, in chain order.
+    /// A snapshot of every stage's counters, in chain order, with each
+    /// stage's fault and security counters read now.
     #[must_use]
     pub fn telemetry(&self) -> Vec<StageTelemetry> {
-        self.slots.iter().map(|s| s.telemetry.clone()).collect()
+        self.slots
+            .iter()
+            .map(|s| StageTelemetry {
+                faults: s.stage.fault_telemetry(),
+                secure: s.stage.secure_telemetry(),
+                ..s.telemetry
+            })
+            .collect()
     }
 
     /// A borrowed view of the final stage's output buffer (what the

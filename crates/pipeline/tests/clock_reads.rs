@@ -8,10 +8,12 @@
 //! read lands on this thread's counter. The counts fix today's
 //! behaviour:
 //!
-//! * a pipeline step reads the clock twice per stage it reaches;
+//! * an uninstrumented pipeline reads no clock, stepping or flushing;
+//! * an instrumented one reads it twice per stage call (each step a
+//!   stage is reached on, and each `finish` call);
 //! * an unobserved fleet with no deadline budget adds no reads;
-//! * a budget adds 2 reads per step; an observed fleet adds 2 per step
-//!   plus 2 per epoch;
+//! * a budget adds 2 reads per step; an observed fleet, whose sessions
+//!   are instrumented, adds 2 per step plus 2 per epoch;
 //! * a `DnnStage` step reads no clock for spans outside a capture
 //!   window and 2 per layer inside one.
 
@@ -82,10 +84,17 @@ impl Stage for Relay {
     }
 }
 
-/// Emits every `window`-th frame and absorbs the rest.
+/// Emits every `window`-th frame and absorbs the rest; `finish`
+/// flushes a partly filled window as one frame.
 struct Window {
     window: u64,
     seen: u64,
+}
+
+impl Window {
+    fn new(window: u64) -> Self {
+        Self { window, seen: 0 }
+    }
 }
 
 impl Stage for Window {
@@ -101,6 +110,15 @@ impl Stage for Window {
         } else {
             Ok(StageOutput::Pending)
         }
+    }
+
+    fn finish(&mut self, out: &mut FrameBuf) -> Result<StageOutput> {
+        if self.seen.is_multiple_of(self.window) {
+            return Ok(StageOutput::Pending);
+        }
+        self.seen = 0;
+        out.begin_codes().push(0);
+        Ok(StageOutput::Emitted)
     }
 }
 
@@ -158,14 +176,49 @@ fn fleet_epoch_reads(fleet: &mut Fleet<'_>, budget_ns: Option<u64>) -> u64 {
     reads_during(|| (0..EPOCHS).for_each(|_| epoch(fleet)))
 }
 
-/// The pipelines' own reads over [`fleet_epoch_reads`]: two per stage
-/// per step.
+/// The instrumented pipelines' own reads over [`fleet_epoch_reads`]:
+/// two per stage per step. Only an observed fleet instruments its
+/// sessions.
 const PIPELINE_READS: u64 = 2 * 3 * SESSIONS * STEPS as u64 * EPOCHS;
 const FLEET_STEPS: u64 = SESSIONS * STEPS as u64 * EPOCHS;
 
+/// source → window(4) → relay: three of every four steps stop at the
+/// window, so the relay is reached once per four steps.
+fn windowed_chain() -> Pipeline {
+    Pipeline::new()
+        .with_stage(Source)
+        .with_stage(Window::new(4))
+        .with_stage(Relay::plain())
+}
+
 #[test]
-fn a_warm_chain_reads_the_clock_twice_per_stage_it_reaches() {
+fn a_warm_uninstrumented_chain_reads_no_clock() {
     let mut chain = three_stage_chain();
+    chain.step().unwrap();
+    let reads = reads_during(|| {
+        for _ in 0..50 {
+            assert!(chain.step().unwrap().is_some());
+        }
+    });
+    assert_eq!(reads, 0);
+
+    let mut chain = windowed_chain();
+    let reads = reads_during(|| {
+        for _ in 0..42 {
+            chain.step().unwrap();
+        }
+        assert_eq!(chain.finish().unwrap(), 1, "the partial window flushes");
+    });
+    assert_eq!(reads, 0);
+    let t = chain.telemetry();
+    assert_eq!(t[2].frames_in, 42 / 4 + 1);
+    assert!(t.iter().all(|s| s.busy.is_zero()), "no stopwatch ran");
+}
+
+#[test]
+fn an_instrumented_chain_reads_the_clock_twice_per_stage_it_reaches() {
+    let registry = Registry::new();
+    let mut chain = three_stage_chain().with_instrumentation(&registry, "warm");
     chain.step().unwrap();
     let reads = reads_during(|| {
         for _ in 0..50 {
@@ -174,26 +227,28 @@ fn a_warm_chain_reads_the_clock_twice_per_stage_it_reaches() {
     });
     assert_eq!(reads, 2 * 3 * 50);
 
-    // source → window(4) → relay: three of every four steps stop at
-    // the window, so the relay is reached once per four steps.
-    let mut chain = Pipeline::new()
-        .with_stage(Source)
-        .with_stage(Window { window: 4, seen: 0 })
-        .with_stage(Relay::plain());
+    let mut chain = windowed_chain().with_instrumentation(&registry, "windowed");
     let reads = reads_during(|| {
-        for _ in 0..40 {
+        for _ in 0..42 {
             chain.step().unwrap();
         }
     });
-    assert_eq!(reads, 2 * (2 * 40 + 40 / 4));
-    assert_eq!(chain.telemetry()[2].frames_in, 10);
+    assert_eq!(reads, 2 * (2 * 42 + 42 / 4));
+    // One finish call per stage that flushes nothing (source, window
+    // once drained, relay) plus the window's flushing call and the
+    // relay step it cascades into.
+    let reads = reads_during(|| {
+        assert_eq!(chain.finish().unwrap(), 1);
+    });
+    assert_eq!(reads, 2 * (3 + 2));
+    assert_eq!(chain.telemetry()[2].frames_in, 42 / 4 + 1);
 }
 
 #[test]
 fn an_unobserved_budgetless_fleet_adds_no_clock_reads() {
     let scheduler = inline_scheduler();
     let mut fleet = Fleet::new(&scheduler, config(STEPS));
-    assert_eq!(fleet_epoch_reads(&mut fleet, None), PIPELINE_READS);
+    assert_eq!(fleet_epoch_reads(&mut fleet, None), 0);
 }
 
 #[test]
@@ -201,7 +256,7 @@ fn a_deadline_budget_adds_two_reads_per_step() {
     let scheduler = inline_scheduler();
     let mut fleet = Fleet::new(&scheduler, config(STEPS));
     let reads = fleet_epoch_reads(&mut fleet, Some(60_000_000_000));
-    assert_eq!(reads, PIPELINE_READS + 2 * FLEET_STEPS);
+    assert_eq!(reads, 2 * FLEET_STEPS, "the fleet's own stopwatch only");
 }
 
 #[test]
@@ -233,18 +288,14 @@ fn dnn_spans_read_the_clock_only_inside_a_capture_window() {
         let outside = reads_during(|| {
             chain.step().unwrap();
         });
-        assert_eq!(outside, 2 * 2, "{precision:?}: stage stopwatches only");
+        assert_eq!(outside, 0, "{precision:?}: an uninstrumented chain");
         clear_spans();
         let inside = reads_during(|| {
             chain.step().unwrap();
         });
         spans.clear();
         drain_spans(&mut spans);
-        assert_eq!(
-            inside,
-            2 * 2 + 2 * layers,
-            "{precision:?}: plus 2 per layer"
-        );
+        assert_eq!(inside, 2 * layers, "{precision:?}: 2 per layer");
         assert_eq!(spans.len() as u64, layers, "{precision:?}");
     }
 }

@@ -2,6 +2,9 @@
 //! byte-identical to the pre-refactor hand-written glue (per-stage
 //! allocating calls), for every chain shape the glue sites used.
 
+use std::time::Duration;
+
+use mindful_core::obs::Registry;
 use mindful_decode::binning::BinAccumulator;
 use mindful_decode::kalman::KalmanDecoder;
 use mindful_decode::spike::SpikeDetector;
@@ -148,7 +151,9 @@ fn dnn_stream_matches_per_frame_forward_bit_for_bit() {
 }
 
 /// Telemetry invariants over the full five-stage chain
-/// (sense → spike → bin → decode → packetize).
+/// (sense → spike → bin → decode → packetize), instrumented so its
+/// stage stopwatches run. An uninstrumented twin emits the same wire
+/// bytes and reports the same telemetry with `busy` left at zero.
 #[test]
 fn five_stage_chain_telemetry_is_consistent() {
     const WINDOW: usize = 4;
@@ -178,19 +183,35 @@ fn five_stage_chain_telemetry_is_consistent() {
     let kalman = KalmanDecoder::calibrate(&bin_rows, &bin_intents).unwrap();
 
     let channels = ni.channels();
-    let mut pipeline = Pipeline::new()
-        .with_stage(SenseStage::from_interface(ni, IntentSchedule::FigureEight))
-        .with_stage(SpikeStage::new(detector))
-        .with_stage(BinStage::new(channels, WINDOW).unwrap())
-        .with_stage(KalmanStage::new(kalman))
-        .with_stage(PacketizeStage::new(10).unwrap());
+    let chain = || {
+        Pipeline::new()
+            .with_stage(SenseStage::from_interface(
+                ni.clone(),
+                IntentSchedule::FigureEight,
+            ))
+            .with_stage(SpikeStage::new(detector.clone()))
+            .with_stage(BinStage::new(channels, WINDOW).unwrap())
+            .with_stage(KalmanStage::new(kalman.clone()))
+            .with_stage(PacketizeStage::new(10).unwrap())
+    };
+    let registry = Registry::new();
+    let mut pipeline = chain().with_instrumentation(&registry, "chain");
+    let mut bare = chain();
 
+    let wire = |out: Option<&FrameBuf>| {
+        out.map(|buf| match buf.as_frame() {
+            Frame::Bytes(bytes) => bytes.to_vec(),
+            other => panic!("expected bytes at the chain tail, got {:?}", other.kind()),
+        })
+    };
     let mut emitted = 0_u64;
     let mut wire_len = 0_u64;
-    for _ in 0..STEPS {
-        if let Some(out) = pipeline.step().unwrap() {
+    for k in 0..STEPS {
+        let out = wire(pipeline.step().unwrap());
+        assert_eq!(out, wire(bare.step().unwrap()), "step {k}");
+        if let Some(out) = out {
             emitted += 1;
-            wire_len = out.as_frame().len() as u64;
+            wire_len = out.len() as u64;
         }
     }
     assert_eq!(emitted, (STEPS / WINDOW) as u64);
@@ -212,4 +233,18 @@ fn five_stage_chain_telemetry_is_consistent() {
         assert!(stage.peak_buffer_bytes > 0, "{} buffer tracked", stage.name);
     }
     assert_eq!(pipeline.steps(), STEPS as u64);
+
+    let bare = bare.telemetry();
+    for (timed, untimed) in t.iter().zip(&bare) {
+        assert_eq!(untimed.busy, Duration::ZERO, "{} untimed", untimed.name);
+        assert_eq!(
+            *untimed,
+            StageTelemetry {
+                busy: Duration::ZERO,
+                ..timed.clone()
+            },
+            "{}: every other field matches",
+            untimed.name
+        );
+    }
 }

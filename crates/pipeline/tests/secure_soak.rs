@@ -448,3 +448,107 @@ fn firewall_catches_the_signed_dead_and_saturated_array() {
         "recovery is not re-quarantined"
     );
 }
+
+/// [`Pipeline::telemetry`] reads every stage's fault and security
+/// counters when it is called, so an uninstrumented chain reports the
+/// same snapshots as an instrumented twin that also mirrors them into
+/// the registry after every step: after faulted and attacked steps, a
+/// shed straight into the concealer and the end-of-stream flush. Before
+/// its first step a fault- or secure-aware stage reports `Some` of its
+/// zero counters, and every other stage `None`.
+#[test]
+fn snapshots_read_at_telemetry_match_the_instrumented_twin() {
+    const GRID: usize = 4; // 4² = 16 channels
+    const CHANNELS: usize = GRID * GRID;
+    const STEPS: usize = 400;
+    const SEED: u64 = 0x5A_AB5;
+    const KEY_ID: u8 = 3;
+    const CONCEAL: usize = 5;
+    let chain = || {
+        let ni = NeuralInterface::new(GRID, 400, SAMPLE_BITS, 29).unwrap();
+        let auth = AuthConfig::new(AuthKey::from_seed(SEED, KEY_ID));
+        let wire = FaultPlan::new(FaultConfig::wire_composite(0.03), SEED).unwrap();
+        let adversary = Adversary::new(AttackConfig::composite(0.1), SEED ^ 0xBAD, KEY_ID).unwrap();
+        let front = FaultPlan::new(FaultConfig::frame_composite(0.05), SEED ^ 1).unwrap();
+        Pipeline::new()
+            .with_stage(SenseStage::from_interface(ni, IntentSchedule::FigureEight))
+            .with_stage(PacketizeStage::new(SAMPLE_BITS).unwrap())
+            .with_stage(
+                LinkStage::with_channel(
+                    ArqConfig::selective_repeat(ARQ_WINDOW),
+                    Some(WireFaultInjector::with_adversary(wire, adversary)),
+                    RTT,
+                    Some(&auth),
+                )
+                .unwrap(),
+            )
+            .with_stage(FaultStage::new(front, SAMPLE_BITS).unwrap())
+            .with_stage(FirewallStage::new(CHANNELS, FirewallConfig::default()).unwrap())
+            .with_stage(ConcealStage::new(CHANNELS, DegradePolicy::HoldLast).unwrap())
+    };
+
+    // (fault-aware, secure-aware) per stage: sense, packetize, the
+    // authenticated link, the front-end injector, firewall, conceal.
+    let aware = [
+        (false, false),
+        (false, false),
+        (true, true),
+        (true, false),
+        (false, true),
+        (true, false),
+    ];
+    let fresh = chain().telemetry();
+    assert_eq!(fresh.len(), aware.len());
+    for (t, (faults, secure)) in fresh.iter().zip(aware) {
+        assert_eq!(t.faults, faults.then(FaultTelemetry::default), "{}", t.name);
+        assert_eq!(
+            t.secure,
+            secure.then(SecureTelemetry::default),
+            "{}",
+            t.name
+        );
+    }
+
+    let registry = mindful_core::obs::Registry::new();
+    let mut observed = chain().with_instrumentation(&registry, "twin");
+    let mut bare = chain();
+    for pipeline in [&mut observed, &mut bare] {
+        for _ in 0..STEPS {
+            pipeline.push(Frame::Empty).unwrap();
+        }
+        assert!(pipeline
+            .push_at(CONCEAL, Frame::Codes(&[]))
+            .unwrap()
+            .is_some());
+        pipeline.finish().unwrap();
+    }
+
+    let (timed, untimed) = (observed.telemetry(), bare.telemetry());
+    let stats =
+        |t: &[StageTelemetry]| -> Vec<_> { t.iter().map(|s| (s.faults, s.secure)).collect() };
+    assert_eq!(stats(&timed), stats(&untimed));
+    let link = timed[2].faults.unwrap();
+    let injector = timed[3].faults.unwrap();
+    let firewall = timed[4].secure.unwrap();
+    let conceal = timed[CONCEAL].faults.unwrap();
+    assert!(link.injected > 0 && timed[2].secure.unwrap().rejected_auth > 0);
+    assert!(injector.injected > 0);
+    assert!(conceal.degraded > 0, "the shed and the lost frames");
+    let snapshot = registry.snapshot();
+    assert_eq!(
+        snapshot
+            .gauge("twin.5.conceal.faults.degraded")
+            .map(|(v, _)| v),
+        Some(conceal.degraded),
+        "the registry mirrors the same counters"
+    );
+    assert_eq!(
+        snapshot
+            .gauge(&format!(
+                "twin.4.firewall.secure.{}",
+                mindful_core::obs::names::FRAMES_FIREWALLED
+            ))
+            .map(|(v, _)| v),
+        Some(firewall.firewalled)
+    );
+}

@@ -69,15 +69,19 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
 
     section("3. Stream the same decoder through the unified Stage pipeline");
     // The streaming path the implant firmware would run: sense → DNN as
-    // one zero-allocation chain, pinned against the direct path.
+    // one zero-allocation chain, pinned against the direct path. The
+    // registry turns on the per-stage stopwatch behind the latencies
+    // printed below.
     let stream_ni = NeuralInterface::new(32, 1200, spec.sample_bits(), 77)?;
     let mut stream_twin = stream_ni.clone();
+    let registry = mindful_core::obs::Registry::new();
     let mut stream = Pipeline::new()
         .with_stage(SenseStage::from_interface(
             stream_ni,
             IntentSchedule::FigureEight,
         ))
-        .with_stage(DnnStage::new(network.clone(), spec.sample_bits())?);
+        .with_stage(DnnStage::new(network.clone(), spec.sample_bits())?)
+        .with_instrumentation(&registry, "stream");
     let mut last_streamed = Vec::new();
     for k in 0..8 {
         let out = stream.step()?.expect("dnn emits every frame");
