@@ -1,99 +1,41 @@
 //! One benchmark per table/figure of the paper: times the pure
 //! `generate()` computation behind each experiment (rendering and file
-//! IO excluded).
+//! IO excluded). Set `MINDFUL_BENCH_QUICK=1` to shrink the sample count.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
+use mindful_bench::Report;
+use mindful_experiments::{
+    fig10, fig11, fig12, fig4, fig5, fig6, fig7, fig9, realtime, table1, wpt_study,
+};
 
-fn bench_table1(c: &mut Criterion) {
-    c.bench_function("table1_generate", |b| {
-        b.iter(|| black_box(mindful_experiments::table1::generate()))
+fn main() {
+    let samples = if mindful_core::env::bench_quick() {
+        5
+    } else {
+        21
+    };
+    let mut report = Report::new("figures");
+    report.time("table1_generate", samples, 100, table1::generate);
+    report.time("fig4_scale_to_1024", samples, 100, fig4::generate);
+    report.time("fig5_regime_projections", samples, 10, || {
+        fig5::generate().unwrap()
     });
+    report.time("fig6_sensing_fractions", samples, 10, || {
+        fig6::generate().unwrap()
+    });
+    report.time("fig7_qam_efficiency_sweep", samples, 1, || {
+        fig7::generate().unwrap()
+    });
+    report.time("fig9_accelerator_designs", samples, 1000, fig9::generate);
+    report.time("fig10_dnn_integration_sweep", samples, 1, || {
+        fig10::generate().unwrap()
+    });
+    report.time("fig11_partitioning_gains", samples, 10, || {
+        fig11::generate().unwrap()
+    });
+    report.time("fig12_optimization_stack", samples, 1, || {
+        fig12::generate().unwrap()
+    });
+    report.time("ext_realtime", samples, 1, || realtime::generate().unwrap());
+    report.time("ext_wpt", samples, 100, || wpt_study::generate().unwrap());
+    report.write(env!("CARGO_TARGET_TMPDIR"));
 }
-
-fn bench_fig4(c: &mut Criterion) {
-    c.bench_function("fig4_scale_to_1024", |b| {
-        b.iter(|| black_box(mindful_experiments::fig4::generate()))
-    });
-}
-
-fn bench_fig5(c: &mut Criterion) {
-    c.bench_function("fig5_regime_projections", |b| {
-        b.iter(|| black_box(mindful_experiments::fig5::generate().unwrap()))
-    });
-}
-
-fn bench_fig6(c: &mut Criterion) {
-    c.bench_function("fig6_sensing_fractions", |b| {
-        b.iter(|| black_box(mindful_experiments::fig6::generate().unwrap()))
-    });
-}
-
-fn bench_fig7(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig7");
-    group.sample_size(20);
-    group.bench_function("qam_efficiency_sweep", |b| {
-        b.iter(|| black_box(mindful_experiments::fig7::generate().unwrap()))
-    });
-    group.finish();
-}
-
-fn bench_fig9(c: &mut Criterion) {
-    c.bench_function("fig9_accelerator_designs", |b| {
-        b.iter(|| black_box(mindful_experiments::fig9::generate()))
-    });
-}
-
-fn bench_fig10(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig10");
-    group.sample_size(10);
-    group.bench_function("dnn_integration_sweep", |b| {
-        b.iter(|| black_box(mindful_experiments::fig10::generate().unwrap()))
-    });
-    group.finish();
-}
-
-fn bench_fig11(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig11");
-    group.sample_size(10);
-    group.bench_function("partitioning_gains", |b| {
-        b.iter(|| black_box(mindful_experiments::fig11::generate().unwrap()))
-    });
-    group.finish();
-}
-
-fn bench_fig12(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig12");
-    group.sample_size(10);
-    group.bench_function("optimization_stack", |b| {
-        b.iter(|| black_box(mindful_experiments::fig12::generate().unwrap()))
-    });
-    group.finish();
-}
-
-fn bench_extensions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("extensions");
-    group.sample_size(10);
-    group.bench_function("ext_realtime", |b| {
-        b.iter(|| black_box(mindful_experiments::realtime::generate().unwrap()))
-    });
-    group.bench_function("ext_wpt", |b| {
-        b.iter(|| black_box(mindful_experiments::wpt_study::generate().unwrap()))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    figures,
-    bench_table1,
-    bench_fig4,
-    bench_fig5,
-    bench_fig6,
-    bench_fig7,
-    bench_fig9,
-    bench_fig10,
-    bench_fig11,
-    bench_fig12,
-    bench_extensions,
-);
-criterion_main!(figures);

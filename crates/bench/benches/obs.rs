@@ -1,19 +1,17 @@
 //! The zero-overhead acceptance bench for the observability layer: the
 //! same warm 1024-channel implant chain (sense → spike → bin → Kalman →
 //! packetize) is driven twice, bare and fully instrumented (per-stage
-//! counters, latency histograms, buffer gauges), in interleaved pairs
-//! so frequency drift cancels out of the medians. The instrumented
-//! median must stay within 5% of the bare one — metric recording is
+//! counters, latency histograms, buffer gauges), in alternating pairs
+//! so frequency drift hits both alike. The median per-pair ratio
+//! instrumented ÷ bare must stay within 5% — metric recording is
 //! relaxed atomics on the hot path and registration happens once, so
 //! the tax is a few nanoseconds per stage step.
 //!
-//! Medians land in `results/bench/BENCH_obs.json`. Set
-//! `MINDFUL_BENCH_QUICK=1` (as CI does) to shrink iteration counts.
+//! Set `MINDFUL_BENCH_QUICK=1` (as CI does) to shrink the pair count.
 
 use std::hint::black_box;
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mindful_bench::{paired_median_ns, write_artifact};
+use mindful_bench::{compare, Report};
 use mindful_core::obs::Registry;
 use mindful_decode::binning::BinAccumulator;
 use mindful_decode::kalman::KalmanDecoder;
@@ -28,7 +26,8 @@ const WINDOW: usize = 4;
 /// dominate the loop scaffolding.
 const STEPS: usize = 64;
 
-/// Acceptance bar: instrumented ÷ bare median, at most this.
+/// Acceptance bar: the median per-pair ratio instrumented ÷ bare, at
+/// most this.
 const MAX_OVERHEAD: f64 = 1.05;
 
 fn quick() -> bool {
@@ -95,27 +94,8 @@ fn run_steps(pipeline: &mut Pipeline) -> u64 {
     emitted
 }
 
-fn bench_obs(c: &mut Criterion) {
-    let registry = Registry::new();
-    let mut bare = build_chain(None);
-    let mut instrumented = build_chain(Some((&registry, "bench")));
-    black_box(run_steps(&mut bare));
-    black_box(run_steps(&mut instrumented));
-    let mut group = c.benchmark_group("obs");
-    group.sample_size(10);
-    group.bench_function("bare_1024ch_x64", |b| {
-        b.iter(|| black_box(run_steps(&mut bare)))
-    });
-    group.bench_function("instrumented_1024ch_x64", |b| {
-        b.iter(|| black_box(run_steps(&mut instrumented)))
-    });
-    group.finish();
-}
-
-/// One-shot acceptance measurement: the instrumented chain's median
-/// step cost must stay within [`MAX_OVERHEAD`] of the bare chain's.
-fn report_obs_acceptance(_c: &mut Criterion) {
-    let iters = if quick() { 15 } else { 61 };
+fn main() {
+    let pairs = if quick() { 15 } else { 61 };
     let registry = Registry::new();
     let mut bare = build_chain(None);
     let mut instrumented = build_chain(Some((&registry, "bench")));
@@ -127,27 +107,15 @@ fn report_obs_acceptance(_c: &mut Criterion) {
     let warm_instrumented = run_steps(&mut instrumented);
     assert_eq!(warm_bare, warm_instrumented, "identical workloads");
 
-    let (bare_ns, instrumented_ns) = paired_median_ns(
-        iters,
+    let t = compare(
+        pairs,
+        1,
         || {
             black_box(run_steps(&mut bare));
         },
-        || {
+        Some(|| {
             black_box(run_steps(&mut instrumented));
-        },
-    );
-    let overhead = instrumented_ns / bare_ns;
-    println!(
-        "obs/1024ch_x{STEPS} bare {:.3} ms vs instrumented {:.3} ms ({:.1}% overhead)",
-        bare_ns / 1e6,
-        instrumented_ns / 1e6,
-        (overhead - 1.0) * 100.0,
-    );
-    assert!(
-        overhead <= MAX_OVERHEAD,
-        "instrumentation must cost at most {:.0}% on the warm 1024-channel chain, \
-         got {overhead:.3}x ({bare_ns:.0} ns vs {instrumented_ns:.0} ns)",
-        (MAX_OVERHEAD - 1.0) * 100.0
+        }),
     );
 
     // The instrumented run was real: the registry saw every step.
@@ -155,18 +123,16 @@ fn report_obs_acceptance(_c: &mut Criterion) {
         .snapshot()
         .counter("bench.0.sense.frames_in")
         .expect("sense stage registered");
-    assert!(steps_recorded >= (STEPS * (iters + 1)) as u64);
+    assert!(steps_recorded >= (STEPS * (pairs + 1)) as u64);
 
-    let json = format!(
-        "{{\n  \"bench\": \"obs\",\n  \"quick\": {},\n  \
-         \"channels\": 1024,\n  \"stages\": 5,\n  \"steps\": {STEPS},\n  \
-         \"bare_ns_per_run\": {bare_ns:.0},\n  \
-         \"instrumented_ns_per_run\": {instrumented_ns:.0},\n  \
-         \"overhead\": {overhead:.4},\n  \"max_overhead\": {MAX_OVERHEAD}\n}}\n",
-        quick(),
+    let mut report = Report::new("obs");
+    report.push(t.row("instrumented_vs_bare").with("steps", STEPS as f64));
+    report.write(env!("CARGO_TARGET_TMPDIR"));
+    assert!(
+        t.ratio_p50 <= MAX_OVERHEAD,
+        "instrumentation must cost at most {:.0}% on the warm 1024-channel chain, \
+         got {:.3}x (per-pair median)",
+        (MAX_OVERHEAD - 1.0) * 100.0,
+        t.ratio_p50,
     );
-    write_artifact("obs", &json);
 }
-
-criterion_group!(benches, bench_obs, report_obs_acceptance);
-criterion_main!(benches);

@@ -5,20 +5,17 @@
 //! `forward_batch` call per step — a fresh workspace and fresh output
 //! vectors every call).
 //!
-//! `report_pipeline_acceptance` is the acceptance gate for the
-//! streaming rewire: on the same workload (STREAMS × STEPS frames
-//! through the same seeded MLP), steady-state streaming throughput must
-//! be at least the batched path's. The two paths are timed in
-//! interleaved pairs so frequency drift cancels out of the medians,
-//! which land in `results/bench/BENCH_pipeline.json`. Set
-//! `MINDFUL_BENCH_QUICK=1` (as CI does) to shrink iteration counts.
+//! The gate: on the same workload (STREAMS × STEPS frames through the
+//! same seeded MLP), steady-state streaming must be at least as fast as
+//! the batched path — the median per-pair ratio batched ÷ streaming is
+//! at least 1. Set `MINDFUL_BENCH_QUICK=1` (as CI does) to shrink the
+//! pair count.
 
 use std::hint::black_box;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mindful_bench::{paired_median_ns, write_artifact};
+use mindful_bench::{compare, Report};
 use mindful_core::pool::{default_threads, Scheduler};
 use mindful_dnn::infer::Network;
 use mindful_dnn::models::{ModelFamily, BASE_CHANNELS};
@@ -107,30 +104,8 @@ fn batches(replay: &[Vec<f32>]) -> Vec<Vec<Vec<f32>>> {
         .collect()
 }
 
-fn bench_pipeline(c: &mut Criterion) {
-    let net = Arc::new(network());
-    let replay = frames(net.architecture().input_values() as usize);
-    let step_batches = batches(&replay);
-    let scheduler = serving();
-    let mut fleet = Fleet::new(&scheduler, FleetConfig::default());
-    let ids = build_streams(&mut fleet, &net, &replay);
-    black_box(run_streaming(&mut fleet, &ids));
-    let mut group = c.benchmark_group("pipeline");
-    group.sample_size(10);
-    group.bench_function("streaming_mlp128x4x32", |b| {
-        b.iter(|| black_box(run_streaming(&mut fleet, &ids)))
-    });
-    group.bench_function("batched_mlp128x4x32", |b| {
-        b.iter(|| black_box(run_batched(&net, &step_batches)))
-    });
-    group.finish();
-}
-
-/// One-shot acceptance measurement: steady-state streaming throughput
-/// on the rewired realtime workload must be at least the batched
-/// path's.
-fn report_pipeline_acceptance(_c: &mut Criterion) {
-    let iters = if quick() { 15 } else { 41 };
+fn main() {
+    let pairs = if quick() { 15 } else { 41 };
     let net = Arc::new(network());
     let replay = frames(net.architecture().input_values() as usize);
     let step_batches = batches(&replay);
@@ -143,41 +118,27 @@ fn report_pipeline_acceptance(_c: &mut Criterion) {
     assert_eq!(run_streaming(&mut fleet, &ids), total_frames);
     assert_eq!(run_batched(&net, &step_batches), total_frames);
 
-    let (streaming_ns, batched_ns) = paired_median_ns(
-        iters,
+    let t = compare(
+        pairs,
+        1,
         || {
             black_box(run_streaming(&mut fleet, &ids));
         },
-        || {
+        Some(|| {
             black_box(run_batched(&net, &step_batches));
-        },
+        }),
     );
-    let speedup = batched_ns / streaming_ns;
     let threads = scheduler.workers();
-    println!(
-        "pipeline/mlp128x{STREAMS}x{STEPS} streaming {:.2} ms vs batched {:.2} ms \
-         ({speedup:.2}x on {threads} threads)",
-        streaming_ns / 1e6,
-        batched_ns / 1e6,
+    let mut report = Report::new("pipeline");
+    report.push(
+        t.row("batched_vs_streaming")
+            .with("threads", threads.get() as f64),
     );
+    report.write(env!("CARGO_TARGET_TMPDIR"));
     assert!(
-        speedup >= 1.0,
+        t.ratio_p50 >= 1.0,
         "steady-state streaming must be at least the batched path on the same workload, \
-         got {speedup:.2}x ({streaming_ns:.0} ns vs {batched_ns:.0} ns)"
+         got {:.2}x (per-pair median) on {threads} threads",
+        t.ratio_p50,
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"pipeline\",\n  \"quick\": {},\n  \
-         \"model\": \"mlp\",\n  \"channels\": {BASE_CHANNELS},\n  \
-         \"streams\": {STREAMS},\n  \"steps\": {STEPS},\n  \"threads\": {},\n  \
-         \"streaming_ns_per_run\": {streaming_ns:.0},\n  \
-         \"batched_ns_per_run\": {batched_ns:.0},\n  \
-         \"speedup\": {speedup:.3}\n}}\n",
-        quick(),
-        threads.get(),
-    );
-    write_artifact("pipeline", &json);
 }
-
-criterion_group!(benches, bench_pipeline, report_pipeline_acceptance);
-criterion_main!(benches);

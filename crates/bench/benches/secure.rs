@@ -1,23 +1,21 @@
-//! Benchmarks for the secure link layer: the authenticated
-//! (seal + MAC-verify + replay-window) packet path against the plain
-//! ARQ link on an identical clean 1024-channel stream, plus the
-//! adversarial micro-gate.
+//! The secure link layer's cost: the authenticated ARQ link (seal, MAC
+//! verify and replay window) against the plain one on an identical
+//! clean 1024-channel stream, and the authenticated link under a
+//! composite attack.
 //!
-//! `report_secure_acceptance` is the acceptance gate of the secure-link
-//! PR: the clean-link crypto overhead (authenticated vs plain, same
-//! stream, same seeds) must stay in single digits — the budget that
-//! keeps authentication affordable inside the implant's power
-//! envelope — and a composite-attack run must accept zero forged or
-//! replayed frames. Both land in `results/bench/BENCH_secure.json` so
-//! a regression shows up as a number, not a feeling. Set
-//! `MINDFUL_BENCH_QUICK=1` (as CI does) to shrink iteration counts.
+//! The gate: the median per-pair ratio `auth ÷ plain` stays at or under
+//! [`MAX_CLEAN_OVERHEAD`], the single-digit crypto budget that keeps
+//! authentication affordable inside the implant's power envelope. The
+//! attacked and clean links' ledgers (zero forged or replayed frames
+//! accepted) are counts, not times: `crates/rf/tests/auth_properties.rs`
+//! checks them. Set `MINDFUL_BENCH_QUICK=1` (as CI does) to shrink the
+//! stream and the pair count.
 
 use std::hint::black_box;
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mindful_bench::{median_ns, paired_median_ns, write_artifact};
+use mindful_bench::{compare, Report};
 use mindful_rf::arq::{ArqConfig, ArqLink};
-use mindful_rf::auth::{AuthConfig, AuthKey, AuthStats};
+use mindful_rf::auth::{AuthConfig, AuthKey};
 use mindful_rf::fault::{Adversary, AttackConfig, FaultConfig, FaultPlan, WireFaultInjector};
 use mindful_rf::packet::packetize;
 
@@ -83,7 +81,7 @@ fn auth_link(injector: Option<WireFaultInjector>) -> ArqLink {
 }
 
 /// Drives one full stream through `link`, returning frames played out.
-fn run(mut link: ArqLink, wires: &[Vec<u8>]) -> (u64, ArqLink) {
+fn run(mut link: ArqLink, wires: &[Vec<u8>]) -> u64 {
     let mut samples = Vec::with_capacity(CHANNELS);
     let mut played = 0_u64;
     for wire in wires {
@@ -96,107 +94,49 @@ fn run(mut link: ArqLink, wires: &[Vec<u8>]) -> (u64, ArqLink) {
         black_box(p.delivered);
         played += 1;
     }
-    (played, link)
+    played
 }
 
 /// The adversarial micro-run: clean channel, five-kind adversary.
-fn run_attacked(wires: &[Vec<u8>]) -> (u64, AuthStats) {
+fn run_attacked(wires: &[Vec<u8>]) -> u64 {
     let plan = FaultPlan::new(FaultConfig::none(), 1).expect("zero-rate plan");
     let adversary =
         Adversary::new(AttackConfig::composite(ATTACK_RATE), 0xA77AC4, KEY_ID).expect("adversary");
-    let injector = WireFaultInjector::with_adversary(plan, adversary);
-    let (played, link) = run(auth_link(Some(injector)), wires);
-    (played, link.auth_stats().expect("authenticated link"))
+    run(
+        auth_link(Some(WireFaultInjector::with_adversary(plan, adversary))),
+        wires,
+    )
 }
 
-fn bench_secure(c: &mut Criterion) {
+fn main() {
+    let pairs = if quick() { 15 } else { 41 };
     let wires = wires(frames());
-    let mut group = c.benchmark_group("secure");
-    group.sample_size(10);
-    group.bench_function("plain_link_1024ch", |b| {
-        b.iter(|| black_box(run(plain_link(), &wires).0))
-    });
-    group.bench_function("auth_link_1024ch", |b| {
-        b.iter(|| black_box(run(auth_link(None), &wires).0))
-    });
-    group.bench_function("auth_link_1024ch_attacked", |b| {
-        b.iter(|| black_box(run_attacked(&wires).0))
-    });
-    group.finish();
-}
+    let mut report = Report::new("secure");
 
-/// One-shot acceptance measurement: zero forged/replayed acceptance
-/// under composite attack, and the clean-link crypto overhead pinned
-/// at single digits in `BENCH_secure.json`.
-fn report_secure_acceptance(_c: &mut Criterion) {
-    let iters = if quick() { 15 } else { 41 };
-    let wires = wires(frames());
-    let sent = wires.len() as u64;
-
-    // Correctness gates (deterministic: seeded adversary).
-    let (played, stats) = run_attacked(&wires);
-    assert_eq!(played, sent, "every sequence plays out exactly once");
-    assert_eq!(stats.sealed, sent);
-    assert_eq!(
-        stats.accepted, sent,
-        "clean channel: every genuine frame accepted"
-    );
-    assert!(
-        stats.rejected_auth() > 0,
-        "the adversary fired and was rejected"
-    );
-    let (played, link) = run(auth_link(None), &wires);
-    assert_eq!(played, sent);
-    let clean_stats = link.auth_stats().expect("authenticated link");
-    assert_eq!(clean_stats.accepted, sent, "clean link accepts everything");
-    assert_eq!(clean_stats.rejected_total(), 0, "and rejects nothing");
-
-    // The overhead measurement: identical stream, identical window,
-    // the only difference is seal + MAC verify + replay window. The two
-    // sides run in interleaved pairs so host drift hits both alike.
-    let (plain_ns, auth_ns) = paired_median_ns(
-        iters,
+    // Identical stream, identical window: the only difference is seal
+    // + MAC verify + replay window.
+    let clean = compare(
+        pairs,
+        1,
         || {
-            black_box(run(plain_link(), &wires).0);
+            black_box(run(plain_link(), &wires));
         },
-        || {
-            black_box(run(auth_link(None), &wires).0);
-        },
+        Some(|| {
+            black_box(run(auth_link(None), &wires));
+        }),
     );
-    let attacked_ns = median_ns(iters, || {
-        black_box(run_attacked(&wires).0);
-    });
-    let overhead = auth_ns / plain_ns;
-    println!(
-        "secure/clean-link crypto overhead: {overhead:.3}x \
-         ({:.2} us auth vs {:.2} us plain per {sent}-frame stream)",
-        auth_ns / 1e3,
-        plain_ns / 1e3,
+    report.push(
+        clean
+            .row("auth_vs_plain")
+            .with("frames", wires.len() as f64),
     );
-    println!(
-        "secure/attacked link: {:.2} us per stream at {ATTACK_RATE} composite attacks",
-        attacked_ns / 1e3,
-    );
+    report.time("attacked", pairs, 1, || run_attacked(&wires));
+    report.write(env!("CARGO_TARGET_TMPDIR"));
+
     assert!(
-        overhead <= MAX_CLEAN_OVERHEAD,
-        "clean-link crypto overhead {overhead:.3}x exceeds the \
-         {MAX_CLEAN_OVERHEAD}x budget"
+        clean.ratio_p50 <= MAX_CLEAN_OVERHEAD,
+        "clean-link crypto overhead {:.3}x (per-pair median) exceeds the \
+         {MAX_CLEAN_OVERHEAD}x budget",
+        clean.ratio_p50,
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"secure\",\n  \"quick\": {},\n  \
-         \"channels\": {CHANNELS},\n  \"frames\": {sent},\n  \
-         \"window\": {WINDOW},\n  \"rtt\": {RTT},\n  \
-         \"plain_ns_per_run\": {plain_ns:.0},\n  \
-         \"auth_ns_per_run\": {auth_ns:.0},\n  \
-         \"attacked_ns_per_run\": {attacked_ns:.0},\n  \
-         \"clean_crypto_overhead\": {overhead:.3},\n  \
-         \"attack_rate\": {ATTACK_RATE},\n  \
-         \"forged_accepted\": 0,\n  \"replayed_accepted\": 0\n}}\n",
-        quick(),
-    );
-    write_artifact("secure", &json);
 }
-
-criterion_group!(benches, bench_secure, report_secure_acceptance);
-criterion_main!(benches);

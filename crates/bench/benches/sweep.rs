@@ -1,12 +1,12 @@
 //! Benchmarks for the design-space sweep engine: skyline vs. naive
-//! Pareto extraction, and serial vs. parallel grid evaluation.
+//! Pareto extraction (gated at 10x on 100k candidates), and serial vs.
+//! parallel grid evaluation and fan-out. Set `MINDFUL_BENCH_QUICK=1` to
+//! shrink the pair counts.
 
 use std::num::NonZeroUsize;
-use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use mindful_bench::{compare, Report};
 use mindful_core::explore::{pareto_frontier, pareto_frontier_naive, CandidatePoint};
-use mindful_core::obs::clock;
 use mindful_core::pool::Scheduler;
 use mindful_core::soc::wireless_socs;
 use mindful_core::sweep::SweepGrid;
@@ -47,83 +47,79 @@ fn explore_grid() -> SweepGrid {
         .expect("static axes are valid")
 }
 
-fn bench_pareto(c: &mut Criterion) {
+fn main() {
+    let pairs = if mindful_core::env::bench_quick() {
+        5
+    } else {
+        21
+    };
+    let mut report = Report::new("sweep");
+
+    // Skyline vs. the all-pairs oracle. The gate: on 100k candidates
+    // the skyline agrees with the oracle and the median per-pair ratio
+    // naive ÷ skyline is at least 10.
     let small = random_candidates(10_000, 42);
-    let large = random_candidates(100_000, 42);
-    let mut group = c.benchmark_group("pareto");
-    group.sample_size(10);
-    group.bench_function("skyline_10k", |b| {
-        b.iter(|| black_box(pareto_frontier(black_box(&small))))
-    });
-    group.bench_function("skyline_100k", |b| {
-        b.iter(|| black_box(pareto_frontier(black_box(&large))))
-    });
-    group.sample_size(2);
-    group.bench_function("naive_10k", |b| {
-        b.iter(|| black_box(pareto_frontier_naive(black_box(&small))))
-    });
-    group.finish();
-}
-
-/// One-shot acceptance measurement on 100k random candidates: the
-/// skyline must agree with the oracle and beat it by at least 10x.
-fn report_frontier_speedup(_c: &mut Criterion) {
     let large = random_candidates(100_000, 7);
-    let start = clock::now_ns();
-    let fast = pareto_frontier(black_box(&large));
-    let skyline = Duration::from_nanos(clock::since_ns(start));
-    let start = clock::now_ns();
-    let slow = pareto_frontier_naive(black_box(&large));
-    let naive = Duration::from_nanos(clock::since_ns(start));
-    assert_eq!(fast, slow, "skyline must match the naive oracle");
-    let speedup = naive.as_secs_f64() / skyline.as_secs_f64();
-    println!("pareto/speedup_100k   skyline {skyline:?} vs naive {naive:?} ({speedup:.0}x)",);
-    assert!(
-        speedup >= 10.0,
-        "skyline must be at least 10x faster on 100k candidates, got {speedup:.1}x"
+    assert_eq!(
+        pareto_frontier(&large),
+        pareto_frontier_naive(&large),
+        "skyline must match the naive oracle"
     );
-}
+    let mut frontier = |name: &str, points: &[CandidatePoint], pairs: usize| {
+        let t = compare(
+            pairs,
+            1,
+            || {
+                black_box(pareto_frontier(black_box(points)));
+            },
+            Some(|| {
+                black_box(pareto_frontier_naive(black_box(points)));
+            }),
+        );
+        report.push(t.row(name));
+        t
+    };
+    frontier("naive_vs_skyline_10k", &small, pairs);
+    let speedup = frontier("naive_vs_skyline_100k", &large, 3).ratio_p50;
 
-fn bench_sweep(c: &mut Criterion) {
     let grid = explore_grid();
     let serial = Scheduler::new(NonZeroUsize::MIN);
     let eight = Scheduler::new(NonZeroUsize::new(8).unwrap());
-    let mut group = c.benchmark_group("sweep");
-    group.sample_size(20);
-    group.bench_function("evaluate_serial", |b| {
-        b.iter(|| black_box(grid.evaluate_on(&serial).unwrap()))
+    let evaluate = compare(
+        pairs,
+        1,
+        || {
+            black_box(grid.evaluate_on(&eight).unwrap());
+        },
+        Some(|| {
+            black_box(grid.evaluate_on(&serial).unwrap());
+        }),
+    );
+    report.push(evaluate.row("serial_vs_8_threads_evaluate"));
+    let result = grid.evaluate_on(&serial).unwrap();
+    report.time("feasible_frontier", pairs, 1, || {
+        result.feasible_frontier().unwrap()
     });
-    group.bench_function("evaluate_8_threads", |b| {
-        b.iter(|| black_box(grid.evaluate_on(&eight).unwrap()))
-    });
-    group.bench_function("feasible_frontier", |b| {
-        let result = grid.evaluate_on(&serial).unwrap();
-        b.iter(|| black_box(result.feasible_frontier().unwrap()))
-    });
-    group.finish();
-}
 
-fn bench_map_init(c: &mut Criterion) {
     let items: Vec<u64> = (0..4096).collect();
     let spin =
         |(): &mut (), _, &x: &u64| (0..256).fold(x, |acc, k| acc.wrapping_mul(31).wrapping_add(k));
-    let mut group = c.benchmark_group("map_init");
-    group.bench_function("spin_serial", |b| {
-        let serial = Scheduler::new(NonZeroUsize::MIN);
-        b.iter(|| black_box(serial.map_init(&items, || (), spin)))
-    });
-    group.bench_function("spin_8_threads", |b| {
-        let eight = Scheduler::new(NonZeroUsize::new(8).unwrap());
-        b.iter(|| black_box(eight.map_init(&items, || (), spin)))
-    });
-    group.finish();
-}
+    let map_init = compare(
+        pairs,
+        1,
+        || {
+            black_box(eight.map_init(&items, || (), spin));
+        },
+        Some(|| {
+            black_box(serial.map_init(&items, || (), spin));
+        }),
+    );
+    report.push(map_init.row("serial_vs_8_threads_map_init"));
+    report.write(env!("CARGO_TARGET_TMPDIR"));
 
-criterion_group!(
-    benches,
-    bench_pareto,
-    report_frontier_speedup,
-    bench_sweep,
-    bench_map_init
-);
-criterion_main!(benches);
+    assert!(
+        speedup >= 10.0,
+        "skyline must be at least 10x faster on 100k candidates, got {speedup:.1}x \
+         (per-pair median)"
+    );
+}

@@ -56,9 +56,10 @@ pub const SOAK_QUICK_ENV: &str = "MINDFUL_SOAK_QUICK";
 
 /// Whether benchmarks should run in quick (CI) mode.
 ///
-/// The one shared reader of [`BENCH_QUICK_ENV`]: every bench
-/// (`serve`, `infer`, `pipeline`, `fault`, `obs`, `secure`) calls this
-/// instead of parsing the variable itself, so they all accept and
+/// The one shared reader of [`BENCH_QUICK_ENV`]: every `mindful-bench`
+/// bench (`figures`, `substrates`, `sweep`, `infer`, `pipeline`,
+/// `fault`, `obs`, `secure`, `serve`) and the artifact's host stamp
+/// call this instead of parsing the variable itself, so they all accept and
 /// reject exactly the [`parse_flag`] spellings. Defaults to `false`
 /// (full-length runs) when unset or unparsable.
 #[must_use]

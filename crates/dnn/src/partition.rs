@@ -54,13 +54,6 @@ impl PartitionedPoint {
         self.total_layers
     }
 
-    /// Whether the whole network stayed on the implant (no split found
-    /// earlier than the final layer).
-    #[must_use]
-    pub fn is_unpartitioned(&self) -> bool {
-        self.keep_layers == self.total_layers
-    }
-
     /// Wireless rate of the transmitted (intermediate or final)
     /// activations.
     #[must_use]

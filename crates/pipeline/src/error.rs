@@ -10,7 +10,7 @@ use crate::frame::FrameKind;
 pub enum PipelineError {
     /// A signal-substrate error from a sensing stage.
     Signal(mindful_signal::SignalError),
-    /// A decoder error from a spike/bin/Kalman/Wiener stage.
+    /// A decoder error from a spike/bin/Kalman stage.
     Decode(mindful_decode::DecodeError),
     /// A DNN error from an inference stage.
     Dnn(mindful_dnn::DnnError),

@@ -59,7 +59,7 @@ pub use serve::{
 pub use stage::{Pipeline, Stage, StageTelemetry};
 pub use stages::{
     BinStage, DnnStage, IntentSchedule, KalmanStage, PacketizeStage, ReplaySource, SenseStage,
-    SpikeStage, WienerStage,
+    SpikeStage,
 };
 
 /// Convenient glob-import of the most used items.
@@ -69,7 +69,7 @@ pub mod prelude {
     pub use crate::serve::{Fleet, FleetConfig, PriorityClass, SessionId, SessionSpec, ShedPoint};
     pub use crate::stages::{
         BinStage, DnnStage, IntentSchedule, KalmanStage, PacketizeStage, ReplaySource, SenseStage,
-        SpikeStage, WienerStage,
+        SpikeStage,
     };
     pub use crate::{
         Frame, FrameBuf, FrameKind, Pipeline, PipelineError, Precision, Result, Stage, StageOutput,

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use mindful_decode::binning::BinAccumulator;
 use mindful_decode::kalman::KalmanDecoder;
 use mindful_decode::spike::SpikeDetector;
-use mindful_decode::wiener::WienerDecoder;
 use mindful_dnn::infer::{Network, Workspace};
 use mindful_dnn::quant::{Precision, QuantizedNetwork};
 use mindful_rf::packet::packetize_into;
@@ -255,52 +254,6 @@ impl Stage for KalmanStage {
                 })
             }
         };
-        let buf = out.begin_values();
-        buf.push(state.x);
-        buf.push(state.y);
-        Ok(StageOutput::Emitted)
-    }
-}
-
-/// Streaming Wiener decoding of binned counts into a 2-D intent.
-pub struct WienerStage {
-    decoder: WienerDecoder,
-    /// Counts-to-f64 conversion scratch.
-    scratch: Vec<f64>,
-}
-
-impl WienerStage {
-    /// Wraps a calibrated decoder.
-    #[must_use]
-    pub fn new(decoder: WienerDecoder) -> Self {
-        Self {
-            decoder,
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl Stage for WienerStage {
-    fn name(&self) -> &'static str {
-        "wiener"
-    }
-
-    fn process(&mut self, input: &Frame<'_>, out: &mut FrameBuf) -> Result<StageOutput> {
-        let frame: &[f64] = match input {
-            Frame::Counts(counts) => {
-                self.scratch.clear();
-                self.scratch.extend(counts.iter().map(|&c| f64::from(c)));
-                &self.scratch
-            }
-            Frame::Values(values) => values,
-            other => {
-                return Err(PipelineError::UnexpectedFrame {
-                    stage: "wiener",
-                    actual: other.kind(),
-                })
-            }
-        };
-        let state = self.decoder.step(frame)?;
         let buf = out.begin_values();
         buf.push(state.x);
         buf.push(state.y);

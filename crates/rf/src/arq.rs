@@ -615,12 +615,6 @@ impl ArqLink {
         })
     }
 
-    /// Frames transmitted so far.
-    #[must_use]
-    pub fn frames_sent(&self) -> u64 {
-        self.sent
-    }
-
     /// Frames still buffered at the receiver.
     #[must_use]
     pub fn buffered(&self) -> usize {

@@ -51,12 +51,6 @@ impl QamOperatingPoint {
         self.bits_per_symbol
     }
 
-    /// The raw data rate the link must carry.
-    #[must_use]
-    pub fn data_rate(&self) -> DataRate {
-        self.rate
-    }
-
     /// Transmit energy per bit of an ideal (η = 1) implementation.
     #[must_use]
     pub fn ideal_energy_per_bit(&self) -> Energy {

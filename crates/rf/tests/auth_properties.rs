@@ -15,9 +15,11 @@
 //! sequence wrap (the fixtures reuse the ARQ property suite's
 //! deterministic per-sequence payloads).
 
+use mindful_rf::arq::{ArqConfig, ArqLink};
 use mindful_rf::auth::{
     AuthConfig, AuthKey, AuthReceiver, AuthSender, ReplayVerdict, ReplayWindow, AUTH_OVERHEAD_BYTES,
 };
+use mindful_rf::fault::{Adversary, AttackConfig, FaultConfig, FaultPlan, WireFaultInjector};
 use mindful_rf::packet::packetize;
 use proptest::prelude::*;
 
@@ -243,4 +245,58 @@ proptest! {
         prop_assert_eq!(sealed.len(), inner.len() + AUTH_OVERHEAD_BYTES);
         prop_assert_eq!(rx.open(&sealed).unwrap(), inner.as_slice());
     }
+}
+
+/// Drives `frames` 1024-channel frames through a selective-repeat
+/// authenticated link (window 16, RTT 2, the secure bench's key) and
+/// returns the frames played out and the link.
+fn run_secure_link(injector: Option<WireFaultInjector>, frames: u16) -> (u64, ArqLink) {
+    let config = AuthConfig::new(AuthKey::from_seed(0x5EC0_BE0C, 9));
+    let mut link =
+        ArqLink::with_auth(ArqConfig::selective_repeat(16), injector, 2, &config).unwrap();
+    let mut samples = Vec::new();
+    let mut played = 0_u64;
+    for seq in 0..frames {
+        if link
+            .step_into(&inner_wire(seq, 1024), &mut samples)
+            .unwrap()
+            .is_some()
+        {
+            played += 1;
+        }
+    }
+    while link.finish_into(&mut samples).is_some() {
+        played += 1;
+    }
+    (played, link)
+}
+
+/// The secure bench's ledgers, as counts: over a clean channel a 25%
+/// composite adversary gets no forged or replayed frame accepted on a
+/// 384-frame stream, and the same link without it accepts everything
+/// and rejects nothing.
+#[test]
+fn attacked_and_clean_links_keep_exact_auth_ledgers() {
+    let sent = 384_u64;
+    let plan = FaultPlan::new(FaultConfig::none(), 1).unwrap();
+    let adversary = Adversary::new(AttackConfig::composite(0.25), 0xA77AC4, 9).unwrap();
+    let injector = WireFaultInjector::with_adversary(plan, adversary);
+    let (played, link) = run_secure_link(Some(injector), sent as u16);
+    let stats = link.auth_stats().expect("authenticated link");
+    assert_eq!(played, sent, "every sequence plays out exactly once");
+    assert_eq!(stats.sealed, sent);
+    assert_eq!(
+        stats.accepted, sent,
+        "clean channel: every genuine frame accepted"
+    );
+    assert!(
+        stats.rejected_auth() > 0,
+        "the adversary fired and was rejected"
+    );
+
+    let (played, link) = run_secure_link(None, sent as u16);
+    assert_eq!(played, sent);
+    let clean_stats = link.auth_stats().expect("authenticated link");
+    assert_eq!(clean_stats.accepted, sent, "clean link accepts everything");
+    assert_eq!(clean_stats.rejected_total(), 0, "and rejects nothing");
 }
