@@ -58,12 +58,6 @@ impl Allocation {
         self.mode
     }
 
-    /// The technology node used.
-    #[must_use]
-    pub fn node(&self) -> TechnologyNode {
-        self.node
-    }
-
     /// MAC units assigned per layer. In non-pipelined mode every entry is
     /// the shared pool size.
     #[must_use]

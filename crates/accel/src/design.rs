@@ -64,12 +64,6 @@ impl AcceleratorDesign {
         Self::new(node, mac_hw, workload.seq(), workload.ops())
     }
 
-    /// The technology node.
-    #[must_use]
-    pub fn node(&self) -> TechnologyNode {
-        self.node
-    }
-
     /// Number of PEs (`MAChw`).
     #[must_use]
     pub fn mac_hw(&self) -> u64 {
@@ -91,7 +85,7 @@ impl AcceleratorDesign {
     /// Power of one PE: MAC + ReLU + PE FSM + weight ROM of `MACseq`
     /// words.
     #[must_use]
-    pub fn pe_power(&self) -> Power {
+    pub(crate) fn pe_power(&self) -> Power {
         self.node.mac_power()
             + self.node.relu_power()
             + self.node.pe_fsm_power()
@@ -106,14 +100,14 @@ impl AcceleratorDesign {
 
     /// Width of each staging buffer in 8-bit registers.
     #[must_use]
-    pub fn staging_width(&self) -> u64 {
+    pub(crate) fn staging_width(&self) -> u64 {
         self.mac_hw.max(MIN_STAGING_WIDTH)
     }
 
     /// Power of everything outside the PEs: dataflow FSM, clock spine,
     /// and input/output staging registers.
     #[must_use]
-    pub fn wrapper_power(&self) -> Power {
+    pub(crate) fn wrapper_power(&self) -> Power {
         let staging = self.node.register_power() * (2 * self.staging_width()) as f64;
         let dataflow = self.node.dataflow_per_pe_power() * self.mac_hw as f64;
         self.node.layer_base_power() + staging + dataflow
@@ -163,7 +157,7 @@ impl fmt::Display for AcceleratorDesign {
 
 /// The twelve design points of the Fig. 9 synthesis study
 /// (`(MACseq, MAChw, #MACop)` per row, 130 nm, 100 MHz, 8-bit).
-pub const FIG9_CONFIGS: [(u64, u64, u64); 12] = [
+pub(crate) const FIG9_CONFIGS: [(u64, u64, u64); 12] = [
     (256, 4, 4),
     (256, 4, 8),
     (256, 4, 16),

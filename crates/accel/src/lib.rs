@@ -38,10 +38,10 @@ pub use error::{AccelError, Result};
 /// Convenient glob-import of the most used items.
 pub mod prelude {
     pub use crate::alloc::{
-        allocate_non_pipelined, allocate_pipelined, best_allocation, Allocation, ExecutionMode,
+        allocate_non_pipelined, allocate_pipelined, best_allocation, Allocation,
     };
-    pub use crate::design::{fig9_design_points, AcceleratorDesign, FIG9_CONFIGS};
-    pub use crate::sim::{simulate_dense, DenseLayer, SimOutcome};
+    pub use crate::design::{fig9_design_points, AcceleratorDesign};
+    pub use crate::sim::{simulate_dense, DenseLayer};
     pub use crate::tech::TechnologyNode;
     pub use crate::workload::{MacWorkload, NetworkWorkload};
     pub use crate::{AccelError, Result};

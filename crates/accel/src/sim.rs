@@ -69,18 +69,6 @@ impl DenseLayer {
         })
     }
 
-    /// Input width.
-    #[must_use]
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
-    /// Output width.
-    #[must_use]
-    pub fn outputs(&self) -> usize {
-        self.outputs
-    }
-
     /// The layer's MAC workload (`#MACop = outputs`, `MACseq = inputs`).
     ///
     /// # Errors
@@ -132,7 +120,7 @@ pub struct SimOutcome {
     pub macs_issued: u64,
     /// Dynamic energy consumed by issued MAC steps at the node's per-step
     /// energy (`P_MAC · t_MAC`).
-    pub energy: Energy,
+    pub(crate) energy: Energy,
 }
 
 /// Simulates a dense layer on a PE array of `mac_hw` units, cycle by

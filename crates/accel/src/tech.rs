@@ -100,12 +100,6 @@ impl TechnologyNode {
         self.name
     }
 
-    /// Feature size in nanometres.
-    #[must_use]
-    pub fn feature_nm(&self) -> f64 {
-        self.feature_nm
-    }
-
     /// Latency of one multiply-accumulate step (`t_MAC`).
     #[must_use]
     pub fn mac_latency(&self) -> TimeSpan {
@@ -123,13 +117,13 @@ impl TechnologyNode {
     /// Calibration: 5 % of a MAC — a comparator and mux against an adder
     /// and an 8×8 multiplier.
     #[must_use]
-    pub fn relu_power(&self) -> Power {
+    pub(crate) fn relu_power(&self) -> Power {
         self.mac_power * 0.05
     }
 
     /// Power of the small per-PE control FSM.
     #[must_use]
-    pub fn pe_fsm_power(&self) -> Power {
+    pub(crate) fn pe_fsm_power(&self) -> Power {
         self.mac_power * 0.05
     }
 
@@ -138,7 +132,7 @@ impl TechnologyNode {
     /// Calibration: 2·10⁻⁴ of a MAC per word — ROMs are dense and mostly
     /// idle; a 256-word ROM costs ~5 % of its PE's MAC.
     #[must_use]
-    pub fn rom_word_power(&self) -> Power {
+    pub(crate) fn rom_word_power(&self) -> Power {
         self.mac_power * 2.0e-4
     }
 
@@ -146,7 +140,7 @@ impl TechnologyNode {
     ///
     /// Calibration: 2 % of a MAC per byte-register.
     #[must_use]
-    pub fn register_power(&self) -> Power {
+    pub(crate) fn register_power(&self) -> Power {
         self.mac_power * 0.02
     }
 
@@ -155,13 +149,13 @@ impl TechnologyNode {
     /// Calibration: 12× a MAC — this constant floor is what keeps the PE
     /// share near 25 % in the small Fig. 9 designs.
     #[must_use]
-    pub fn layer_base_power(&self) -> Power {
+    pub(crate) fn layer_base_power(&self) -> Power {
         self.mac_power * 12.0
     }
 
     /// Incremental dataflow-FSM power per controlled PE.
     #[must_use]
-    pub fn dataflow_per_pe_power(&self) -> Power {
+    pub(crate) fn dataflow_per_pe_power(&self) -> Power {
         self.mac_power * 0.02
     }
 
@@ -173,7 +167,7 @@ impl TechnologyNode {
     /// area it reuses (the paper's analysis is power-first; this check
     /// confirms area is indeed the slack dimension).
     #[must_use]
-    pub fn mac_area(&self) -> mindful_core::units::Area {
+    pub(crate) fn mac_area(&self) -> mindful_core::units::Area {
         let scale = self.feature_nm / 45.0;
         mindful_core::units::Area::from_square_micrometers(800.0 * scale * scale)
     }
@@ -219,7 +213,6 @@ mod tests {
         for pair in nodes.windows(2) {
             assert!(pair[1].mac_power() < pair[0].mac_power());
             assert!(pair[1].mac_latency() < pair[0].mac_latency());
-            assert!(pair[1].feature_nm() < pair[0].feature_nm());
         }
     }
 

@@ -89,7 +89,7 @@ impl MacWorkload {
     /// Digitized output values this layer produces (`n_out` for the last
     /// layer; intermediate activation counts for partitioning).
     #[must_use]
-    pub fn outputs(&self) -> u64 {
+    pub(crate) fn outputs(&self) -> u64 {
         self.outputs
     }
 
@@ -97,13 +97,6 @@ impl MacWorkload {
     #[must_use]
     pub fn total_macs(&self) -> u64 {
         self.ops.saturating_mul(self.seq)
-    }
-
-    /// ROM words needed if every PE stores the weights of the sequences
-    /// it executes: one word per MAC step it can be assigned.
-    #[must_use]
-    pub fn weights(&self) -> u64 {
-        self.total_macs()
     }
 }
 

@@ -38,20 +38,20 @@ use mindful_core::obs::clock;
 #[derive(Debug, Clone, Copy)]
 pub struct Timing {
     /// Samples taken of each side.
-    pub pairs: usize,
+    pub(crate) pairs: usize,
     /// Calls of each side per sample.
-    pub reps: usize,
+    pub(crate) reps: usize,
     /// Median wall time of one call of `a`, in nanoseconds.
     pub a_ns: f64,
     /// Median wall time of one call of `b`, in nanoseconds.
-    pub b_ns: f64,
+    pub(crate) b_ns: f64,
     /// 10th percentile of the per-pair ratio `b ÷ a`.
-    pub ratio_p10: f64,
+    pub(crate) ratio_p10: f64,
     /// Median of the per-pair ratio `b ÷ a`: the statistic every gate
     /// asserts on.
     pub ratio_p50: f64,
     /// 90th percentile of the per-pair ratio `b ÷ a`.
-    pub ratio_p90: f64,
+    pub(crate) ratio_p90: f64,
 }
 
 impl Timing {

@@ -63,13 +63,6 @@ impl Dataflow {
             } => computation_centric_rate(outputs, sample_bits, output_rate),
         }
     }
-
-    /// Whether this dataflow performs application computation on the
-    /// implant.
-    #[must_use]
-    pub fn computes_on_implant(&self) -> bool {
-        matches!(self, Self::ComputationCentric { .. })
-    }
 }
 
 impl fmt::Display for Dataflow {
@@ -92,7 +85,6 @@ mod tests {
         let rate =
             Dataflow::CommunicationCentric.required_rate(1024, 10, Frequency::from_kilohertz(8.0));
         assert!((rate.megabits_per_second() - 81.92).abs() < 1e-9);
-        assert!(!Dataflow::CommunicationCentric.computes_on_implant());
     }
 
     #[test]
@@ -105,8 +97,7 @@ mod tests {
         let a = flow.required_rate(1024, 10, f);
         let b = flow.required_rate(8192, 10, f);
         assert_eq!(a, b);
-        assert!((a.kilobits_per_second() - 20.0).abs() < 1e-9);
-        assert!(flow.computes_on_implant());
+        assert!((a.bits_per_second() - 20_000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -4,12 +4,11 @@
 //! `MINDFUL_BENCH_QUICK`, `MINDFUL_SIMD`, …) goes through one parser so
 //! they all accept the same spellings and — crucially — all *reject*
 //! garbage the same way: an unparsable value defers to the knob's
-//! built-in default instead of being silently (mis)interpreted. This
-//! extends the `MINDFUL_SWEEP_THREADS` fix pattern
-//! ([`crate::pool::thread_override`]): pure parser split from the
-//! environment read, so the garbage paths are testable without racing
-//! on the process environment. The full knob table lives in
-//! EXPERIMENTS.md.
+//! built-in default instead of being silently (mis)interpreted. The
+//! numeric knobs (`MINDFUL_SWEEP_THREADS`) share `parse_count` the same
+//! way. Each parser is split from the environment read, so the garbage
+//! paths are testable without racing on the process environment. The
+//! full knob table lives in EXPERIMENTS.md.
 
 /// Parses a boolean knob value.
 ///
@@ -18,7 +17,7 @@
 /// `0` / `false` / `off` / `no` → `Some(false)`.
 /// Everything else — empty strings included — returns `None`.
 #[must_use]
-pub fn parse_flag(raw: &str) -> Option<bool> {
+pub(crate) fn parse_flag(raw: &str) -> Option<bool> {
     let trimmed = raw.trim();
     if trimmed.eq_ignore_ascii_case("1")
         || trimmed.eq_ignore_ascii_case("true")
@@ -38,7 +37,7 @@ pub fn parse_flag(raw: &str) -> Option<bool> {
 }
 
 /// Reads the boolean knob `name` from the environment, falling back to
-/// `default` when the variable is unset or fails [`parse_flag`].
+/// `default` when the variable is unset or fails `parse_flag`.
 #[must_use]
 pub fn flag(name: &str, default: bool) -> bool {
     std::env::var(name)
@@ -49,18 +48,18 @@ pub fn flag(name: &str, default: bool) -> bool {
 }
 
 /// The quick-mode knob every benchmark reads (`MINDFUL_BENCH_QUICK`).
-pub const BENCH_QUICK_ENV: &str = "MINDFUL_BENCH_QUICK";
+pub(crate) const BENCH_QUICK_ENV: &str = "MINDFUL_BENCH_QUICK";
 
 /// The quick-mode knob every soak test reads (`MINDFUL_SOAK_QUICK`).
-pub const SOAK_QUICK_ENV: &str = "MINDFUL_SOAK_QUICK";
+pub(crate) const SOAK_QUICK_ENV: &str = "MINDFUL_SOAK_QUICK";
 
 /// Whether benchmarks should run in quick (CI) mode.
 ///
-/// The one shared reader of [`BENCH_QUICK_ENV`]: every `mindful-bench`
+/// The one shared reader of `BENCH_QUICK_ENV`: every `mindful-bench`
 /// bench (`figures`, `substrates`, `sweep`, `infer`, `pipeline`,
 /// `fault`, `obs`, `secure`, `serve`) and the artifact's host stamp
 /// call this instead of parsing the variable itself, so they all accept and
-/// reject exactly the [`parse_flag`] spellings. Defaults to `false`
+/// reject exactly the `parse_flag` spellings. Defaults to `false`
 /// (full-length runs) when unset or unparsable.
 #[must_use]
 pub fn bench_quick() -> bool {
@@ -69,7 +68,7 @@ pub fn bench_quick() -> bool {
 
 /// Whether soak tests should run in quick (CI) mode.
 ///
-/// The one shared reader of [`SOAK_QUICK_ENV`], the soak-test twin of
+/// The one shared reader of `SOAK_QUICK_ENV`, the soak-test twin of
 /// [`bench_quick`]. Defaults to `false` (full-length soaks).
 #[must_use]
 pub fn soak_quick() -> bool {
@@ -90,7 +89,7 @@ pub fn soak_quick() -> bool {
 /// the pure core split from the environment read, so the garbage
 /// paths are testable without racing on the process environment.
 #[must_use]
-pub fn parse_count(raw: &str, cap: usize) -> Option<std::num::NonZeroUsize> {
+pub(crate) fn parse_count(raw: &str, cap: usize) -> Option<std::num::NonZeroUsize> {
     let trimmed = raw.trim();
     if trimmed.is_empty() {
         return None;

@@ -16,7 +16,7 @@ pub const TARGET_CHANNEL_PITCH_M: f64 = 20e-6;
 /// Approximate areal density of cortical neurons under 1 mm² of surface
 /// (order 10⁵/mm² through the full depth; we use the commonly quoted
 /// ~100,000 neurons/mm² column density).
-pub const CORTICAL_NEURONS_PER_MM2: f64 = 1.0e5;
+pub(crate) const CORTICAL_NEURONS_PER_MM2: f64 = 1.0e5;
 
 /// Centre-to-centre channel pitch for `channels` spread over a sensing
 /// area, assuming a square grid.

@@ -73,10 +73,8 @@ pub mod prelude {
     pub use crate::pool::{default_threads, Scheduler, TaskSlot};
     pub use crate::regimes::{ScalingRegime, SplitDesign};
     pub use crate::scaling::{scale_to_channels, scale_to_standard, ScaledSoc};
-    pub use crate::soc::{
-        published_socs, soc_by_id, wireless_socs, NiTechnology, SocSpec, STANDARD_CHANNELS,
-    };
-    pub use crate::sweep::{SweepGrid, SweepPoint, SweepResult};
+    pub use crate::soc::{published_socs, soc_by_id, wireless_socs, NiTechnology, SocSpec};
+    pub use crate::sweep::{SweepGrid, SweepResult};
     pub use crate::throughput::sensing_throughput;
     pub use crate::units::{Area, DataRate, Energy, Frequency, Power, PowerDensity, TimeSpan};
     pub use crate::{CoreError, Result};

@@ -18,9 +18,9 @@ use super::registry::{CounterSample, GaugeSample, HistogramSample, Snapshot};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExportParseError {
     /// 1-based line number of the offending record.
-    pub line: usize,
+    pub(crate) line: usize,
     /// What went wrong.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 impl fmt::Display for ExportParseError {

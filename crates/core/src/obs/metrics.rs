@@ -154,7 +154,7 @@ pub struct Gauge(pub(crate) Arc<GaugeCore>);
 impl Gauge {
     /// A free-standing gauge (not registered anywhere).
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -167,13 +167,13 @@ impl Gauge {
 
     /// The last stored value.
     #[must_use]
-    pub fn value(&self) -> u64 {
+    pub(crate) fn value(&self) -> u64 {
         self.0.value.load(Ordering::Relaxed)
     }
 
     /// The largest value ever stored.
     #[must_use]
-    pub fn high_water(&self) -> u64 {
+    pub(crate) fn high_water(&self) -> u64 {
         self.0.high_water.load(Ordering::Relaxed)
     }
 }
@@ -271,12 +271,6 @@ impl HistogramState {
         }
     }
 
-    /// The smallest recorded value, if any value was recorded.
-    #[must_use]
-    pub fn min_value(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Mean of the recorded values (`None` while empty). Computed from
     /// the saturating sum, so it is a lower bound after saturation.
     #[must_use]
@@ -347,16 +341,6 @@ impl Histogram {
         }
         merged
     }
-
-    /// Number of recorded values (merged over shards).
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0
-            .shards
-            .iter()
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -415,7 +399,7 @@ mod tests {
         let s = h.state();
         assert_eq!(s.count, 3);
         assert_eq!(s.sum, u64::MAX, "sum saturates instead of wrapping");
-        assert_eq!(s.min_value(), Some(0));
+        assert_eq!(s.min, 0);
         assert_eq!(s.max, u64::MAX);
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.buckets[64], 2);

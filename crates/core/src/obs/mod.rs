@@ -30,9 +30,8 @@ pub mod names;
 pub mod registry;
 pub mod span;
 
-pub use export::ExportParseError;
 pub use metrics::{
     bucket_index, bucket_upper_edge, Counter, Gauge, Histogram, HistogramState, BUCKETS, SHARDS,
 };
-pub use registry::{CounterSample, GaugeSample, HistogramSample, Registry, Snapshot};
-pub use span::{clear_spans, drain_spans, span, SpanGuard, SpanRecord, SPAN_RING_CAPACITY};
+pub use registry::{Registry, Snapshot};
+pub use span::{clear_spans, drain_spans, span, SpanRecord};

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use super::metrics::{Counter, Gauge, Histogram, HistogramState, BUCKETS};
+use super::metrics::{Counter, Gauge, Histogram, HistogramState};
 
 /// A registered metric of any kind.
 #[derive(Debug, Clone)]
@@ -95,22 +95,6 @@ impl Registry {
         }
     }
 
-    /// Number of registered metrics.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner
-            .metrics
-            .lock()
-            .expect("registry lock poisoned")
-            .len()
-    }
-
-    /// Whether no metric has been registered yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Merges every metric's shards into an owned snapshot, sorted by
     /// name within each kind. Scraping never blocks recorders: it only
     /// takes the registration lock, then reads relaxed atomics.
@@ -156,16 +140,16 @@ pub struct GaugeSample {
     /// Last stored value.
     pub value: u64,
     /// Largest value ever stored.
-    pub high_water: u64,
+    pub(crate) high_water: u64,
 }
 
 /// A scraped, shard-merged histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSample {
+pub(crate) struct HistogramSample {
     /// Registered name.
-    pub name: String,
+    pub(crate) name: String,
     /// Merged count / sum / min / max / buckets.
-    pub state: HistogramState,
+    pub(crate) state: HistogramState,
 }
 
 /// An owned, deterministic scrape of a whole [`Registry`].
@@ -179,7 +163,7 @@ pub struct Snapshot {
     /// Gauges, sorted by name.
     pub gauges: Vec<GaugeSample>,
     /// Histograms, sorted by name.
-    pub histograms: Vec<HistogramSample>,
+    pub(crate) histograms: Vec<HistogramSample>,
 }
 
 impl Snapshot {
@@ -223,10 +207,6 @@ impl Snapshot {
     }
 }
 
-/// Re-exported so exporters can size bucket arrays without reaching
-/// into the metrics module.
-pub const SNAPSHOT_BUCKETS: usize = BUCKETS;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,8 +219,7 @@ mod tests {
         a.add(2);
         b.add(3);
         assert_eq!(a.value(), 5, "both handles hit the same counter");
-        assert_eq!(r.len(), 1);
-        assert!(!r.is_empty());
+        assert_eq!(r.snapshot().len(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::cell::{Cell, RefCell};
 use super::clock;
 
 /// Capacity of each thread's span ring; older spans are overwritten.
-pub const SPAN_RING_CAPACITY: usize = 256;
+pub(crate) const SPAN_RING_CAPACITY: usize = 256;
 
 /// One recorded span: a static name plus enter/exit timestamps in
 /// nanoseconds on the [`clock`].
@@ -23,9 +23,9 @@ pub struct SpanRecord {
     /// Static label passed to [`span`].
     pub name: &'static str,
     /// Entry timestamp ([`clock::now_ns`]).
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Exit timestamp ([`clock::now_ns`]).
-    pub end_ns: u64,
+    pub(crate) end_ns: u64,
 }
 
 impl SpanRecord {

@@ -2,9 +2,8 @@
 //! dispatches on.
 //!
 //! The design-space sweep engine ([`crate::sweep`]), batched DNN
-//! inference (`mindful_dnn::infer::Network::forward_batch`),
-//! block-sampled Monte-Carlo BER measurement (`mindful_rf::modem`),
-//! and the fleet serving layer (`mindful_pipeline::serve`, also the
+//! inference (`mindful_dnn::infer::Network::forward_batch`), and the
+//! fleet serving layer (`mindful_pipeline::serve`, also the
 //! multi-stream driver) each take a `&Scheduler` from their caller
 //! and fan out on it: the scheduler owns the worker
 //! budget and the dispatch accounting, the clients own only their
@@ -38,7 +37,7 @@
 //! Worker count defaults to the machine's available parallelism and
 //! can be pinned with the `MINDFUL_SWEEP_THREADS` environment variable
 //! (see [`default_threads`] for the precedence contract, and
-//! [`crate::env::parse_count`] for the one shared numeric-knob
+//! `crate::env::parse_count` for the one shared numeric-knob
 //! parser). The variable predates this module — it is named after the
 //! sweep engine that introduced it — and governs every scheduler built
 //! by [`Scheduler::with_default_threads`].
@@ -52,7 +51,7 @@ use std::sync::{Mutex, PoisonError};
 pub const SWEEP_THREADS_ENV: &str = "MINDFUL_SWEEP_THREADS";
 
 /// Upper bound on the worker count (env values are clamped to it).
-pub const MAX_SWEEP_THREADS: usize = 256;
+pub(crate) const MAX_SWEEP_THREADS: usize = 256;
 
 /// Resolves the default worker count for parallel fan-outs.
 ///
@@ -61,7 +60,7 @@ pub const MAX_SWEEP_THREADS: usize = 256;
 ///
 /// 1. An explicit integer in [`SWEEP_THREADS_ENV`] always wins,
 ///    clamped into `[1, MAX_SWEEP_THREADS]` by
-///    [`crate::env::parse_count`] — so `"0"` pins one worker and an
+///    `crate::env::parse_count` — so `"0"` pins one worker and an
 ///    overlong value (one that overflows `usize`) pins the maximum
 ///    rather than being silently ignored.
 /// 2. Empty, whitespace-only, or non-numeric values defer to the
@@ -72,23 +71,11 @@ pub fn default_threads() -> NonZeroUsize {
     if let Some(n) = std::env::var(SWEEP_THREADS_ENV)
         .ok()
         .as_deref()
-        .and_then(thread_override)
+        .and_then(|raw| crate::env::parse_count(raw, MAX_SWEEP_THREADS))
     {
         return n;
     }
     std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
-}
-
-/// Parses a [`SWEEP_THREADS_ENV`] value into a worker count.
-///
-/// A thin alias of [`crate::env::parse_count`] at the
-/// [`MAX_SWEEP_THREADS`] cap, kept so the thread knob's clamping lives
-/// in exactly one place (the shared env parser) while this module
-/// still owns the knob's name and documentation. See
-/// [`default_threads`] for the full precedence.
-#[must_use]
-pub fn thread_override(raw: &str) -> Option<NonZeroUsize> {
-    crate::env::parse_count(raw, MAX_SWEEP_THREADS)
 }
 
 /// A cumulative snapshot of a [`Scheduler`]'s dispatch accounting.
@@ -101,7 +88,7 @@ pub struct SchedulerStats {
     /// Tasks claimed by a worker beyond its fair per-epoch share —
     /// the work-stealing ledger (always zero for chunked dispatch,
     /// which pre-assigns shares).
-    pub steals: u64,
+    pub(crate) steals: u64,
 }
 
 /// A claimable work slot for [`Scheduler::dispatch_phased`].
@@ -124,11 +111,6 @@ impl<T> TaskSlot<T> {
     /// borrow checker proves no worker holds the slot).
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Unwraps the task.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Locks the slot (used by the dispatch workers; a claimed slot is
@@ -433,43 +415,6 @@ mod tests {
         assert!(default_threads().get() >= 1);
     }
 
-    /// Regression for the env-parsing bug: `"0"` used to fail the
-    /// `NonZeroUsize` conversion and overlong values failed the parse,
-    /// both silently falling back to auto-detection instead of
-    /// honouring the explicit (if extreme) request. The parsing now
-    /// lives in [`crate::env::parse_count`]; these pins prove the
-    /// delegation preserves the contract at this knob's cap.
-    #[test]
-    fn thread_override_clamps_explicit_values() {
-        assert_eq!(thread_override("0"), NonZeroUsize::new(1));
-        assert_eq!(thread_override(" 0 "), NonZeroUsize::new(1));
-        assert_eq!(thread_override("1"), NonZeroUsize::new(1));
-        assert_eq!(thread_override(" 8 "), NonZeroUsize::new(8));
-        assert_eq!(thread_override("256"), NonZeroUsize::new(MAX_SWEEP_THREADS));
-        assert_eq!(
-            thread_override("9999"),
-            NonZeroUsize::new(MAX_SWEEP_THREADS),
-            "above the cap clamps to the cap"
-        );
-        // 39 digits: overflows usize but is still an explicit number.
-        assert_eq!(
-            thread_override("340282366920938463463374607431768211456"),
-            NonZeroUsize::new(MAX_SWEEP_THREADS),
-            "overlong values clamp instead of being ignored"
-        );
-    }
-
-    #[test]
-    fn thread_override_defers_on_non_numeric_values() {
-        assert_eq!(thread_override(""), None);
-        assert_eq!(thread_override("   "), None);
-        assert_eq!(thread_override("\t\n"), None);
-        assert_eq!(thread_override("abc"), None);
-        assert_eq!(thread_override("8 workers"), None);
-        assert_eq!(thread_override("-4"), None, "signs are not digits");
-        assert_eq!(thread_override("3.5"), None);
-    }
-
     #[test]
     fn dispatch_runs_every_ready_task_exactly_once() {
         for workers in [1, 2, 3, 8] {
@@ -614,7 +559,7 @@ mod tests {
         let mut slot = TaskSlot::new(5_u32);
         *slot.get_mut() += 1;
         *slot.lock() += 1;
-        assert_eq!(slot.into_inner(), 7);
+        assert_eq!(*slot.get_mut(), 7);
     }
 
     #[test]

@@ -198,12 +198,6 @@ impl Projection {
         self.channels
     }
 
-    /// The regime used for the projection.
-    #[must_use]
-    pub fn regime(&self) -> ScalingRegime {
-        self.regime
-    }
-
     /// Projected sensing power.
     #[must_use]
     pub fn sensing_power(&self) -> Power {
@@ -257,12 +251,6 @@ impl Projection {
     #[must_use]
     pub fn sensing_area_fraction(&self) -> f64 {
         self.sensing_area / self.total_area()
-    }
-
-    /// Whether the projection respects the power budget.
-    #[must_use]
-    pub fn is_safe(&self) -> bool {
-        self.budget_utilization() <= 1.0 + 1e-12
     }
 }
 

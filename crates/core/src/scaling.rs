@@ -136,12 +136,6 @@ impl ScaledSoc {
         budget::check_safety(self.power, self.area).is_ok()
     }
 
-    /// Centre-to-centre channel spacing assuming a square grid.
-    #[must_use]
-    pub fn channel_spacing_meters(&self) -> f64 {
-        (self.area.square_meters() / self.channels as f64).sqrt()
-    }
-
     /// The adjustment rules that were applied, in order.
     #[must_use]
     pub fn adjustments(&self) -> &[Adjustment] {
@@ -191,7 +185,7 @@ pub fn scale_baseline(spec: &SocSpec, channels: u64) -> Result<ScaledSoc> {
 /// # Errors
 ///
 /// Returns [`CoreError::ZeroChannels`] if `channels` is zero.
-pub fn scale_linear(spec: &SocSpec, channels: u64) -> Result<ScaledSoc> {
+pub(crate) fn scale_linear(spec: &SocSpec, channels: u64) -> Result<ScaledSoc> {
     if channels == 0 {
         return Err(CoreError::ZeroChannels);
     }
@@ -213,7 +207,7 @@ pub fn scale_linear(spec: &SocSpec, channels: u64) -> Result<ScaledSoc> {
 /// # Errors
 ///
 /// Returns [`CoreError::ZeroChannels`] if `channels` is zero.
-pub fn scale_nominal(spec: &SocSpec, channels: u64) -> Result<ScaledSoc> {
+pub(crate) fn scale_nominal(spec: &SocSpec, channels: u64) -> Result<ScaledSoc> {
     if channels == 0 {
         return Err(CoreError::ZeroChannels);
     }
@@ -238,7 +232,7 @@ const HALO_STAR_POWER_REDUCTION: f64 = 16.0;
 /// # Errors
 ///
 /// Propagates [`CoreError::ZeroChannels`] (cannot occur for
-/// [`STANDARD_CHANNELS`]).
+/// `STANDARD_CHANNELS`).
 ///
 /// # Examples
 ///
@@ -374,8 +368,6 @@ mod tests {
         assert!((d0 - d1).abs() < 1e-9, "50x on both preserves density");
         // Section 4.1: the 2x-area-only variant would sit at ~30 mW/cm².
         assert!((2.0 * d0 - 30.4).abs() < 0.5);
-        // Channel spacing drops to sub-millimetre.
-        assert!(s.channel_spacing_meters() < 1e-3);
         assert!(s.is_safe());
     }
 

@@ -21,15 +21,15 @@
 use core::fmt;
 
 use crate::error::{ensure_fraction, ensure_positive, CoreError, Result};
-use crate::units::{Area, DataRate, Frequency, Power, PowerDensity};
+use crate::units::{Area, Frequency, Power, PowerDensity};
 
 /// The current standard channel count for large-scale neural interfaces.
-pub const STANDARD_CHANNELS: u64 = 1024;
+pub(crate) const STANDARD_CHANNELS: u64 = 1024;
 
 /// Default digitized sample bit width `d` (bits per sample).
 ///
 /// The paper's worked OOK example uses `d = 10`.
-pub const DEFAULT_SAMPLE_BITS: u8 = 10;
+pub(crate) const DEFAULT_SAMPLE_BITS: u8 = 10;
 
 /// The sensing technology of a neural interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,13 +224,6 @@ impl SocSpec {
     #[must_use]
     pub fn power_per_channel(&self) -> Power {
         self.total_power() / self.channels as f64
-    }
-
-    /// Raw sensing throughput `T = d · n · f` (Eq. 6) at the published
-    /// channel count.
-    #[must_use]
-    pub fn raw_data_rate(&self) -> DataRate {
-        crate::throughput::sensing_throughput(self.channels, self.sample_bits, self.sampling)
     }
 }
 
@@ -673,7 +666,12 @@ mod tests {
     fn raw_data_rate_matches_worked_example() {
         // The paper's OOK example: 1024 ch × 10 b × 8 kHz = 81.92 Mbps ≈ 82.
         let bisc = soc_by_id(1).unwrap();
-        assert!((bisc.raw_data_rate().megabits_per_second() - 81.92).abs() < 1e-9);
+        let rate = crate::throughput::sensing_throughput(
+            bisc.channels(),
+            bisc.sample_bits(),
+            bisc.sampling(),
+        );
+        assert!((rate.megabits_per_second() - 81.92).abs() < 1e-9);
     }
 
     #[test]

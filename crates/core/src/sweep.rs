@@ -38,17 +38,17 @@ use crate::units::{Area, Power};
 pub struct SweepCoord<'g> {
     /// Position in the grid's row-major enumeration.
     pub index: usize,
-    /// Position of [`Self::soc`] on the grid's SoC axis.
+    /// Position of `Self::soc` on the grid's SoC axis.
     pub soc_index: usize,
     /// The SoC anchor for this cell.
-    pub soc: &'g SocSpec,
+    pub(crate) soc: &'g SocSpec,
     /// The scaling regime for this cell.
-    pub regime: ScalingRegime,
+    pub(crate) regime: ScalingRegime,
     /// The projected channel count for this cell.
     pub channels: u64,
     /// Communication efficiency in `(0, 1]` (1 = the regime's nominal
     /// transceiver; lower values derate non-sensing power by `1/eff`).
-    pub efficiency: f64,
+    pub(crate) efficiency: f64,
 }
 
 /// A rectangular design-space sweep: the product of an SoC axis, a
@@ -220,7 +220,7 @@ impl SweepGrid {
     ///
     /// Panics when `index >= self.len()`.
     #[must_use]
-    pub fn coord(&self, index: usize) -> SweepCoord<'_> {
+    pub(crate) fn coord(&self, index: usize) -> SweepCoord<'_> {
         assert!(index < self.len(), "sweep index {index} out of bounds");
         let n_eff = self.efficiencies.len();
         let n_ch = self.channels.len();
@@ -356,7 +356,7 @@ pub struct SweepPoint {
     /// Name of the SoC anchor.
     pub soc: String,
     /// Table 1 id of the SoC anchor.
-    pub soc_id: u8,
+    pub(crate) soc_id: u8,
     /// Scaling regime of the cell.
     pub regime: ScalingRegime,
     /// Projected channel count.
@@ -393,7 +393,7 @@ impl SweepPoint {
 
     /// Whether the point respects the safety power budget.
     #[must_use]
-    pub fn is_safe(&self) -> bool {
+    pub(crate) fn is_safe(&self) -> bool {
         self.budget_utilization <= 1.0 + 1e-12
     }
 
@@ -412,7 +412,7 @@ impl SweepPoint {
     ///
     /// Propagates [`CandidatePoint::new`] validation errors (possible
     /// only for degenerate hand-built specs).
-    pub fn to_candidate(&self) -> Result<CandidatePoint> {
+    pub(crate) fn to_candidate(&self) -> Result<CandidatePoint> {
         CandidatePoint::new(self.label(), self.channels, self.power, self.area)
     }
 }
@@ -431,12 +431,6 @@ impl SweepResult {
         &self.points
     }
 
-    /// Consumes the result, yielding the points in grid order.
-    #[must_use]
-    pub fn into_points(self) -> Vec<SweepPoint> {
-        self.points
-    }
-
     /// Number of evaluated points.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -453,15 +447,6 @@ impl SweepResult {
     #[must_use]
     pub fn feasible(&self) -> Vec<&SweepPoint> {
         self.points.iter().filter(|p| p.is_safe()).collect()
-    }
-
-    /// All points as Pareto candidates, in grid order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CandidatePoint::new`] validation errors.
-    pub fn candidates(&self) -> Result<Vec<CandidatePoint>> {
-        self.points.iter().map(SweepPoint::to_candidate).collect()
     }
 
     /// The Pareto frontier of the budget-respecting points.
@@ -721,7 +706,8 @@ mod tests {
             })
             .collect();
         for workers in [1, 3] {
-            let points = grid.evaluate_on(&sched(workers)).unwrap().into_points();
+            let result = grid.evaluate_on(&sched(workers)).unwrap();
+            let points = result.points();
             assert_eq!(points.len(), grid.len());
             for (i, (point, projection)) in points.iter().zip(&expected).enumerate() {
                 let eff = grid.coord(i).efficiency;
@@ -780,8 +766,6 @@ mod tests {
         for point in &frontier {
             assert!(point.is_safe());
         }
-        let all = result.candidates().unwrap();
-        assert_eq!(all.len(), result.len());
     }
 
     #[test]

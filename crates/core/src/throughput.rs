@@ -30,7 +30,11 @@ pub fn sensing_throughput(channels: u64, sample_bits: u8, sampling: Frequency) -
 /// with packetization only, `n_out ≈ n`, so the transceiver must carry the
 /// full sensing rate.
 #[must_use]
-pub fn communication_centric_rate(channels: u64, sample_bits: u8, sampling: Frequency) -> DataRate {
+pub(crate) fn communication_centric_rate(
+    channels: u64,
+    sample_bits: u8,
+    sampling: Frequency,
+) -> DataRate {
     sensing_throughput(channels, sample_bits, sampling)
 }
 
@@ -43,14 +47,6 @@ pub fn communication_centric_rate(channels: u64, sample_bits: u8, sampling: Freq
 #[must_use]
 pub fn computation_centric_rate(outputs: u64, sample_bits: u8, output_rate: Frequency) -> DataRate {
     DataRate::from_bits_per_second(f64::from(sample_bits) * outputs as f64 * output_rate.hertz())
-}
-
-/// The data-volume reduction factor achieved by on-implant computation:
-/// `T_sensing / T_comm`. Values above 1 mean computation shrinks the
-/// wireless traffic.
-#[must_use]
-pub fn reduction_factor(sensing: DataRate, communicated: DataRate) -> f64 {
-    sensing / communicated
 }
 
 #[cfg(test)]
@@ -88,7 +84,7 @@ mod tests {
         let raw = sensing_throughput(128, 10, Frequency::from_kilohertz(2.0));
         let out = computation_centric_rate(40, 10, Frequency::from_kilohertz(2.0));
         assert!(out < raw);
-        assert!((reduction_factor(raw, out) - 128.0 / 40.0).abs() < 1e-12);
+        assert!((raw / out - 128.0 / 40.0).abs() < 1e-12);
     }
 
     #[test]

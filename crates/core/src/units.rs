@@ -262,12 +262,6 @@ impl Power {
         Self(microwatts * 1e-6)
     }
 
-    /// Creates a power from nanowatts.
-    #[must_use]
-    pub const fn from_nanowatts(nanowatts: f64) -> Self {
-        Self(nanowatts * 1e-9)
-    }
-
     /// Returns the power in watts.
     #[must_use]
     pub const fn watts(self) -> f64 {
@@ -288,12 +282,6 @@ impl Power {
 }
 
 impl Area {
-    /// Creates an area from square metres.
-    #[must_use]
-    pub const fn from_square_meters(m2: f64) -> Self {
-        Self(m2)
-    }
-
     /// Creates an area from square millimetres.
     #[must_use]
     pub const fn from_square_millimeters(mm2: f64) -> Self {
@@ -380,12 +368,6 @@ impl Energy {
         Self(picojoules * 1e-12)
     }
 
-    /// Creates an energy from nanojoules.
-    #[must_use]
-    pub const fn from_nanojoules(nanojoules: f64) -> Self {
-        Self(nanojoules * 1e-9)
-    }
-
     /// Returns the energy in joules.
     #[must_use]
     pub const fn joules(self) -> f64 {
@@ -396,12 +378,6 @@ impl Energy {
     #[must_use]
     pub fn picojoules(self) -> f64 {
         self.0 * 1e12
-    }
-
-    /// Returns the energy in nanojoules.
-    #[must_use]
-    pub fn nanojoules(self) -> f64 {
-        self.0 * 1e9
     }
 }
 
@@ -434,12 +410,6 @@ impl TimeSpan {
     #[must_use]
     pub const fn seconds(self) -> f64 {
         self.0
-    }
-
-    /// Returns the time span in milliseconds.
-    #[must_use]
-    pub fn milliseconds(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// Returns the time span in microseconds.
@@ -486,12 +456,6 @@ impl Frequency {
         self.0 * 1e-3
     }
 
-    /// Returns the frequency in megahertz.
-    #[must_use]
-    pub fn megahertz(self) -> f64 {
-        self.0 * 1e-6
-    }
-
     /// Returns the period `1/f`.
     ///
     /// A zero frequency yields an infinite period.
@@ -524,12 +488,6 @@ impl DataRate {
     #[must_use]
     pub const fn bits_per_second(self) -> f64 {
         self.0
-    }
-
-    /// Returns the data rate in kilobits per second.
-    #[must_use]
-    pub fn kilobits_per_second(self) -> f64 {
-        self.0 * 1e-3
     }
 
     /// Returns the data rate in megabits per second.

@@ -44,12 +44,6 @@ impl BinAccumulator {
         })
     }
 
-    /// Number of channels.
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Window length in samples.
     #[must_use]
     pub fn window(&self) -> usize {

@@ -136,7 +136,7 @@ impl KalmanDecoder {
 
     /// Calibrated channel count.
     #[must_use]
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.baseline.len()
     }
 
@@ -147,7 +147,7 @@ impl KalmanDecoder {
     }
 
     /// Resets the filter state to the origin with unit covariance.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.state = Vec2::default();
         self.covariance = Mat2::scalar(1.0);
     }
@@ -160,7 +160,7 @@ impl KalmanDecoder {
     /// and `covariance` irrecoverably with no error. After a
     /// [`DecodeError::NonFinite`] rejection the filter state is exactly
     /// what it was before the call, so decoding can simply continue
-    /// (or [`KalmanDecoder::reset`] for a clean restart).
+    /// (or `KalmanDecoder::reset` for a clean restart).
     ///
     /// # Errors
     ///

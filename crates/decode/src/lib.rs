@@ -35,7 +35,7 @@ pub use error::{DecodeError, Result};
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
-    pub use crate::binning::{BinAccumulator, ZScorer};
+    pub use crate::binning::BinAccumulator;
     pub use crate::kalman::{correlation, KalmanDecoder};
     pub use crate::linalg::{Mat2, Vec2};
     pub use crate::spike::{select_active_channels, SpikeDetector};

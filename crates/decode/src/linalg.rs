@@ -23,12 +23,6 @@ impl Vec2 {
     pub fn norm(&self) -> f64 {
         self.x.hypot(self.y)
     }
-
-    /// Dot product.
-    #[must_use]
-    pub fn dot(&self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
 }
 
 impl core::ops::Add for Vec2 {
@@ -66,14 +60,6 @@ pub struct Mat2 {
 }
 
 impl Mat2 {
-    /// The identity matrix.
-    pub const IDENTITY: Self = Self {
-        a: 1.0,
-        b: 0.0,
-        c: 0.0,
-        d: 1.0,
-    };
-
     /// Creates a matrix from row-major entries.
     #[must_use]
     pub fn new(a: f64, b: f64, c: f64, d: f64) -> Self {
@@ -82,13 +68,13 @@ impl Mat2 {
 
     /// A scalar multiple of the identity.
     #[must_use]
-    pub fn scalar(s: f64) -> Self {
+    pub(crate) fn scalar(s: f64) -> Self {
         Self::new(s, 0.0, 0.0, s)
     }
 
     /// Matrix-vector product.
     #[must_use]
-    pub fn mul_vec(&self, v: Vec2) -> Vec2 {
+    pub(crate) fn mul_vec(&self, v: Vec2) -> Vec2 {
         Vec2::new(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
     }
 
@@ -101,12 +87,6 @@ impl Mat2 {
             self.c * m.a + self.d * m.c,
             self.c * m.b + self.d * m.d,
         )
-    }
-
-    /// Transpose.
-    #[must_use]
-    pub fn transpose(&self) -> Mat2 {
-        Mat2::new(self.a, self.c, self.b, self.d)
     }
 
     /// Determinant.
@@ -155,7 +135,6 @@ mod tests {
     fn vector_ops() {
         let v = Vec2::new(3.0, 4.0);
         assert!((v.norm() - 5.0).abs() < 1e-12);
-        assert!((v.dot(Vec2::new(1.0, 1.0)) - 7.0).abs() < 1e-12);
         assert_eq!(v + Vec2::new(1.0, -1.0), Vec2::new(4.0, 3.0));
         assert_eq!(v - Vec2::new(1.0, -1.0), Vec2::new(2.0, 5.0));
         assert_eq!(v * 2.0, Vec2::new(6.0, 8.0));
@@ -178,11 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn transpose_and_product() {
+    fn matrix_vector_and_scalar_products() {
         let m = Mat2::new(1.0, 2.0, 3.0, 4.0);
-        assert_eq!(m.transpose(), Mat2::new(1.0, 3.0, 2.0, 4.0));
         let v = m.mul_vec(Vec2::new(1.0, 1.0));
         assert_eq!(v, Vec2::new(3.0, 7.0));
-        assert_eq!(Mat2::scalar(2.0).mul_mat(Mat2::IDENTITY), Mat2::scalar(2.0));
+        assert_eq!(
+            Mat2::scalar(2.0).mul_mat(Mat2::scalar(1.0)),
+            Mat2::scalar(2.0)
+        );
     }
 }

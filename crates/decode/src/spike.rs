@@ -19,7 +19,6 @@ use crate::error::{DecodeError, Result};
 #[derive(Debug, Clone)]
 pub struct SpikeDetector {
     threshold: Vec<f64>,
-    baseline: Vec<f64>,
     /// Lowest code that fires on each channel: `f64::from(c) > t`
     /// holds exactly when `c >= min_code` (and the channel is live).
     min_code: Vec<u16>,
@@ -81,7 +80,6 @@ impl SpikeDetector {
             }
         }
         let mut threshold = Vec::with_capacity(channels);
-        let mut baseline = Vec::with_capacity(channels);
         let mut column: Vec<f64> = Vec::with_capacity(segment.len());
         for c in 0..channels {
             column.clear();
@@ -91,13 +89,11 @@ impl SpikeDetector {
             let mad = median(&mut deviations);
             // sigma ≈ MAD / 0.6745 for Gaussian noise.
             let sigma = (mad / 0.6745).max(1e-9);
-            baseline.push(med);
             threshold.push(med + k * sigma);
         }
         let (min_code, live) = threshold.iter().map(|&t| code_cutoff(t)).unzip();
         Ok(Self {
             threshold,
-            baseline,
             min_code,
             live,
             refractory,
@@ -107,7 +103,7 @@ impl SpikeDetector {
 
     /// Number of calibrated channels.
     #[must_use]
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.threshold.len()
     }
 
@@ -115,12 +111,6 @@ impl SpikeDetector {
     #[must_use]
     pub fn thresholds(&self) -> &[f64] {
         &self.threshold
-    }
-
-    /// Per-channel baselines (median of the calibration segment).
-    #[must_use]
-    pub fn baselines(&self) -> &[f64] {
-        &self.baseline
     }
 
     /// Processes one frame; returns per-channel detection indicators.
@@ -328,8 +318,6 @@ mod tests {
         }
         let det = SpikeDetector::calibrate(&loud, 4.0, 2).unwrap();
         assert!(det.thresholds()[1] > det.thresholds()[0] * 3.0);
-        // Baselines stay near zero for zero-mean noise.
-        assert!(det.baselines().iter().all(|b| b.abs() < 0.2));
     }
 
     #[test]

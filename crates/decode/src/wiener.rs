@@ -120,7 +120,7 @@ impl WienerDecoder {
 
     /// Calibrated channel count.
     #[must_use]
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.mean.len()
     }
 
@@ -129,7 +129,7 @@ impl WienerDecoder {
     /// # Errors
     ///
     /// Returns [`DecodeError::ShapeMismatch`] for a wrong frame width.
-    pub fn step(&self, frame: &[f64]) -> Result<Vec2> {
+    pub(crate) fn step(&self, frame: &[f64]) -> Result<Vec2> {
         if frame.len() != self.channels() {
             return Err(DecodeError::ShapeMismatch {
                 expected: self.channels(),
@@ -149,7 +149,7 @@ impl WienerDecoder {
     ///
     /// # Errors
     ///
-    /// Same as [`WienerDecoder::step`].
+    /// Same as `WienerDecoder::step`.
     pub fn decode(&self, frames: &[Vec<f64>]) -> Result<Vec<Vec2>> {
         frames.iter().map(|f| self.step(f)).collect()
     }

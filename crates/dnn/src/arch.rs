@@ -65,7 +65,7 @@ pub enum LayerSpec {
 impl LayerSpec {
     /// Activation values this layer consumes.
     #[must_use]
-    pub fn input_values(&self) -> u64 {
+    pub(crate) fn input_values(&self) -> u64 {
         match *self {
             Self::Dense { inputs, .. } => inputs,
             Self::Conv1d {
@@ -88,7 +88,7 @@ impl LayerSpec {
 
     /// Activation values this layer produces.
     #[must_use]
-    pub fn output_values(&self) -> u64 {
+    pub(crate) fn output_values(&self) -> u64 {
         match *self {
             Self::Dense { outputs, .. } => outputs,
             Self::Conv1d {
@@ -112,7 +112,7 @@ impl LayerSpec {
 
     /// Stored weights (parameters) of the layer.
     #[must_use]
-    pub fn weights(&self) -> u64 {
+    pub(crate) fn weights(&self) -> u64 {
         match *self {
             Self::Dense { inputs, outputs } => inputs * outputs,
             Self::Conv1d {
@@ -133,7 +133,7 @@ impl LayerSpec {
 
     /// Total multiply-accumulate steps per inference.
     #[must_use]
-    pub fn macs(&self) -> u64 {
+    pub(crate) fn macs(&self) -> u64 {
         match *self {
             Self::Dense { inputs, outputs } => inputs * outputs,
             Self::Conv1d {

@@ -95,18 +95,12 @@ impl Workspace {
 
     /// Pre-sized workspace for activations up to `width` values.
     #[must_use]
-    pub fn with_width(width: usize) -> Self {
+    pub(crate) fn with_width(width: usize) -> Self {
         Self {
             a: vec![0.0; width],
             b: vec![0.0; width],
             ..Self::default()
         }
-    }
-
-    /// The current arena width in values.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.a.len()
     }
 
     /// Grows both arenas to at least `width` (no-op when already wide
@@ -206,7 +200,7 @@ impl Network {
     ///
     /// Panics if `index` is out of range.
     #[must_use]
-    pub fn layer_biases(&self, index: usize) -> &[f32] {
+    pub(crate) fn layer_biases(&self, index: usize) -> &[f32] {
         &self.biases[index]
     }
 
@@ -645,9 +639,9 @@ mod tests {
         assert_eq!(first, net.forward(&input).unwrap());
         // An empty workspace grows on demand and then agrees too.
         let mut cold = Workspace::empty();
-        assert_eq!(cold.width(), 0);
+        assert_eq!(cold.a.len(), 0);
         assert_eq!(net.forward_into(&input, &mut cold).unwrap(), &first[..]);
-        assert!(cold.width() >= 128);
+        assert!(cold.a.len() >= 128);
     }
 
     fn sched(workers: usize) -> Scheduler {

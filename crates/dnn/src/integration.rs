@@ -91,24 +91,6 @@ pub struct IntegrationPoint {
 }
 
 impl IntegrationPoint {
-    /// Total NI channels.
-    #[must_use]
-    pub fn channels(&self) -> u64 {
-        self.channels
-    }
-
-    /// Channels feeding the decoder after channel dropout.
-    #[must_use]
-    pub fn active_channels(&self) -> u64 {
-        self.active_channels
-    }
-
-    /// Projected sensing power.
-    #[must_use]
-    pub fn sensing_power(&self) -> Power {
-        self.sensing
-    }
-
     /// DNN computation power lower bound (Eq. 13).
     #[must_use]
     pub fn computation_power(&self) -> Power {

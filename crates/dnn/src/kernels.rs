@@ -477,7 +477,7 @@ pub fn requantize_relu_into_at(level: SimdLevel, acc: &[i32], m: f32, out: &mut 
 ///
 /// Panics if the slice lengths disagree with the given shape or
 /// `out_positions` does not divide `in_positions`.
-pub fn pool1d_into(
+pub(crate) fn pool1d_into(
     input: &[f32],
     channels: usize,
     in_positions: usize,

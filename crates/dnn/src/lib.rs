@@ -40,7 +40,6 @@ pub mod prelude {
     pub use crate::infer::{Network, Workspace};
     pub use crate::integration::{
         evaluate, evaluate_full, max_active_channels, max_channels, IntegrationConfig,
-        IntegrationPoint,
     };
     pub use crate::models::{
         ModelFamily, APPLICATION_RATE, BASE_CHANNELS, CNN_WINDOW, OUTPUT_LABELS,
@@ -48,7 +47,6 @@ pub mod prelude {
     pub use crate::partition::{
         channel_gain, earliest_split, evaluate_partitioned, evaluate_partitioned_active,
         max_active_channels_partitioned, max_channels_partitioned, partition_gain,
-        PartitionedPoint,
     };
     pub use crate::quant::{Precision, QuantizedDense, QuantizedNetwork};
     pub use crate::simd::SimdLevel;

@@ -57,7 +57,7 @@ impl ModelFamily {
     ///
     /// Returns [`DnnError::BelowBaseChannels`] for `channels <
     /// BASE_CHANNELS` — the paper only scales upward.
-    pub fn alpha(channels: u64) -> Result<f64> {
+    pub(crate) fn alpha(channels: u64) -> Result<f64> {
         if channels < BASE_CHANNELS {
             return Err(DnnError::BelowBaseChannels {
                 requested: channels,
@@ -103,7 +103,7 @@ impl ModelFamily {
 
     /// Extra hidden blocks added by depth scaling at a given α.
     #[must_use]
-    pub fn extra_depth(alpha: f64) -> u64 {
+    pub(crate) fn extra_depth(alpha: f64) -> u64 {
         (alpha / 4.0).floor() as u64
     }
 }

@@ -36,12 +36,6 @@ pub struct PartitionedPoint {
 }
 
 impl PartitionedPoint {
-    /// Total NI channels.
-    #[must_use]
-    pub fn channels(&self) -> u64 {
-        self.channels
-    }
-
     /// Layers kept on the implant.
     #[must_use]
     pub fn keep_layers(&self) -> usize {
@@ -67,22 +61,10 @@ impl PartitionedPoint {
         self.computation
     }
 
-    /// Wireless transmit power.
-    #[must_use]
-    pub fn communication_power(&self) -> Power {
-        self.communication
-    }
-
     /// Total SoC power.
     #[must_use]
     pub fn total_power(&self) -> Power {
         self.sensing + self.computation + self.communication
-    }
-
-    /// The power budget at this channel count.
-    #[must_use]
-    pub fn power_budget(&self) -> Power {
-        self.budget
     }
 
     /// `P_soc / P_budget`.

@@ -359,27 +359,19 @@ impl QuantizedNetwork {
 
     /// Layer count.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Whether the network has no layers (never true for a network
-    /// built by [`QuantizedNetwork::from_network`] — architectures are
-    /// non-empty by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
     }
 
     /// Input width.
     #[must_use]
-    pub fn input_values(&self) -> usize {
+    pub(crate) fn input_values(&self) -> usize {
         self.layers.first().map_or(0, |l| l.inputs)
     }
 
     /// Output width.
     #[must_use]
-    pub fn output_values(&self) -> usize {
+    pub(crate) fn output_values(&self) -> usize {
         self.layers.last().map_or(0, |l| l.outputs)
     }
 
@@ -416,7 +408,7 @@ impl QuantizedNetwork {
     /// Total stored parameters (weights + biases) — at 1 byte per
     /// weight, a quarter of the `f32` engine's weight footprint.
     #[must_use]
-    pub fn parameter_count(&self) -> usize {
+    pub(crate) fn parameter_count(&self) -> usize {
         self.layers
             .iter()
             .map(|l| l.weights.len() + l.bias.len())
@@ -708,7 +700,7 @@ mod tests {
         // Ingress saw ±1 full-scale frames, so the input scale maps the
         // whole code-normalized domain without clipping.
         assert!((q.activation_scale(0) - 1.0 / 127.0).abs() < 1e-6);
-        assert!(!q.is_empty());
+        assert!(q.len() > 0);
         assert!(q.to_string().contains("2 dense layers"));
     }
 

@@ -87,7 +87,7 @@ static LEVEL: AtomicU8 = AtomicU8::new(0);
 /// garbage defers to the default via [`mindful_core::env::parse_flag`])
 /// and `detected` the host capability probe.
 #[must_use]
-pub fn resolve_level(enabled: bool, detected: SimdLevel) -> SimdLevel {
+pub(crate) fn resolve_level(enabled: bool, detected: SimdLevel) -> SimdLevel {
     if enabled {
         detected
     } else {

@@ -35,7 +35,7 @@ pub const ACC_ENERGY_FRACTION: f64 = 0.2;
 
 /// Energy of one neuron membrane update relative to a full MAC
 /// (leak + compare + optional reset).
-pub const UPDATE_ENERGY_FRACTION: f64 = 0.3;
+pub(crate) const UPDATE_ENERGY_FRACTION: f64 = 0.3;
 
 /// Configuration of the rate-coded SNN conversion.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +68,7 @@ impl SnnConfig {
     /// Returns [`DnnError::EmptyDimension`] for zero timesteps and
     /// [`DnnError::Infeasible`] for an activity outside `(0, 1]` or a
     /// non-positive inference rate.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.timesteps == 0 {
             return Err(DnnError::EmptyDimension { name: "timesteps" });
         }
@@ -101,7 +101,7 @@ impl SnnNetwork {
     ///
     /// # Errors
     ///
-    /// Propagates [`SnnConfig::validate`] errors.
+    /// Propagates `SnnConfig::validate` errors.
     pub fn from_architecture(arch: &Architecture, config: SnnConfig) -> Result<Self> {
         config.validate()?;
         let neurons = arch.layers().iter().map(|l| l.output_values()).sum();
@@ -111,12 +111,6 @@ impl SnnNetwork {
             neurons,
             config,
         })
-    }
-
-    /// The network's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Total synapses (= weights of the source architecture).
@@ -131,15 +125,9 @@ impl SnnNetwork {
         self.neurons
     }
 
-    /// The conversion configuration.
-    #[must_use]
-    pub fn config(&self) -> SnnConfig {
-        self.config
-    }
-
     /// Expected synaptic operations per second.
     #[must_use]
-    pub fn synaptic_ops_per_second(&self) -> f64 {
+    pub(crate) fn synaptic_ops_per_second(&self) -> f64 {
         self.synapses as f64
             * self.config.activity
             * f64::from(self.config.timesteps)
@@ -149,7 +137,7 @@ impl SnnNetwork {
     /// Neuron membrane updates per second (every neuron, every
     /// timestep — updates are not event-driven).
     #[must_use]
-    pub fn updates_per_second(&self) -> f64 {
+    pub(crate) fn updates_per_second(&self) -> f64 {
         self.neurons as f64 * f64::from(self.config.timesteps) * self.config.inference_rate.hertz()
     }
 

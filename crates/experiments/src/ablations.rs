@@ -27,21 +27,21 @@ use crate::output::Artifacts;
 
 /// One ablation case: a label and its two re-measured outputs.
 #[derive(Debug, Clone)]
-pub struct AblationCase {
+pub(crate) struct AblationCase {
     /// Human-readable description of the perturbation.
-    pub label: String,
+    pub(crate) label: String,
     /// Fig. 10-style MLP crossover average (channels) across feasible
     /// SoCs.
-    pub mlp_avg_max: f64,
+    pub(crate) mlp_avg_max: f64,
     /// Fig. 7-style average channel multiple at 20 % QAM efficiency.
-    pub qam20_multiple: f64,
+    pub(crate) qam20_multiple: f64,
 }
 
 /// The generated ablation table; the first case is the baseline.
 #[derive(Debug, Clone)]
-pub struct Ablations {
+pub(crate) struct Ablations {
     /// All evaluated cases.
-    pub cases: Vec<AblationCase>,
+    pub(crate) cases: Vec<AblationCase>,
 }
 
 /// Rebuilds the eight wireless anchors with a multiplier on the sensing
@@ -96,7 +96,7 @@ fn measure(anchors: &[SplitDesign], config: &IntegrationConfig) -> Result<(f64, 
 /// # Errors
 ///
 /// Propagates evaluation errors.
-pub fn generate() -> Result<Ablations> {
+pub(crate) fn generate() -> Result<Ablations> {
     let baseline_anchors = anchors_with_sensing_scale(1.0)?;
     let base_cfg = IntegrationConfig::paper_45nm();
     let mut cases = Vec::new();
@@ -155,7 +155,7 @@ pub fn generate() -> Result<Ablations> {
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn render(study: &Ablations, dir: &Path) -> Result<Artifacts> {
+pub(crate) fn render(study: &Ablations, dir: &Path) -> Result<Artifacts> {
     let mut artifacts = Artifacts::new();
     let mut ascii = AsciiTable::new(&["Case", "MLP avg max (ch)", "QAM @20% multiple"]);
     let mut csv = Csv::new(&["case", "mlp_avg_max", "qam20_multiple"]);

@@ -21,24 +21,24 @@ use crate::error::Result;
 use crate::output::Artifacts;
 
 /// Channel sweep granularity.
-pub const CHANNEL_STEP: u64 = 256;
+pub(crate) const CHANNEL_STEP: u64 = 256;
 
 /// Channel sweep limit (the paper's figures stop at 8192).
-pub const CHANNEL_LIMIT: u64 = 8192;
+pub(crate) const CHANNEL_LIMIT: u64 = 8192;
 
 /// Communication-efficiency levels: ideal, mid-term, and the paper's
 /// 20 % short-term QAM efficiency.
-pub const EFFICIENCIES: [f64; 3] = [1.0, 0.5, 0.2];
+pub(crate) const EFFICIENCIES: [f64; 3] = [1.0, 0.5, 0.2];
 
 /// The generated exploration: the full sweep and its feasible frontier.
 #[derive(Debug, Clone)]
 pub struct Explore {
     /// Every evaluated cell, in grid order.
-    pub result: SweepResult,
+    pub(crate) result: SweepResult,
     /// The Pareto frontier of the budget-respecting cells.
-    pub frontier: Vec<CandidatePoint>,
+    pub(crate) frontier: Vec<CandidatePoint>,
     /// Scrape of the sweep engine's metrics for this run (`sweep.*`).
-    pub snapshot: Snapshot,
+    pub(crate) snapshot: Snapshot,
 }
 
 /// The grid declaration behind the experiment.

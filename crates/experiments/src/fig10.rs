@@ -23,30 +23,30 @@ const LIMIT: u64 = 7168;
 
 /// One SoC's normalized-power curve for one model.
 #[derive(Debug, Clone)]
-pub struct PowerCurve {
+pub(crate) struct PowerCurve {
     /// Table 1 id.
-    pub id: u8,
+    pub(crate) id: u8,
     /// SoC display name.
-    pub name: String,
+    pub(crate) name: String,
     /// `(channels, P_soc / P_budget)`.
-    pub points: Vec<(u64, f64)>,
+    pub(crate) points: Vec<(u64, f64)>,
     /// The largest feasible channel count, if any.
-    pub max_channels: Option<u64>,
+    pub(crate) max_channels: Option<u64>,
 }
 
 /// The generated Fig. 10 data.
 #[derive(Debug, Clone)]
 pub struct Fig10 {
     /// Curves for the MLP (left panel).
-    pub mlp: Vec<PowerCurve>,
+    pub(crate) mlp: Vec<PowerCurve>,
     /// Curves for the DN-CNN (right panel).
-    pub dn_cnn: Vec<PowerCurve>,
+    pub(crate) dn_cnn: Vec<PowerCurve>,
 }
 
 impl Fig10 {
     /// Average maximum channel count among SoCs that fit a model at all.
     #[must_use]
-    pub fn average_max(&self, family: ModelFamily) -> f64 {
+    pub(crate) fn average_max(&self, family: ModelFamily) -> f64 {
         let curves = match family {
             ModelFamily::Mlp => &self.mlp,
             ModelFamily::DnCnn => &self.dn_cnn,

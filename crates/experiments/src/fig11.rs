@@ -18,24 +18,24 @@ const LIMIT: u64 = 1 << 14;
 
 /// One SoC × model partitioning outcome.
 #[derive(Debug, Clone)]
-pub struct PartitionOutcome {
+pub(crate) struct PartitionOutcome {
     /// Table 1 id.
-    pub id: u8,
+    pub(crate) id: u8,
     /// SoC display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Model family.
-    pub family: ModelFamily,
+    pub(crate) family: ModelFamily,
     /// Max channels with the full model on the implant.
-    pub full: Option<u64>,
+    pub(crate) full: Option<u64>,
     /// Max channels with the partitioned model.
-    pub partitioned: Option<u64>,
+    pub(crate) partitioned: Option<u64>,
 }
 
 impl PartitionOutcome {
     /// The Fig. 11 gain: partitioned / full, by [`channel_gain`] (1.0 =
     /// no benefit, or only one deployment fits).
     #[must_use]
-    pub fn gain(&self) -> Option<f64> {
+    pub(crate) fn gain(&self) -> Option<f64> {
         channel_gain(self.full, self.partitioned)
     }
 }
@@ -44,13 +44,13 @@ impl PartitionOutcome {
 #[derive(Debug, Clone)]
 pub struct Fig11 {
     /// Outcomes per SoC × model.
-    pub outcomes: Vec<PartitionOutcome>,
+    pub(crate) outcomes: Vec<PartitionOutcome>,
 }
 
 impl Fig11 {
     /// Average gain for one family across SoCs with a defined gain.
     #[must_use]
-    pub fn average_gain(&self, family: ModelFamily) -> f64 {
+    pub(crate) fn average_gain(&self, family: ModelFamily) -> f64 {
         let gains: Vec<f64> = self
             .outcomes
             .iter()
@@ -66,7 +66,7 @@ impl Fig11 {
 
     /// Best gain for one family.
     #[must_use]
-    pub fn best_gain(&self, family: ModelFamily) -> f64 {
+    pub(crate) fn best_gain(&self, family: ModelFamily) -> f64 {
         self.outcomes
             .iter()
             .filter(|o| o.family == family)

@@ -15,14 +15,14 @@ use crate::error::Result;
 use crate::output::Artifacts;
 
 /// The channel counts the paper evaluates.
-pub const SWEEP: [u64; 3] = [2048, 4096, 8192];
+pub(crate) const SWEEP: [u64; 3] = [2048, 4096, 8192];
 
 /// Dropout search granularity.
 const STEP: u64 = 32;
 
 /// The four cumulative optimization steps, in paper order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OptimizationStack {
+pub(crate) enum OptimizationStack {
     /// Channel dropout only.
     ChDr,
     /// Dropout + layer reduction.
@@ -35,7 +35,7 @@ pub enum OptimizationStack {
 
 impl OptimizationStack {
     /// All steps in presentation order.
-    pub const ALL: [Self; 4] = [
+    pub(crate) const ALL: [Self; 4] = [
         Self::ChDr,
         Self::LaChDr,
         Self::LaChDrTech,
@@ -44,7 +44,7 @@ impl OptimizationStack {
 
     /// The paper's label for the step.
     #[must_use]
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Self::ChDr => "ChDr",
             Self::LaChDr => "La+ChDr",
@@ -79,30 +79,30 @@ impl OptimizationStack {
 
 /// One SoC × channel-count cell of the figure.
 #[derive(Debug, Clone)]
-pub struct ModelSizeCell {
+pub(crate) struct ModelSizeCell {
     /// Table 1 id.
-    pub id: u8,
+    pub(crate) id: u8,
     /// SoC display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Total NI channels.
-    pub channels: u64,
+    pub(crate) channels: u64,
     /// Normalized model size (0–1 of the unoptimized model) per step, in
     /// [`OptimizationStack::ALL`] order. Zero means even the base model
     /// does not fit.
-    pub sizes: [f64; 4],
+    pub(crate) sizes: [f64; 4],
 }
 
 /// The generated Fig. 12 data.
 #[derive(Debug, Clone)]
 pub struct Fig12 {
     /// One cell per SoC × channel count.
-    pub cells: Vec<ModelSizeCell>,
+    pub(crate) cells: Vec<ModelSizeCell>,
 }
 
 impl Fig12 {
     /// Average normalized size for one step at one channel count.
     #[must_use]
-    pub fn average_size(&self, step: OptimizationStack, channels: u64) -> f64 {
+    pub(crate) fn average_size(&self, step: OptimizationStack, channels: u64) -> f64 {
         let idx = OptimizationStack::ALL
             .iter()
             .position(|s| *s == step)

@@ -15,7 +15,7 @@ use crate::output::Artifacts;
 #[derive(Debug, Clone)]
 pub struct Fig4 {
     /// All 11 designs scaled to 1024 channels.
-    pub points: Vec<ScaledSoc>,
+    pub(crate) points: Vec<ScaledSoc>,
 }
 
 /// Scales every published design to 1024 channels.
@@ -113,19 +113,6 @@ pub fn render(fig: &Fig4, dir: &Path) -> Result<Artifacts> {
     Ok(artifacts)
 }
 
-/// The csv column of the Fig. 4 data corresponding to `name`, to keep
-/// the header and consumers in sync (used by integration tests).
-#[must_use]
-pub fn csv_columns() -> [&'static str; 5] {
-    [
-        "name",
-        "area_mm2",
-        "power_mw",
-        "density_mw_cm2",
-        "budget_mw",
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +141,7 @@ mod tests {
             .report_text()
             .contains("below the power budget: true"));
         let csv = std::fs::read_to_string(&artifacts.files()[0]).unwrap();
-        assert!(csv.starts_with(&csv_columns().join(",")));
+        assert!(csv.starts_with("name,area_mm2,power_mw,density_mw_cm2,budget_mw"));
         assert_eq!(csv.lines().count(), 12);
         let svg = std::fs::read_to_string(&artifacts.files()[1]).unwrap();
         assert!(svg.contains("Power Budget"));

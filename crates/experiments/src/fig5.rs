@@ -15,26 +15,26 @@ use crate::error::Result;
 use crate::output::Artifacts;
 
 /// Channel counts swept by the figure.
-pub const SWEEP: [u64; 4] = [1024, 2048, 4096, 8192];
+pub(crate) const SWEEP: [u64; 4] = [1024, 2048, 4096, 8192];
 
 /// One SoC's projections across the sweep.
 #[derive(Debug, Clone)]
-pub struct SocSweep {
+pub(crate) struct SocSweep {
     /// SoC display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Table 1 id.
-    pub id: u8,
+    pub(crate) id: u8,
     /// One projection per sweep point.
-    pub projections: Vec<Projection>,
+    pub(crate) projections: Vec<Projection>,
 }
 
 /// The generated Fig. 5 data: per regime, per SoC, per channel count.
 #[derive(Debug, Clone)]
 pub struct Fig5 {
     /// Sweeps under the naive hypothesis.
-    pub naive: Vec<SocSweep>,
+    pub(crate) naive: Vec<SocSweep>,
     /// Sweeps under the high-margin hypothesis.
-    pub high_margin: Vec<SocSweep>,
+    pub(crate) high_margin: Vec<SocSweep>,
 }
 
 /// Projects one regime's sweep through the parallel engine and groups

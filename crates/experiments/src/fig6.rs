@@ -15,26 +15,26 @@ use crate::output::Artifacts;
 
 /// Channel counts swept by the figure (1024-step granularity as in the
 /// paper's x-axis).
-pub const SWEEP: [u64; 8] = [1024, 2048, 3072, 4096, 5120, 6144, 7168, 8192];
+pub(crate) const SWEEP: [u64; 8] = [1024, 2048, 3072, 4096, 5120, 6144, 7168, 8192];
 
 /// One SoC's sensing-area-fraction curve.
 #[derive(Debug, Clone)]
-pub struct FractionCurve {
+pub(crate) struct FractionCurve {
     /// Table 1 id.
-    pub id: u8,
+    pub(crate) id: u8,
     /// SoC display name.
-    pub name: String,
+    pub(crate) name: String,
     /// `(channels, sensing area fraction)` along the sweep.
-    pub points: Vec<(u64, f64)>,
+    pub(crate) points: Vec<(u64, f64)>,
 }
 
 /// The generated Fig. 6 data per regime.
 #[derive(Debug, Clone)]
 pub struct Fig6 {
     /// Curves under the naive hypothesis.
-    pub naive: Vec<FractionCurve>,
+    pub(crate) naive: Vec<FractionCurve>,
     /// Curves under the high-margin hypothesis.
-    pub high_margin: Vec<FractionCurve>,
+    pub(crate) high_margin: Vec<FractionCurve>,
 }
 
 /// Sweeps one regime through the parallel engine and groups the

@@ -26,38 +26,38 @@ const LIMIT: u64 = 6144;
 
 /// One SoC's minimum-efficiency curve.
 #[derive(Debug, Clone)]
-pub struct EfficiencyCurve {
+pub(crate) struct EfficiencyCurve {
     /// Table 1 id.
-    pub id: u8,
+    pub(crate) id: u8,
     /// SoC display name.
-    pub name: String,
+    pub(crate) name: String,
     /// `(channels, minimum QAM efficiency)`.
-    pub points: Vec<(u64, f64)>,
+    pub(crate) points: Vec<(u64, f64)>,
     /// Maximum channels at the 20 % short-term efficiency target.
-    pub max_at_20: Option<u64>,
+    pub(crate) max_at_20: Option<u64>,
     /// Maximum channels at the ideal 100 % efficiency.
-    pub max_at_100: Option<u64>,
+    pub(crate) max_at_100: Option<u64>,
 }
 
 /// The generated Fig. 7 data.
 #[derive(Debug, Clone)]
 pub struct Fig7 {
     /// Per-SoC curves.
-    pub curves: Vec<EfficiencyCurve>,
+    pub(crate) curves: Vec<EfficiencyCurve>,
     /// The fleet-average minimum efficiency per channel count.
-    pub average: Vec<(u64, f64)>,
+    pub(crate) average: Vec<(u64, f64)>,
 }
 
 impl Fig7 {
     /// Average channel multiple (vs. 1024) achievable at 20 % efficiency.
     #[must_use]
-    pub fn average_multiple_at_20(&self) -> f64 {
+    pub(crate) fn average_multiple_at_20(&self) -> f64 {
         average_multiple(self.curves.iter().filter_map(|c| c.max_at_20))
     }
 
     /// Average channel multiple achievable at 100 % efficiency.
     #[must_use]
-    pub fn average_multiple_at_100(&self) -> f64 {
+    pub(crate) fn average_multiple_at_100(&self) -> f64 {
         average_multiple(self.curves.iter().filter_map(|c| c.max_at_100))
     }
 }

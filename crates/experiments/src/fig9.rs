@@ -13,7 +13,7 @@ use crate::output::Artifacts;
 #[derive(Debug, Clone)]
 pub struct Fig9 {
     /// The twelve design points, in table order.
-    pub designs: Vec<AcceleratorDesign>,
+    pub(crate) designs: Vec<AcceleratorDesign>,
 }
 
 /// Builds the twelve design points.

@@ -14,7 +14,7 @@
 //! Artifacts land in `results/<experiment>/` (override with the
 //! `MINDFUL_RESULTS` environment variable).
 
-pub mod ablations;
+pub(crate) mod ablations;
 mod error;
 pub mod explore;
 pub mod fig10;
@@ -28,8 +28,8 @@ pub mod fig9;
 pub mod output;
 pub mod realtime;
 pub mod scoreboard;
-pub mod secure_study;
-pub mod snn_study;
+pub(crate) mod secure_study;
+pub(crate) mod snn_study;
 pub mod table1;
 pub mod wpt_study;
 

@@ -16,12 +16,12 @@ pub struct Artifacts {
 impl Artifacts {
     /// Creates an empty artifact set.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a block of terminal report text.
-    pub fn report(&mut self, text: impl AsRef<str>) {
+    pub(crate) fn report(&mut self, text: impl AsRef<str>) {
         self.report.push_str(text.as_ref());
         if !text.as_ref().ends_with('\n') {
             self.report.push('\n');
@@ -34,7 +34,7 @@ impl Artifacts {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write_file(&mut self, dir: &Path, name: &str, contents: &str) -> Result<()> {
+    pub(crate) fn write_file(&mut self, dir: &Path, name: &str, contents: &str) -> Result<()> {
         fs::create_dir_all(dir)?;
         let path = dir.join(name);
         fs::write(&path, contents)?;

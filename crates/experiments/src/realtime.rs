@@ -57,36 +57,36 @@ use crate::error::Result;
 use crate::output::Artifacts;
 
 /// The brain's reaction time — the end-to-end real-time bar (~180 ms).
-pub const BRAIN_REACTION_TIME: TimeSpan = TimeSpan::from_milliseconds(180.0);
+pub(crate) const BRAIN_REACTION_TIME: TimeSpan = TimeSpan::from_milliseconds(180.0);
 
 /// End-to-end latency breakdown for one SoC × model deployment.
 #[derive(Debug, Clone)]
-pub struct LatencyBreakdown {
+pub(crate) struct LatencyBreakdown {
     /// Table 1 id.
-    pub id: u8,
+    pub(crate) id: u8,
     /// SoC display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Model family.
-    pub family: ModelFamily,
+    pub(crate) family: ModelFamily,
     /// Time to accumulate the model's input window.
-    pub window: TimeSpan,
+    pub(crate) window: TimeSpan,
     /// On-implant inference latency (best MAC allocation).
-    pub inference: TimeSpan,
+    pub(crate) inference: TimeSpan,
     /// Wireless transmission time of the output packet at the SoC's raw
     /// link rate.
-    pub transmission: TimeSpan,
+    pub(crate) transmission: TimeSpan,
 }
 
 impl LatencyBreakdown {
     /// Total end-to-end latency.
     #[must_use]
-    pub fn total(&self) -> TimeSpan {
+    pub(crate) fn total(&self) -> TimeSpan {
         self.window + self.inference + self.transmission
     }
 
     /// Whether the deployment meets the brain-reaction-time bar.
     #[must_use]
-    pub fn meets_reaction_time(&self) -> bool {
+    pub(crate) fn meets_reaction_time(&self) -> bool {
         self.total() <= BRAIN_REACTION_TIME
     }
 }
@@ -94,37 +94,37 @@ impl LatencyBreakdown {
 /// Measured batched-inference throughput for one model family, from
 /// actually executing the network on a default-sized scheduler.
 #[derive(Debug, Clone)]
-pub struct MeasuredThroughput {
+pub(crate) struct MeasuredThroughput {
     /// Model family.
-    pub family: ModelFamily,
+    pub(crate) family: ModelFamily,
     /// Numeric precision of the measured engine (`f32` runs the SIMD
     /// dense kernels; `int8` the quantized datapath).
-    pub precision: Precision,
+    pub(crate) precision: Precision,
     /// Samples in the measured batch.
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// Worker threads used by `forward_batch`.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Measured wall time per sample.
-    pub per_sample: TimeSpan,
+    pub(crate) per_sample: TimeSpan,
     /// Whether the batched outputs matched per-sample `forward` calls
     /// exactly (they must — same kernels, same workspaces).
-    pub consistent: bool,
+    pub(crate) consistent: bool,
     /// Per-layer spans recorded by one single-threaded batch inside a
     /// capture window (`clear_spans` … `drain_spans`): `layers × batch`.
-    pub layer_spans: u64,
+    pub(crate) layer_spans: u64,
 }
 
 impl MeasuredThroughput {
     /// Achieved decoding rate in samples per second.
     #[must_use]
-    pub fn samples_per_second(&self) -> f64 {
+    pub(crate) fn samples_per_second(&self) -> f64 {
         1.0 / self.per_sample.seconds()
     }
 }
 
 /// Which chain a streaming measurement drove.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamingMode {
+pub(crate) enum StreamingMode {
     /// Bare replay → DNN chain (the pre-fault-layer path).
     Clean,
     /// Replay → fault injector → concealment guard → DNN chain.
@@ -144,37 +144,37 @@ impl core::fmt::Display for StreamingMode {
 /// driven frame-by-frame through the unified `Stage` pipeline, with
 /// several concurrent streams fanned over one scheduler.
 #[derive(Debug, Clone)]
-pub struct MeasuredStreaming {
+pub(crate) struct MeasuredStreaming {
     /// Model family.
-    pub family: ModelFamily,
+    pub(crate) family: ModelFamily,
     /// Which chain was driven.
-    pub mode: StreamingMode,
+    pub(crate) mode: StreamingMode,
     /// Concurrent streams driven.
-    pub streams: usize,
+    pub(crate) streams: usize,
     /// Frames each stream processed.
-    pub steps: usize,
+    pub(crate) steps: usize,
     /// Worker threads of the scheduler the streams' fleet epochs run on.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Measured wall time per frame across all streams.
-    pub per_frame: TimeSpan,
+    pub(crate) per_frame: TimeSpan,
     /// Mean in-stage latency of the DNN stage (from pipeline telemetry).
-    pub dnn_latency: TimeSpan,
+    pub(crate) dnn_latency: TimeSpan,
     /// Peak output-buffer bytes across all stages of one stream — the
     /// fixed memory footprint an implant port of the chain would need.
-    pub peak_buffer_bytes: usize,
+    pub(crate) peak_buffer_bytes: usize,
     /// Fault telemetry merged over every stage of every stream (all
     /// zero in clean mode).
-    pub faults: FaultTelemetry,
+    pub(crate) faults: FaultTelemetry,
     /// Registry scrape of this run's per-stream, per-stage metrics
     /// (`s{stream}.{index}.{stage}.*`, covering warm-up and the timed
     /// drive).
-    pub snapshot: Snapshot,
+    pub(crate) snapshot: Snapshot,
 }
 
 impl MeasuredStreaming {
     /// Achieved decoding rate in frames per second (all streams).
     #[must_use]
-    pub fn frames_per_second(&self) -> f64 {
+    pub(crate) fn frames_per_second(&self) -> f64 {
         1.0 / self.per_frame.seconds()
     }
 }
@@ -189,43 +189,43 @@ impl MeasuredStreaming {
 /// deadline as their step budget, so the row also reports how often
 /// the measured host missed it.
 #[derive(Debug, Clone)]
-pub struct MeasuredFleet {
+pub(crate) struct MeasuredFleet {
     /// Model family.
-    pub family: ModelFamily,
+    pub(crate) family: ModelFamily,
     /// The priority class this row accounts.
-    pub class: PriorityClass,
+    pub(crate) class: PriorityClass,
     /// Concurrent sessions of this class admitted.
-    pub sessions: usize,
+    pub(crate) sessions: usize,
     /// Scheduler workers the fleet fanned over.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Scheduling epochs timed.
-    pub epochs: u64,
+    pub(crate) epochs: u64,
     /// Real pipeline steps run for this class across all timed epochs.
-    pub steps: u64,
+    pub(crate) steps: u64,
     /// Oversubscribed steps shed into concealment for this class.
-    pub shed: u64,
+    pub(crate) shed: u64,
     /// Real steps that ran past the class's per-session deadline
     /// budget (only realtime sessions carry one).
-    pub deadline_misses: u64,
+    pub(crate) deadline_misses: u64,
     /// Frames the class's conceal stages report as degraded — must
     /// equal `shed` exactly (the field-exact accounting contract).
-    pub degraded: u64,
+    pub(crate) degraded: u64,
     /// Wall time across the timed epochs (shared by every class row of
     /// one family: the classes are served inside the same epochs).
-    pub elapsed: TimeSpan,
+    pub(crate) elapsed: TimeSpan,
 }
 
 impl MeasuredFleet {
     /// Measured wall time per real step.
     #[must_use]
-    pub fn per_step(&self) -> TimeSpan {
+    pub(crate) fn per_step(&self) -> TimeSpan {
         TimeSpan::from_seconds(self.elapsed.seconds() / self.steps.max(1) as f64)
     }
 
     /// Session-epochs served per second (each session advances once per
     /// epoch).
     #[must_use]
-    pub fn sessions_per_sec(&self) -> f64 {
+    pub(crate) fn sessions_per_sec(&self) -> f64 {
         (self.sessions as f64 * self.epochs as f64) / self.elapsed.seconds()
     }
 }
@@ -234,13 +234,13 @@ impl MeasuredFleet {
 #[derive(Debug, Clone)]
 pub struct Realtime {
     /// One row per SoC × model that admits a real-time MAC allocation.
-    pub rows: Vec<LatencyBreakdown>,
+    pub(crate) rows: Vec<LatencyBreakdown>,
     /// Measured host-side batched-inference throughput per family.
-    pub measured: Vec<MeasuredThroughput>,
+    pub(crate) measured: Vec<MeasuredThroughput>,
     /// Measured streaming-pipeline throughput per family.
-    pub streaming: Vec<MeasuredStreaming>,
+    pub(crate) streaming: Vec<MeasuredStreaming>,
     /// Measured dynamic-fleet serving per family.
-    pub fleet: Vec<MeasuredFleet>,
+    pub(crate) fleet: Vec<MeasuredFleet>,
 }
 
 /// Computes latency breakdowns for SoCs 1–8 at 1024 channels.

@@ -22,9 +22,9 @@ pub struct ScoreRow {
     /// The claim, in words.
     pub claim: &'static str,
     /// The paper's reported value.
-    pub paper: String,
+    pub(crate) paper: String,
     /// The value measured by this repository.
-    pub measured: String,
+    pub(crate) measured: String,
     /// Whether the measured value preserves the paper's conclusion.
     pub holds: bool,
 }
@@ -39,7 +39,7 @@ pub struct Scoreboard {
 impl Scoreboard {
     /// Fraction of claims that hold.
     #[must_use]
-    pub fn pass_rate(&self) -> f64 {
+    pub(crate) fn pass_rate(&self) -> f64 {
         if self.rows.is_empty() {
             return 0.0;
         }

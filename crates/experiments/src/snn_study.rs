@@ -22,35 +22,35 @@ use crate::error::Result;
 use crate::output::Artifacts;
 
 /// Activity levels swept by the study.
-pub const ACTIVITIES: [f64; 4] = [0.05, 0.10, 0.25, 0.50];
+pub(crate) const ACTIVITIES: [f64; 4] = [0.05, 0.10, 0.25, 0.50];
 
 /// Timesteps per inference for the rate-coded conversion.
-pub const TIMESTEPS: u32 = 8;
+pub(crate) const TIMESTEPS: u32 = 8;
 
 /// Max channels per SoC at each activity level, plus the MLP reference.
 #[derive(Debug, Clone)]
-pub struct SnnRow {
+pub(crate) struct SnnRow {
     /// Table 1 id.
-    pub id: u8,
+    pub(crate) id: u8,
     /// SoC display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Max channels with the dense-MAC MLP (Fig. 10 reference).
-    pub mlp_max: Option<u64>,
+    pub(crate) mlp_max: Option<u64>,
     /// Max channels with the SNN at each of [`ACTIVITIES`].
-    pub snn_max: [Option<u64>; 4],
+    pub(crate) snn_max: [Option<u64>; 4],
 }
 
 /// The generated study.
 #[derive(Debug, Clone)]
-pub struct SnnStudy {
+pub(crate) struct SnnStudy {
     /// One row per wireless SoC.
-    pub rows: Vec<SnnRow>,
+    pub(crate) rows: Vec<SnnRow>,
     /// Break-even activity of the conversion (same for every SoC).
-    pub break_even: f64,
+    pub(crate) break_even: f64,
     /// Whether the dense MLP the conversion starts from actually ran
     /// (batched over the shared pool) and produced finite label outputs
     /// identical to per-sample execution.
-    pub dense_reference_ok: bool,
+    pub(crate) dense_reference_ok: bool,
 }
 
 /// Total implant power with the SNN decoder at `channels`.
@@ -106,7 +106,7 @@ fn max_channels_snn(
 /// # Errors
 ///
 /// Propagates evaluation errors.
-pub fn generate() -> Result<SnnStudy> {
+pub(crate) fn generate() -> Result<SnnStudy> {
     let config = IntegrationConfig::paper_45nm();
     let mut rows = Vec::new();
     for design in standard_split_designs() {
@@ -176,7 +176,7 @@ fn dense_reference_runs() -> Result<bool> {
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn render(study: &SnnStudy, dir: &Path) -> Result<Artifacts> {
+pub(crate) fn render(study: &SnnStudy, dir: &Path) -> Result<Artifacts> {
     let mut artifacts = Artifacts::new();
     let mut ascii = AsciiTable::new(&[
         "SoC", "MLP max", "SNN @5%", "SNN @10%", "SNN @25%", "SNN @50%",

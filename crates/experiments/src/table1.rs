@@ -12,7 +12,7 @@ use crate::output::Artifacts;
 #[derive(Debug, Clone)]
 pub struct Table1 {
     /// The published designs, in paper order.
-    pub socs: Vec<SocSpec>,
+    pub(crate) socs: Vec<SocSpec>,
 }
 
 /// Generates Table 1 from the database.

@@ -17,30 +17,30 @@ use crate::output::Artifacts;
 
 /// One SoC's WPT accounting.
 #[derive(Debug, Clone)]
-pub struct WptRow {
+pub(crate) struct WptRow {
     /// Table 1 id.
-    pub id: u8,
+    pub(crate) id: u8,
     /// SoC display name.
-    pub name: String,
+    pub(crate) name: String,
     /// The SoC's own power draw at 1024 channels (mW).
-    pub soc_power_mw: f64,
+    pub(crate) soc_power_mw: f64,
     /// The dissipation budget of its area (mW).
-    pub budget_mw: f64,
+    pub(crate) budget_mw: f64,
     /// Maximum SoC power once WPT losses share the budget (mW).
-    pub usable_mw: f64,
+    pub(crate) usable_mw: f64,
     /// External transmit power to feed the SoC (mW).
-    pub transmit_mw: f64,
+    pub(crate) transmit_mw: f64,
     /// Whether the scaled design still fits under a WPT feed.
-    pub fits_with_wpt: bool,
+    pub(crate) fits_with_wpt: bool,
 }
 
 /// The generated study.
 #[derive(Debug, Clone)]
 pub struct WptStudy {
     /// The link model used.
-    pub link: WptLink,
+    pub(crate) link: WptLink,
     /// One row per wireless SoC at 1024 channels.
-    pub rows: Vec<WptRow>,
+    pub(crate) rows: Vec<WptRow>,
 }
 
 /// Evaluates the typical subdural link against every 1024-channel

@@ -100,7 +100,7 @@ impl FaultTelemetry {
 
 /// Saturation level used for real-valued frames (activations live in
 /// `[-1, 1)` and decoded intents in roughly the same range).
-pub const VALUE_SATURATION: f64 = 1.0;
+pub(crate) const VALUE_SATURATION: f64 = 1.0;
 
 /// Deterministic front-end fault injection as a pipeline stage.
 ///
@@ -140,12 +140,6 @@ impl FaultStage {
             (1_u16 << sample_bits) - 1
         };
         Ok(Self { plan, code_limit })
-    }
-
-    /// The plan's injected-fault counters.
-    #[must_use]
-    pub fn counters(&self) -> mindful_rf::fault::FaultCounters {
-        self.plan.counters()
     }
 
     fn apply<T: Copy>(
@@ -440,18 +434,6 @@ impl ConcealStage {
         })
     }
 
-    /// Frames synthesized whole (gap markers concealed).
-    #[must_use]
-    pub fn degraded(&self) -> u64 {
-        self.degraded
-    }
-
-    /// Frames with non-finite channels repaired.
-    #[must_use]
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined
-    }
-
     /// The policy's prediction for channel `c` given current history.
     fn predict(&self, c: usize) -> f64 {
         match (self.policy, self.seen) {
@@ -651,7 +633,7 @@ mod tests {
                 }
             }
         }
-        let counters = stage.counters();
+        let counters = stage.plan.counters();
         assert_eq!(gaps, counters.drops);
         assert_eq!(nan, counters.nan_bursts);
         assert!(dead >= 1 && sat >= 1, "dead {dead}, saturated {sat}");
@@ -669,7 +651,7 @@ mod tests {
             stage.process(&Frame::Codes(&codes), &mut out).unwrap();
             assert_eq!(out.as_frame(), Frame::Codes(codes.as_slice()));
         }
-        assert_eq!(stage.counters().nan_bursts, 0);
+        assert_eq!(stage.plan.counters().nan_bursts, 0);
     }
 
     #[test]
@@ -717,7 +699,7 @@ mod tests {
                 Frame::Codes(expect.as_slice()),
                 "{policy:?}"
             );
-            assert_eq!(stage.degraded(), 1);
+            assert_eq!(stage.degraded, 1);
             assert_eq!(stage.fault_telemetry().unwrap().degraded, 1);
         }
     }
@@ -737,7 +719,7 @@ mod tests {
         assert_eq!(out.as_frame(), Frame::Codes(&[8, 8, 8]));
         stage.process(&Frame::Codes(&[]), &mut out).unwrap();
         assert_eq!(out.as_frame(), Frame::Codes(&[10, 10, 10]));
-        assert_eq!(stage.degraded(), 3);
+        assert_eq!(stage.degraded, 3);
         // Extrapolated codes clamp at zero rather than wrapping.
         let mut stage = ConcealStage::new(1, DegradePolicy::Interpolate).unwrap();
         stage.process(&Frame::Codes(&[10]), &mut out).unwrap();
@@ -760,8 +742,8 @@ mod tests {
             panic!("kind preserved");
         };
         assert_eq!(v, &[4.0, 2.0, 3.0], "good channels pass, bad ones hold");
-        assert_eq!(stage.quarantined(), 1);
-        assert_eq!(stage.degraded(), 0);
+        assert_eq!(stage.quarantined, 1);
+        assert_eq!(stage.degraded, 0);
         // The repaired frame entered history: a following gap holds it.
         stage.process(&Frame::Values(&[]), &mut out).unwrap();
         let Frame::Values(v) = out.as_frame() else {
@@ -774,7 +756,7 @@ mod tests {
             .process(&Frame::Activations(&[f32::NAN, 0.5]), &mut out)
             .unwrap();
         assert_eq!(out.as_frame(), Frame::Activations(&[0.0, 0.5]));
-        assert_eq!(stage.quarantined(), 1);
+        assert_eq!(stage.quarantined, 1);
     }
 
     /// An integer or values frame, widened to f64.
@@ -828,8 +810,8 @@ mod tests {
                         .collect();
                     prop_assert_eq!(widened(a.as_frame()), expect, "{:?} counts={}", policy, counts);
                 }
-                prop_assert_eq!(fast.degraded(), general.degraded());
-                prop_assert_eq!(fast.quarantined(), general.quarantined());
+                prop_assert_eq!(fast.degraded, general.degraded);
+                prop_assert_eq!(fast.quarantined, general.quarantined);
             }
         }
     }

@@ -79,7 +79,7 @@ impl Frame<'_> {
 
     /// Number of elements in the frame.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Self::Codes(s) => s.len(),
             Self::Values(s) => s.len(),
@@ -93,7 +93,7 @@ impl Frame<'_> {
 
     /// Whether the frame carries no elements.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -154,21 +154,10 @@ impl FrameBuf {
         }
     }
 
-    /// Clears the contents (capacity is retained).
-    pub fn clear(&mut self) {
-        self.kind = None;
-        self.codes.clear();
-        self.values.clear();
-        self.activations.clear();
-        self.events.clear();
-        self.counts.clear();
-        self.bytes.clear();
-    }
-
     /// Total bytes of backing storage currently reserved — the
     /// "peak buffer bytes" a fixed-memory implant port would need.
     #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.codes.capacity() * core::mem::size_of::<u16>()
             + self.values.capacity() * core::mem::size_of::<f64>()
             + self.activations.capacity() * core::mem::size_of::<f32>()
@@ -186,7 +175,7 @@ impl FrameBuf {
     }
 
     /// Starts a values frame (see [`FrameBuf::begin_codes`]).
-    pub fn begin_values(&mut self) -> &mut Vec<f64> {
+    pub(crate) fn begin_values(&mut self) -> &mut Vec<f64> {
         self.kind = Some(FrameKind::Values);
         self.values.clear();
         &mut self.values
@@ -207,14 +196,14 @@ impl FrameBuf {
     }
 
     /// Starts a counts frame (see [`FrameBuf::begin_codes`]).
-    pub fn begin_counts(&mut self) -> &mut Vec<u32> {
+    pub(crate) fn begin_counts(&mut self) -> &mut Vec<u32> {
         self.kind = Some(FrameKind::Counts);
         self.counts.clear();
         &mut self.counts
     }
 
     /// Starts a bytes frame (see [`FrameBuf::begin_codes`]).
-    pub fn begin_bytes(&mut self) -> &mut Vec<u8> {
+    pub(crate) fn begin_bytes(&mut self) -> &mut Vec<u8> {
         self.kind = Some(FrameKind::Bytes);
         self.bytes.clear();
         &mut self.bytes
@@ -254,9 +243,8 @@ mod tests {
         assert_eq!(buf.as_frame(), Frame::Activations(&[0.25]));
         buf.begin_bytes().push(0xBC);
         assert_eq!(buf.as_frame(), Frame::Bytes(&[0xBC]));
-        buf.clear();
-        assert_eq!(buf.as_frame(), Frame::Empty);
-        assert!(buf.as_frame().is_empty());
+        assert_eq!(FrameBuf::new().as_frame(), Frame::Empty);
+        assert!(FrameBuf::new().as_frame().is_empty());
     }
 
     #[test]

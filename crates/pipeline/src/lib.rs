@@ -46,15 +46,12 @@ mod stage;
 mod stages;
 
 pub use error::{PipelineError, Result};
-pub use fault::{
-    ConcealStage, DegradePolicy, FaultStage, FaultTelemetry, LinkStage, VALUE_SATURATION,
-};
+pub use fault::{ConcealStage, DegradePolicy, FaultStage, FaultTelemetry, LinkStage};
 pub use frame::{Frame, FrameBuf, FrameKind, StageOutput};
 pub use mindful_dnn::quant::Precision;
-pub use secure::{FirewallConfig, FirewallStage, SecureTelemetry, COHERENCE_SCALE};
+pub use secure::{FirewallConfig, FirewallStage, SecureTelemetry};
 pub use serve::{
-    ClassReport, EpochReport, Fleet, FleetConfig, PriorityClass, SessionId, SessionReport,
-    SessionSpec, ShedPoint,
+    ClassReport, Fleet, FleetConfig, PriorityClass, SessionId, SessionReport, SessionSpec,
 };
 pub use stage::{Pipeline, Stage, StageTelemetry};
 pub use stages::{
@@ -66,7 +63,7 @@ pub use stages::{
 pub mod prelude {
     pub use crate::fault::{ConcealStage, DegradePolicy, FaultStage, FaultTelemetry, LinkStage};
     pub use crate::secure::{FirewallConfig, FirewallStage, SecureTelemetry};
-    pub use crate::serve::{Fleet, FleetConfig, PriorityClass, SessionId, SessionSpec, ShedPoint};
+    pub use crate::serve::{Fleet, FleetConfig, PriorityClass, SessionId, SessionSpec};
     pub use crate::stages::{
         BinStage, DnnStage, IntentSchedule, KalmanStage, PacketizeStage, ReplaySource, SenseStage,
         SpikeStage,

@@ -1,6 +1,6 @@
 //! Registry instrumentation for pipeline stages.
 //!
-//! [`crate::Pipeline::instrument`] registers one metric family per
+//! `crate::Pipeline::instrument` registers one metric family per
 //! stage in a [`mindful_core::obs::Registry`] and stores the returned
 //! handles in the stage's slot; the pipeline then times every stage
 //! call and records into them. Registration is the only allocating

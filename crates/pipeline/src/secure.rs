@@ -34,7 +34,7 @@ use crate::stage::Stage;
 
 /// Scale for [`SecureTelemetry::coherence_ppm`]: a coherence score of
 /// `1.0` (perfectly in-family) is reported as one million.
-pub const COHERENCE_SCALE: u64 = 1_000_000;
+pub(crate) const COHERENCE_SCALE: u64 = 1_000_000;
 
 /// Security counters a stage exposes to the pipeline driver.
 ///
@@ -59,7 +59,7 @@ pub struct SecureTelemetry {
     /// Frames quarantined by the firewall's coherence screen.
     pub firewalled: u64,
     /// Latest coherence score in parts-per-million of `1.0`
-    /// ([`COHERENCE_SCALE`] before any frame is scored).
+    /// (`COHERENCE_SCALE` before any frame is scored).
     pub coherence_ppm: u64,
 }
 
@@ -96,7 +96,7 @@ impl SecureTelemetry {
 
     /// The authenticated-link view of the ledger.
     #[must_use]
-    pub fn from_auth(stats: &AuthStats) -> Self {
+    pub(crate) fn from_auth(stats: &AuthStats) -> Self {
         Self {
             sealed: stats.sealed,
             accepted: stats.accepted,
@@ -277,19 +277,6 @@ impl FirewallStage {
             coherence: 1.0,
             scratch: Vec::new(),
         })
-    }
-
-    /// Frames quarantined so far.
-    #[must_use]
-    pub fn firewalled(&self) -> u64 {
-        self.firewalled
-    }
-
-    /// The latest frame's coherence score in `[0, 1]` (`1.0` before
-    /// any frame is scored).
-    #[must_use]
-    pub fn coherence(&self) -> f64 {
-        self.coherence
     }
 
     /// Tolerance-gated penalty: deviations inside `tol` are free,
@@ -543,7 +530,7 @@ mod tests {
                 "step {k}: clean frame must pass bit-exact"
             );
         }
-        assert_eq!(stage.firewalled(), 0);
+        assert_eq!(stage.firewalled, 0);
         let t = stage.secure_telemetry().unwrap();
         assert_eq!(t.firewalled, 0);
         assert!(
@@ -568,8 +555,8 @@ mod tests {
             Frame::Codes(&[]),
             "anomalous frame must come out as the gap marker"
         );
-        assert_eq!(stage.firewalled(), 1);
-        assert!(stage.coherence() < 0.5);
+        assert_eq!(stage.firewalled, 1);
+        assert!(stage.coherence < 0.5);
     }
 
     #[test]
@@ -581,13 +568,13 @@ mod tests {
             stage.process(&Frame::Codes(&hot), &mut out).unwrap();
             assert_eq!(out.as_frame(), Frame::Codes(&[]));
         }
-        assert_eq!(stage.firewalled(), 50, "every saturated frame caught");
+        assert_eq!(stage.firewalled, 50, "every saturated frame caught");
         // Quarantined frames trained nothing: the in-family stream
         // still passes.
         let codes = steady(501, channels);
         stage.process(&Frame::Codes(&codes), &mut out).unwrap();
         assert_eq!(out.as_frame(), Frame::Codes(codes.as_slice()));
-        assert_eq!(stage.firewalled(), 50);
+        assert_eq!(stage.firewalled, 50);
     }
 
     #[test]
@@ -616,8 +603,8 @@ mod tests {
         poisoned[3] = f64::NAN;
         stage.process(&Frame::Values(&poisoned), &mut out).unwrap();
         assert_eq!(out.as_frame(), Frame::Values(&[]));
-        assert_eq!(stage.coherence(), 0.0);
-        assert_eq!(stage.firewalled(), 1);
+        assert_eq!(stage.coherence, 0.0);
+        assert_eq!(stage.firewalled, 1);
     }
 
     /// A warmup frame with a non-finite channel is quarantined too:
@@ -643,8 +630,8 @@ mod tests {
             }
             stage.process(&Frame::Values(&poison), &mut out).unwrap();
             assert_eq!(out.as_frame(), Frame::Values(&[]), "quarantined in warmup");
-            assert_eq!(stage.coherence(), 0.0);
-            assert_eq!(stage.firewalled(), 1);
+            assert_eq!(stage.coherence, 0.0);
+            assert_eq!(stage.firewalled, 1);
             assert!(!stage.tau_valid, "the quarantine breaks the τ chain");
             assert_eq!(stage.seen, 2, "a quarantined frame is not a warmup frame");
             for k in 3..11 {
@@ -667,7 +654,7 @@ mod tests {
                 .process(&Frame::Values(&vec![1e6; channels]), &mut out)
                 .unwrap();
             assert_eq!(out.as_frame(), Frame::Values(&[]));
-            assert_eq!(stage.firewalled(), 3);
+            assert_eq!(stage.firewalled, 3);
         }
     }
 
@@ -866,7 +853,7 @@ mod tests {
                 let bits = |s: &EwStat| (s.mean.to_bits(), s.var.to_bits());
                 assert_eq!(
                     (
-                        stage.coherence().to_bits(),
+                        stage.coherence.to_bits(),
                         bits(&stage.power),
                         bits(&stage.rate)
                     ),
@@ -883,7 +870,7 @@ mod tests {
                     failed += 1;
                 }
             }
-            assert_eq!(stage.firewalled(), failed);
+            assert_eq!(stage.firewalled, failed);
             assert!(stage.gain.iter().zip(&oracle.gain).all(|(a, b)| {
                 a.mean.to_bits() == b.mean.to_bits() && a.var.to_bits() == b.var.to_bits()
             }));

@@ -39,7 +39,7 @@
 //!   worker count.
 //! * Demand beyond a session's grant is **load-shed into degraded
 //!   mode** rather than stalled: a session admitted with a
-//!   [`ShedPoint`] has the excess pushed as in-band gap markers (an
+//!   `ShedPoint` has the excess pushed as in-band gap markers (an
 //!   empty typed frame) directly at its [`crate::ConcealStage`] via
 //!   [`Pipeline::push_at`] — skipping the whole upstream chain (the
 //!   actual cost saving) and landing in the concealer's existing
@@ -88,7 +88,7 @@
 //!
 //! Each admitted session is additionally instrumented as
 //! `{prefix}.s{id}.{stage-index}.{stage}.{metric}` via
-//! [`Pipeline::instrument`], so one registry scrape sees the whole
+//! `Pipeline::instrument`, so one registry scrape sees the whole
 //! fleet at both granularities. Every stopwatch reads
 //! [`mindful_core::obs::clock`]. An unobserved fleet holds no handles,
 //! records nothing and leaves its sessions uninstrumented, so their
@@ -119,7 +119,7 @@ pub struct SessionId(u64);
 impl SessionId {
     /// The raw id (what per-session metric prefixes embed as `s{id}`).
     #[must_use]
-    pub fn raw(self) -> u64 {
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 }
@@ -171,7 +171,7 @@ impl PriorityClass {
     /// The snake-case label used in per-class metric names
     /// (`{prefix}.{label}.{metric}`).
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Self::Realtime => "realtime",
             Self::Interactive => "interactive",
@@ -194,12 +194,12 @@ impl core::fmt::Display for PriorityClass {
 /// [`Pipeline::push_at`], so the upstream stages are skipped entirely
 /// and the concealer degrades the step under its configured policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShedPoint {
+pub(crate) struct ShedPoint {
     /// Chain index of the concealment stage.
-    pub stage: usize,
+    pub(crate) stage: usize,
     /// The data kind that stage consumes (`Codes`, `Counts`, `Values`,
     /// or `Activations`).
-    pub kind: FrameKind,
+    pub(crate) kind: FrameKind,
 }
 
 impl ShedPoint {
@@ -377,8 +377,6 @@ pub struct EpochReport {
 pub struct SessionReport {
     /// The session.
     pub id: SessionId,
-    /// The session's priority class.
-    pub class: PriorityClass,
     /// Real steps the fleet ran for this session.
     pub steps: u64,
     /// Frames that cleared the session's whole chain.
@@ -437,7 +435,6 @@ impl SessionState {
     fn report(&self, flushed: u64) -> SessionReport {
         SessionReport {
             id: SessionId(self.id),
-            class: self.class,
             steps: self.steps,
             emitted: self.emitted,
             shed: self.shed_steps,
@@ -527,9 +524,6 @@ pub struct Fleet<'a> {
     ready: [Vec<usize>; PriorityClass::COUNT],
     next_id: u64,
     epochs: u64,
-    /// Accounting from the most recent epoch — kept even when the
-    /// epoch's `Result` carried a stage error instead of the report.
-    last_epoch: EpochReport,
     obs: Option<FleetObs<'a>>,
 }
 
@@ -546,7 +540,6 @@ impl<'a> Fleet<'a> {
             ready: std::array::from_fn(|_| Vec::new()),
             next_id: 0,
             epochs: 0,
-            last_epoch: EpochReport::default(),
             obs: None,
         }
     }
@@ -582,22 +575,6 @@ impl<'a> Fleet<'a> {
     #[must_use]
     pub fn epochs(&self) -> u64 {
         self.epochs
-    }
-
-    /// Accounting from the most recent [`Fleet::drive_epoch`] call.
-    ///
-    /// Unlike the epoch's return value, this survives the error path:
-    /// when an epoch surfaces a stage error, the work that *did* run
-    /// (and the per-class breakdown) is still recorded here.
-    #[must_use]
-    pub fn last_epoch(&self) -> &EpochReport {
-        &self.last_epoch
-    }
-
-    /// The scheduler this fleet enqueues on.
-    #[must_use]
-    pub fn scheduler(&self) -> &'a Scheduler {
-        self.scheduler
     }
 
     /// Admits a session and returns its id.
@@ -727,7 +704,7 @@ impl<'a> Fleet<'a> {
     ///    [`FleetConfig::quantum`]) and the remaining
     ///    [`FleetConfig::epoch_capacity`]. Backlog beyond the grant is
     ///    allotted shed work (bounded by [`FleetConfig::shed_quantum`])
-    ///    for sessions with a [`ShedPoint`].
+    ///    for sessions with a `ShedPoint`.
     /// 2. **Serve** (parallel): one dispatch phase per class, highest
     ///    first ([`Scheduler::dispatch_phased`]) — lower-class work
     ///    never runs while a higher class has granted work pending,
@@ -920,7 +897,6 @@ impl<'a> Fleet<'a> {
                 obs.epoch_ns.record(nanos);
             }
         }
-        self.last_epoch = report;
         match error {
             Some(e) => Err(e),
             None => Ok(report),
@@ -1447,33 +1423,6 @@ mod tests {
         assert_eq!(fleet.peek(lax).unwrap().deadline_misses, 0);
         let evicted = fleet.evict(strict).unwrap();
         assert_eq!(evicted.deadline_misses, 5);
-        assert_eq!(evicted.class, PriorityClass::Realtime);
-    }
-
-    #[test]
-    fn a_session_frozen_by_a_first_step_error_is_not_starved() {
-        let sched = scheduler(1);
-        let mut fleet = Fleet::new(&sched, config(4, 64));
-        // Width-mismatched conceal: fails on the very first step, so
-        // the session ends the epoch with zero steps and zero shed.
-        let bad = Pipeline::new()
-            .with_stage(SenseStage::new(2, 16, 10, 1, IntentSchedule::FigureEight).unwrap())
-            .with_stage(ConcealStage::new(8, DegradePolicy::ZeroFill).unwrap());
-        let bad_id = fleet.admit(SessionSpec::new(bad)).unwrap();
-        let good_id = fleet.admit(SessionSpec::new(sense_chain(2))).unwrap();
-        fleet.request(bad_id, 4).unwrap();
-        fleet.request(good_id, 4).unwrap();
-        assert!(fleet.drive_epoch().is_err());
-        // The error epoch's accounting survives on the fleet: the
-        // frozen session is served-and-failed, not starved.
-        let report = fleet.last_epoch();
-        assert_eq!(report.sessions, 2);
-        assert_eq!(report.steps, 4, "the healthy session still ran");
-        assert_eq!(report.starved, 0, "frozen-by-error is not starvation");
-        assert_eq!(
-            report.by_class[PriorityClass::BestEffort.index()].starved,
-            0
-        );
     }
 
     #[test]

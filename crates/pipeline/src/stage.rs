@@ -82,7 +82,7 @@ pub struct StageTelemetry {
     pub frames_out: u64,
     /// Cumulative wall time inside [`Stage::process`] and flushing
     /// [`Stage::finish`] calls. Only an instrumented pipeline
-    /// ([`Pipeline::instrument`]) runs the stage stopwatch; otherwise
+    /// (`Pipeline::instrument`) runs the stage stopwatch; otherwise
     /// this stays [`Duration::ZERO`].
     pub busy: Duration,
     /// Cumulative wire bytes emitted (non-zero only for byte sinks).
@@ -126,7 +126,8 @@ impl StageTelemetry {
         if self.frames_in == 0 {
             Duration::ZERO
         } else {
-            self.busy / u32::try_from(self.frames_in.min(u64::from(u32::MAX))).unwrap_or(u32::MAX)
+            let nanos = self.busy.as_nanos() / u128::from(self.frames_in);
+            Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
         }
     }
 }
@@ -219,7 +220,7 @@ impl Pipeline {
     }
 
     /// Appends a stage.
-    pub fn add_stage(&mut self, stage: impl Stage + 'static) {
+    pub(crate) fn add_stage(&mut self, stage: impl Stage + 'static) {
         let telemetry = StageTelemetry::new(stage.name());
         self.slots.push(Slot {
             stage: Box::new(stage),
@@ -243,7 +244,7 @@ impl Pipeline {
     /// rule as [`StageTelemetry`], so the scrape of a pipeline
     /// instrumented before its first step matches [`Pipeline::telemetry`]
     /// field for field.
-    pub fn instrument(&mut self, registry: &Registry, prefix: &str) {
+    pub(crate) fn instrument(&mut self, registry: &Registry, prefix: &str) {
         for (index, slot) in self.slots.iter_mut().enumerate() {
             let fault_aware = slot.stage.fault_telemetry().is_some();
             let secure_aware = slot.stage.secure_telemetry().is_some();
@@ -258,7 +259,7 @@ impl Pipeline {
         }
     }
 
-    /// Builder-style [`Pipeline::instrument`].
+    /// Builder-style `Pipeline::instrument`.
     #[must_use]
     pub fn with_instrumentation(mut self, registry: &Registry, prefix: &str) -> Self {
         self.instrument(registry, prefix);
@@ -267,13 +268,13 @@ impl Pipeline {
 
     /// Number of stages.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// Whether the pipeline has no stages.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
 
@@ -593,8 +594,12 @@ mod tests {
 
     #[test]
     fn mean_latency_is_zero_before_any_frame() {
-        let t = StageTelemetry::new("idle");
+        let mut t = StageTelemetry::new("idle");
         assert_eq!(t.mean_latency(), Duration::ZERO);
+        // Past 2^32 frames the divisor is the full count, not u32::MAX.
+        t.frames_in = 1 << 33;
+        t.busy = Duration::from_nanos(1 << 33);
+        assert_eq!(t.mean_latency(), Duration::from_nanos(1));
     }
 
     /// Absorbs every frame and only releases them at end-of-stream.

@@ -34,7 +34,7 @@ pub enum IntentSchedule {
 impl IntentSchedule {
     /// The intent at step `k`.
     #[must_use]
-    pub fn at(&self, k: usize) -> Intent {
+    pub(crate) fn at(&self, k: usize) -> Intent {
         match self {
             Self::Constant(intent) => *intent,
             Self::FigureEight => trajectory_intent(k),
@@ -81,12 +81,6 @@ impl SenseStage {
             step: 0,
             spikes: Vec::new(),
         }
-    }
-
-    /// Channel count of the wrapped interface.
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.interface.channels()
     }
 }
 
@@ -186,12 +180,6 @@ impl BinStage {
         Ok(Self {
             accumulator: BinAccumulator::new(channels, window)?,
         })
-    }
-
-    /// Window length in samples.
-    #[must_use]
-    pub fn window(&self) -> usize {
-        self.accumulator.window()
     }
 }
 
@@ -444,12 +432,6 @@ impl PacketizeStage {
             adc: Adc::new(sample_bits, Self::VALUE_FULL_SCALE)?,
         })
     }
-
-    /// The next sequence number to be stamped on the wire.
-    #[must_use]
-    pub fn sequence(&self) -> u16 {
-        self.sequence
-    }
 }
 
 impl Stage for PacketizeStage {
@@ -555,7 +537,7 @@ mod tests {
         let parsed = depacketize(wire).unwrap();
         assert_eq!(parsed.sequence, 0);
         assert_eq!(parsed.samples, codes);
-        assert_eq!(stage.sequence(), 1);
+        assert_eq!(stage.sequence, 1);
     }
 
     #[test]
@@ -595,7 +577,7 @@ mod tests {
         let mut p = PacketizeStage::new(10).unwrap();
         assert!(p.process(&Frame::Events(&[true]), &mut out).is_err());
         let mut b = BinStage::new(2, 4).unwrap();
-        assert_eq!(b.window(), 4);
+        assert_eq!(b.accumulator.window(), 4);
         assert!(b.process(&Frame::Codes(&[1, 2]), &mut out).is_err());
     }
 

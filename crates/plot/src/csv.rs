@@ -69,12 +69,6 @@ impl Csv {
         self.buffer.push('\n');
     }
 
-    /// Number of data rows (excluding the header).
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// The document text.
     #[must_use]
     pub fn as_str(&self) -> &str {
@@ -106,7 +100,7 @@ mod tests {
         let mut csv = Csv::new(&["n", "power_mw"]);
         csv.push(&["1024", "38.9"]);
         csv.push_numbers(&[2048.0, 77.8]);
-        assert_eq!(csv.rows(), 2);
+        assert_eq!(csv.rows, 2);
         let text = csv.to_string();
         assert!(text.starts_with("n,power_mw\n"));
         assert!(text.contains("1024,38.9\n"));

@@ -21,7 +21,7 @@ pub mod svg;
 pub mod table;
 
 pub use csv::Csv;
-pub use svg::{BarChart, LineChart, Series, PALETTE};
+pub use svg::{BarChart, LineChart, Series};
 pub use table::AsciiTable;
 
 /// Convenient glob-import of the most used items.

@@ -5,7 +5,7 @@
 use core::fmt::Write as _;
 
 /// The categorical palette used for series.
-pub const PALETTE: [&str; 10] = [
+pub(crate) const PALETTE: [&str; 10] = [
     "#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4", "#8c613c", "#dc7ec0", "#797979",
     "#d5bb67", "#82c6e2",
 ];
@@ -21,9 +21,9 @@ const MARGIN_BOTTOM: f64 = 60.0;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label.
-    pub label: String,
+    pub(crate) label: String,
     /// `(x, y)` points in data coordinates.
-    pub points: Vec<(f64, f64)>,
+    pub(crate) points: Vec<(f64, f64)>,
 }
 
 impl Series {
@@ -139,7 +139,7 @@ impl LineChart {
 
 /// One bar of a grouped bar chart: a label and its stacked segment
 /// values (bottom first, matching the chart's segment labels).
-pub type Bar = (String, Vec<f64>);
+pub(crate) type Bar = (String, Vec<f64>);
 
 /// A grouped bar chart; each bar may be a stack of named segments.
 #[derive(Debug, Clone, Default)]

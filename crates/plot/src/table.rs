@@ -35,12 +35,6 @@ impl AsciiTable {
             .push(cells.iter().map(ToString::to_string).collect());
         self
     }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 impl fmt::Display for AsciiTable {
@@ -87,7 +81,7 @@ mod tests {
         let text = t.to_string();
         assert!(text.contains("|  BISC |"), "{text}");
         assert!(text.contains("38.88"));
-        assert_eq!(t.rows(), 2);
+        assert_eq!(t.rows.len(), 2);
         // Every line has the same width.
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines.windows(2).all(|w| w[0].len() == w[1].len()));

@@ -42,24 +42,24 @@ use crate::packet::{depacketize_into, HEADER_BYTES};
 /// Largest supported reorder window (slots are index-mapped by
 /// `seq & (len - 1)`, so the backing ring stays a power of two that
 /// divides the `u16` sequence space).
-pub const MAX_ARQ_WINDOW: usize = 4096;
+pub(crate) const MAX_ARQ_WINDOW: usize = 4096;
 
 /// Receiver configuration: window size, NAK timing, and whether
 /// retransmission is enabled at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArqConfig {
     /// Reorder window / fixed playout delay, in steps (frames).
-    pub window: usize,
+    pub(crate) window: usize,
     /// Steps a gap must stay open before the first NAK is sent —
     /// lets adjacent reorders self-heal without a retransmission.
-    pub nak_delay: u64,
+    pub(crate) nak_delay: u64,
     /// Steps between a NAK and its first repeat.
-    pub nak_timeout: u64,
+    pub(crate) nak_timeout: u64,
     /// Multiplier applied to the timeout after each repeat.
-    pub nak_backoff: u64,
+    pub(crate) nak_backoff: u64,
     /// `false` selects the ARQ-off degraded mode: gaps are detected
     /// and counted but never NAK'd, so every one becomes a loss.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
 }
 
 impl ArqConfig {
@@ -91,7 +91,7 @@ impl ArqConfig {
     ///
     /// Returns [`RfError::InvalidParameter`] when the window is 0 or
     /// above [`MAX_ARQ_WINDOW`], or any timing parameter is 0.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.window == 0 || self.window > MAX_ARQ_WINDOW {
             return Err(RfError::InvalidParameter {
                 name: "arq window",
@@ -200,7 +200,7 @@ impl ArqReceiver {
     ///
     /// # Errors
     ///
-    /// Propagates [`ArqConfig::validate`] errors.
+    /// Propagates `ArqConfig::validate` errors.
     pub fn new(config: ArqConfig) -> Result<Self> {
         config.validate()?;
         let len = (config.window + 1).next_power_of_two();
@@ -219,22 +219,10 @@ impl ArqReceiver {
         })
     }
 
-    /// The receiver's configuration.
-    #[must_use]
-    pub fn config(&self) -> ArqConfig {
-        self.config
-    }
-
     /// Counter snapshot.
     #[must_use]
     pub fn stats(&self) -> ArqStats {
         self.stats
-    }
-
-    /// Whether the first sequence number has been established.
-    #[must_use]
-    pub fn started(&self) -> bool {
-        self.started
     }
 
     /// Sequence numbers currently between the playout point and the
@@ -250,7 +238,7 @@ impl ArqReceiver {
     /// Whether `seq` is in the window and still missing — the test an
     /// honest link applies before delivering a retransmission.
     #[must_use]
-    pub fn is_missing(&self, seq: u16) -> bool {
+    pub(crate) fn is_missing(&self, seq: u16) -> bool {
         if !self.started {
             return false;
         }
@@ -447,7 +435,7 @@ impl ArqReceiver {
 /// sized to hold at least twice the receiver window so any sequence
 /// number the receiver can still NAK is guaranteed to be present.
 #[derive(Debug, Clone)]
-pub struct TxWindow {
+pub(crate) struct TxWindow {
     slots: Vec<TxSlot>,
 }
 
@@ -461,7 +449,7 @@ struct TxSlot {
 impl TxWindow {
     /// History sized for a receiver using `window`.
     #[must_use]
-    pub fn new(window: usize) -> Self {
+    pub(crate) fn new(window: usize) -> Self {
         let len = (2 * (window + 1)).next_power_of_two();
         Self {
             slots: vec![TxSlot::default(); len],
@@ -470,7 +458,7 @@ impl TxWindow {
 
     /// Records the wire image of `seq`, evicting the slot's previous
     /// occupant.
-    pub fn insert(&mut self, seq: u16, wire: &[u8]) {
+    pub(crate) fn insert(&mut self, seq: u16, wire: &[u8]) {
         let idx = usize::from(seq) & (self.slots.len() - 1);
         let slot = &mut self.slots[idx];
         slot.occupied = true;
@@ -481,7 +469,7 @@ impl TxWindow {
 
     /// The stored wire image of `seq`, if still in the history.
     #[must_use]
-    pub fn get(&self, seq: u16) -> Option<&[u8]> {
+    pub(crate) fn get(&self, seq: u16) -> Option<&[u8]> {
         let slot = &self.slots[usize::from(seq) & (self.slots.len() - 1)];
         (slot.occupied && slot.seq == seq).then_some(slot.wire.as_slice())
     }
@@ -613,12 +601,6 @@ impl ArqLink {
             stats.sealed = a.tx.sealed();
             stats
         })
-    }
-
-    /// Frames still buffered at the receiver.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.rx.buffered()
     }
 
     /// Transmits one wire packet and advances the playout clock one

@@ -14,7 +14,7 @@
 //!
 //! * **Keyed MAC** — a Carter–Wegman construction under a 128-bit
 //!   pre-shared key, carried as a 64-bit trailer: the frame bytes run
-//!   through an NH universal hash ([`LinkMac`], 64-bit word pairs,
+//!   through an NH universal hash (`LinkMac`, 64-bit word pairs,
 //!   `64×64→128` multiply-accumulate — ~0.2 cycles/byte, an order of
 //!   magnitude cheaper than hashing the payload with a full PRF), and
 //!   SipHash-2-4 acts as the PRF only over the *fixed-size* input
@@ -22,7 +22,7 @@
 //!   crates) and pinned against the reference vectors.
 //! * **Nonce bound to the ARQ sequence space** — the 64-bit nonce is
 //!   the *extended* sequence number: the wrapping `u16` on the wire,
-//!   unwrapped monotonically by both ends ([`extend_sequence`]). The
+//!   unwrapped monotonically by both ends (`extend_sequence`). The
 //!   nonce never travels; an attacker who replays an old frame cannot
 //!   re-bind it to a fresh nonce without breaking the MAC.
 //! * **Sliding replay window** — the receiver tracks accepted nonces in
@@ -40,7 +40,7 @@
 //! version, key id, MAC, replay window. Every pre-MAC check depends
 //! only on *public constant-size header fields* and the total length —
 //! never on payload bytes — and the MAC comparison is constant-time
-//! ([`ct_eq_tag`]), so rejection behaviour leaks nothing about payload
+//! (`ct_eq_tag`), so rejection behaviour leaks nothing about payload
 //! content. No inner-packet byte is parsed, and no output byte is
 //! written, before the MAC verifies.
 //!
@@ -52,16 +52,16 @@ use crate::error::{Result, RfError};
 use crate::packet::{HEADER_BYTES, PACKET_MAGIC, TRAILER_BYTES};
 
 /// Frame marker that starts every sealed (authenticated) packet.
-pub const AUTH_MAGIC: u16 = 0x5EA1;
+pub(crate) const AUTH_MAGIC: u16 = 0x5EA1;
 
 /// Wire-format version carried in every sealed frame.
-pub const AUTH_VERSION: u8 = 1;
+pub(crate) const AUTH_VERSION: u8 = 1;
 
 /// Sealed-frame header size: magic(2) + version(1) + key id(1).
-pub const AUTH_HEADER_BYTES: usize = 4;
+pub(crate) const AUTH_HEADER_BYTES: usize = 4;
 
 /// MAC trailer size (Carter–Wegman NH + SipHash-2-4 PRF, 64-bit tag).
-pub const AUTH_TAG_BYTES: usize = 8;
+pub(crate) const AUTH_TAG_BYTES: usize = 8;
 
 /// Total sealing overhead per frame.
 pub const AUTH_OVERHEAD_BYTES: usize = AUTH_HEADER_BYTES + AUTH_TAG_BYTES;
@@ -69,11 +69,11 @@ pub const AUTH_OVERHEAD_BYTES: usize = AUTH_HEADER_BYTES + AUTH_TAG_BYTES;
 /// Smallest possible sealed frame: envelope around a minimal inner
 /// packet (header + CRC, empty payload is impossible but this is the
 /// parse floor).
-pub const MIN_SEALED_BYTES: usize = AUTH_OVERHEAD_BYTES + HEADER_BYTES + TRAILER_BYTES;
+pub(crate) const MIN_SEALED_BYTES: usize = AUTH_OVERHEAD_BYTES + HEADER_BYTES + TRAILER_BYTES;
 
 /// Largest supported replay window — half the `u16` sequence space, so
 /// nonce extension stays unambiguous.
-pub const MAX_REPLAY_WINDOW: usize = 32_768;
+pub(crate) const MAX_REPLAY_WINDOW: usize = 32_768;
 
 /// Unwraps a `u16` wire sequence number into the 64-bit extended
 /// sequence space around `anchor` (the last extended number this
@@ -82,7 +82,7 @@ pub const MAX_REPLAY_WINDOW: usize = 32_768;
 /// reference. Returns `None` when the backward reference would precede
 /// extended sequence 0 (a frame from before the stream began).
 #[must_use]
-pub fn extend_sequence(anchor: u64, seq: u16) -> Option<u64> {
+pub(crate) fn extend_sequence(anchor: u64, seq: u16) -> Option<u64> {
     let fwd = seq.wrapping_sub(anchor as u16);
     if fwd <= 0x7FFF {
         Some(anchor + u64::from(fwd))
@@ -105,7 +105,7 @@ pub fn extend_sequence(anchor: u64, seq: u16) -> Option<u64> {
 /// `nonce ‖ NH ‖ length` finalization of [`LinkMac`] — so its
 /// per-byte cost never touches the bulk payload path.
 #[derive(Debug, Clone)]
-pub struct SipMac {
+pub(crate) struct SipMac {
     v0: u64,
     v1: u64,
     v2: u64,
@@ -118,7 +118,7 @@ pub struct SipMac {
 impl SipMac {
     /// Starts a MAC under a 128-bit key.
     #[must_use]
-    pub fn new(key: &[u8; 16]) -> Self {
+    pub(crate) fn new(key: &[u8; 16]) -> Self {
         let k0 = u64::from_le_bytes(key[0..8].try_into().expect("8 bytes"));
         let k1 = u64::from_le_bytes(key[8..16].try_into().expect("8 bytes"));
         Self {
@@ -159,7 +159,7 @@ impl SipMac {
     }
 
     /// Absorbs `data`.
-    pub fn write(&mut self, data: &[u8]) {
+    pub(crate) fn write(&mut self, data: &[u8]) {
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buf_len > 0 {
@@ -186,7 +186,7 @@ impl SipMac {
 
     /// Finishes the MAC and returns the 64-bit tag.
     #[must_use]
-    pub fn finish(mut self) -> u64 {
+    pub(crate) fn finish(mut self) -> u64 {
         let mut last = [0_u8; 8];
         last[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
         last[7] = (self.len & 0xFF) as u8;
@@ -204,7 +204,7 @@ impl SipMac {
 /// One-shot SipHash-2-4 PRF over `nonce ‖ data` — the keyed primitive
 /// behind [`LinkMac`]'s pad expansion and tag finalization.
 #[must_use]
-pub fn mac64(key: &[u8; 16], nonce: u64, data: &[u8]) -> u64 {
+pub(crate) fn mac64(key: &[u8; 16], nonce: u64, data: &[u8]) -> u64 {
     let mut mac = SipMac::new(key);
     mac.write(&nonce.to_le_bytes());
     mac.write(data);
@@ -215,7 +215,7 @@ pub fn mac64(key: &[u8; 16], nonce: u64, data: &[u8]) -> u64 {
 /// where the first mismatch sits, so verification time never narrows
 /// the attacker's search.
 #[must_use]
-pub fn ct_eq_tag(a: &[u8; AUTH_TAG_BYTES], b: &[u8; AUTH_TAG_BYTES]) -> bool {
+pub(crate) fn ct_eq_tag(a: &[u8; AUTH_TAG_BYTES], b: &[u8; AUTH_TAG_BYTES]) -> bool {
     let mut diff = 0_u8;
     for i in 0..AUTH_TAG_BYTES {
         diff |= a[i] ^ b[i];
@@ -267,7 +267,7 @@ const NH_PAD_LABEL: &[u8; 16] = b"MINDFUL-NH-PAD-1";
 /// steady-state sealing and opening are allocation-free — the same
 /// warm-path contract as the rest of the link layer.
 #[derive(Debug, Clone)]
-pub struct LinkMac {
+pub(crate) struct LinkMac {
     key: [u8; 16],
     pad: Vec<u64>,
 }
@@ -277,7 +277,7 @@ impl LinkMac {
     /// key (one per link end) expand identical pads and agree on every
     /// tag.
     #[must_use]
-    pub fn new(key: &[u8; 16]) -> Self {
+    pub(crate) fn new(key: &[u8; 16]) -> Self {
         Self {
             key: *key,
             pad: Vec::new(),
@@ -326,7 +326,7 @@ impl LinkMac {
     /// lazy pad growth; tags are a pure function of `(key, nonce,
     /// data)`.
     #[must_use]
-    pub fn tag(&mut self, nonce: u64, data: &[u8]) -> u64 {
+    pub(crate) fn tag(&mut self, nonce: u64, data: &[u8]) -> u64 {
         let words = data.len().div_ceil(16) * 2;
         self.ensure_pad(words);
         let nh = Self::nh(&self.pad, data);
@@ -347,11 +347,11 @@ impl LinkMac {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuthKey {
     /// 128-bit SipHash key (secret).
-    pub key: [u8; 16],
+    pub(crate) key: [u8; 16],
     /// Public key identifier carried in every sealed frame so the
     /// receiver can reject a peer keyed differently without burning a
     /// MAC computation.
-    pub key_id: u8,
+    pub(crate) key_id: u8,
 }
 
 impl AuthKey {
@@ -378,11 +378,11 @@ impl AuthKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuthConfig {
     /// The pre-shared key.
-    pub key: AuthKey,
+    pub(crate) key: AuthKey,
     /// Replay-window span in sequence numbers (rounded up to a power
     /// of two). Must cover the deepest legitimate reordering the ARQ
     /// can produce; the default of 1024 dwarfs any sane ARQ window.
-    pub replay_window: usize,
+    pub(crate) replay_window: usize,
 }
 
 impl AuthConfig {
@@ -401,7 +401,7 @@ impl AuthConfig {
     ///
     /// Returns [`RfError::InvalidParameter`] when the window is below 2
     /// or above [`MAX_REPLAY_WINDOW`].
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.replay_window < 2 || self.replay_window > MAX_REPLAY_WINDOW {
             return Err(RfError::InvalidParameter {
                 name: "replay window",
@@ -463,7 +463,7 @@ impl ReplayWindow {
 
     /// Whether any nonce has been accepted yet.
     #[must_use]
-    pub fn primed(&self) -> bool {
+    pub(crate) fn primed(&self) -> bool {
         self.primed
     }
 
@@ -471,12 +471,6 @@ impl ReplayWindow {
     #[must_use]
     pub fn highest(&self) -> u64 {
         self.highest
-    }
-
-    /// The effective window span.
-    #[must_use]
-    pub fn span(&self) -> u64 {
-        self.window
     }
 
     fn index(&self, ext: u64) -> (usize, u64) {
@@ -557,7 +551,7 @@ pub struct AuthStats {
     pub rejected_mac: u64,
     /// Frames rejected before the MAC on public header grounds
     /// (truncated envelope, bad magic, bad version).
-    pub rejected_malformed: u64,
+    pub(crate) rejected_malformed: u64,
     /// Frames advertising a different key id.
     pub rejected_key: u64,
     /// Authentic frames whose nonce was already accepted once.
@@ -616,7 +610,7 @@ impl AuthSender {
 
     /// Frames sealed so far.
     #[must_use]
-    pub fn sealed(&self) -> u64 {
+    pub(crate) fn sealed(&self) -> u64 {
         self.sealed
     }
 
@@ -678,7 +672,7 @@ impl AuthReceiver {
     ///
     /// # Errors
     ///
-    /// Propagates [`AuthConfig::validate`] errors.
+    /// Propagates `AuthConfig::validate` errors.
     pub fn new(config: &AuthConfig) -> Result<Self> {
         config.validate()?;
         Ok(Self {
@@ -694,12 +688,6 @@ impl AuthReceiver {
     #[must_use]
     pub fn stats(&self) -> AuthStats {
         self.stats
-    }
-
-    /// The replay window (inspection for tests and telemetry).
-    #[must_use]
-    pub fn window(&self) -> &ReplayWindow {
-        &self.window
     }
 
     /// Verifies one sealed frame and returns the inner packet slice.
@@ -1053,7 +1041,7 @@ mod tests {
     #[test]
     fn replay_window_duplicate_and_stale_edges() {
         let mut w = ReplayWindow::new(16);
-        assert_eq!(w.span(), 16);
+        assert_eq!(w.window, 16);
         assert_eq!(w.try_accept(100), ReplayVerdict::Fresh);
         assert_eq!(w.try_accept(100), ReplayVerdict::Replayed);
         // Out-of-order within the window: fresh once, replayed after.
@@ -1086,7 +1074,7 @@ mod tests {
             copies.push(sealed.clone());
         }
         assert_eq!(rx.stats().accepted, 40);
-        assert_eq!(rx.window().highest(), u64::from(u16::MAX) + 19);
+        assert_eq!(rx.window.highest(), u64::from(u16::MAX) + 19);
         // Every copy from either side of the wrap is now a replay.
         for copy in &copies {
             assert!(matches!(

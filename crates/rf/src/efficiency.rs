@@ -39,22 +39,10 @@ pub struct QamOperatingPoint {
 }
 
 impl QamOperatingPoint {
-    /// The evaluated channel count.
-    #[must_use]
-    pub fn channels(&self) -> u64 {
-        self.channels
-    }
-
     /// Bits per symbol `k = ⌈n / n_ref⌉`.
     #[must_use]
     pub fn bits_per_symbol(&self) -> u8 {
         self.bits_per_symbol
-    }
-
-    /// Transmit energy per bit of an ideal (η = 1) implementation.
-    #[must_use]
-    pub fn ideal_energy_per_bit(&self) -> Energy {
-        self.ideal_energy_per_bit
     }
 
     /// Projected sensing power at this channel count.
@@ -79,7 +67,7 @@ impl QamOperatingPoint {
     /// Whether the point is achievable at a given implementation
     /// efficiency.
     #[must_use]
-    pub fn feasible_at(&self, eta: f64) -> bool {
+    pub(crate) fn feasible_at(&self, eta: f64) -> bool {
         self.min_efficiency <= eta
     }
 }

@@ -36,19 +36,19 @@ use crate::packet::packetize;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Flip one random payload bit (detected by the CRC-16).
-    pub bit_flip: f64,
+    pub(crate) bit_flip: f64,
     /// Truncate the packet at a random byte boundary.
-    pub truncate: f64,
+    pub(crate) truncate: f64,
     /// Drop the packet (wire) or frame (front end) entirely.
     pub drop: f64,
     /// Deliver the packet twice.
-    pub duplicate: f64,
+    pub(crate) duplicate: f64,
     /// Swap the packet with its successor (adjacent reorder).
-    pub reorder: f64,
+    pub(crate) reorder: f64,
     /// Zero a contiguous run of channels (dead electrodes).
-    pub dead_channels: f64,
+    pub(crate) dead_channels: f64,
     /// Saturate a contiguous run of channels at full scale.
-    pub saturated_channels: f64,
+    pub(crate) saturated_channels: f64,
     /// Replace a contiguous run of channels with NaN (front-end burst;
     /// only meaningful for real-valued frames).
     pub nan_burst: f64,
@@ -101,7 +101,7 @@ impl FaultConfig {
 
     /// Sum of all per-event fault rates.
     #[must_use]
-    pub fn total_rate(&self) -> f64 {
+    pub(crate) fn total_rate(&self) -> f64 {
         self.bit_flip
             + self.truncate
             + self.drop
@@ -118,7 +118,7 @@ impl FaultConfig {
     /// # Errors
     ///
     /// Returns [`RfError::InvalidParameter`] on violation.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         for (name, value) in [
             ("bit flip rate", self.bit_flip),
             ("truncate rate", self.truncate),
@@ -146,7 +146,7 @@ impl FaultConfig {
 
 /// One wire-level fault decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireFault {
+pub(crate) enum WireFault {
     /// Flip bit `bit` (absolute bit index into the packet).
     BitFlip {
         /// Absolute bit index to flip.
@@ -197,19 +197,19 @@ pub enum FrameFault {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Packets with one bit flipped.
-    pub bit_flips: u64,
+    pub(crate) bit_flips: u64,
     /// Packets truncated.
-    pub truncations: u64,
+    pub(crate) truncations: u64,
     /// Packets or frames dropped.
     pub drops: u64,
     /// Packets duplicated.
     pub duplicates: u64,
     /// Packet pairs reordered.
-    pub reorders: u64,
+    pub(crate) reorders: u64,
     /// Frames with a dead-channel run.
-    pub dead_channels: u64,
+    pub(crate) dead_channels: u64,
     /// Frames with a saturated-channel run.
-    pub saturated_channels: u64,
+    pub(crate) saturated_channels: u64,
     /// Frames with a NaN burst.
     pub nan_bursts: u64,
 }
@@ -253,7 +253,7 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Propagates [`FaultConfig::validate`] errors.
+    /// Propagates `FaultConfig::validate` errors.
     pub fn new(config: FaultConfig, seed: u64) -> Result<Self> {
         config.validate()?;
         Ok(Self {
@@ -261,12 +261,6 @@ impl FaultPlan {
             rng: StdRng::seed_from_u64(seed),
             counters: FaultCounters::default(),
         })
-    }
-
-    /// The plan's configuration.
-    #[must_use]
-    pub fn config(&self) -> FaultConfig {
-        self.config
     }
 
     /// Counts of faults injected so far.
@@ -279,7 +273,11 @@ impl FaultPlan {
     /// `wire_len` bytes. `allow_reorder` lets the injector veto a
     /// reorder while one packet is already held back; a vetoed reorder
     /// counts as no fault.
-    pub fn next_wire_fault(&mut self, wire_len: usize, allow_reorder: bool) -> Option<WireFault> {
+    pub(crate) fn next_wire_fault(
+        &mut self,
+        wire_len: usize,
+        allow_reorder: bool,
+    ) -> Option<WireFault> {
         let u: f64 = self.rng.random();
         let c = self.config;
         let mut edge = c.bit_flip;
@@ -392,17 +390,17 @@ impl FaultPlan {
 pub struct AttackConfig {
     /// Inject a frame forged under the attacker's own key (but the
     /// victim's key id).
-    pub forge: f64,
+    pub(crate) forge: f64,
     /// Re-inject a frame the receiver has already accepted.
-    pub replay: f64,
+    pub(crate) replay: f64,
     /// Splice the prefix of an old accepted frame onto the suffix of
     /// the current one (reorder-splice).
-    pub splice: f64,
+    pub(crate) splice: f64,
     /// Truncate the current frame and extend it back to full length
     /// with garbage.
-    pub truncate_extend: f64,
+    pub(crate) truncate_extend: f64,
     /// Deliver the current frame re-labelled with a foreign key id.
-    pub key_mismatch: f64,
+    pub(crate) key_mismatch: f64,
 }
 
 impl AttackConfig {
@@ -433,7 +431,7 @@ impl AttackConfig {
 
     /// Sum of all per-packet attack rates.
     #[must_use]
-    pub fn total_rate(&self) -> f64 {
+    pub(crate) fn total_rate(&self) -> f64 {
         self.forge + self.replay + self.splice + self.truncate_extend + self.key_mismatch
     }
 
@@ -443,7 +441,7 @@ impl AttackConfig {
     /// # Errors
     ///
     /// Returns [`RfError::InvalidParameter`] on violation.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         for (name, value) in [
             ("forge rate", self.forge),
             ("replay rate", self.replay),
@@ -468,7 +466,7 @@ impl AttackConfig {
 
 /// One attack decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackKind {
+pub(crate) enum AttackKind {
     /// Forge a frame under the attacker's key.
     Forge,
     /// Replay a previously accepted frame.
@@ -522,7 +520,7 @@ impl AttackCounters {
 /// function of `(config, seed)` regardless of which attacks are vetoed
 /// downstream.
 #[derive(Debug, Clone)]
-pub struct AttackPlan {
+pub(crate) struct AttackPlan {
     config: AttackConfig,
     rng: StdRng,
 }
@@ -533,7 +531,7 @@ impl AttackPlan {
     /// # Errors
     ///
     /// Propagates [`AttackConfig::validate`] errors.
-    pub fn new(config: AttackConfig, seed: u64) -> Result<Self> {
+    pub(crate) fn new(config: AttackConfig, seed: u64) -> Result<Self> {
         config.validate()?;
         Ok(Self {
             config,
@@ -541,15 +539,9 @@ impl AttackPlan {
         })
     }
 
-    /// The plan's configuration.
-    #[must_use]
-    pub fn config(&self) -> AttackConfig {
-        self.config
-    }
-
     /// Decides the attack (if any) to launch alongside the next packet,
     /// together with two raw words of attack-specific entropy.
-    pub fn next_attack(&mut self) -> Option<(AttackKind, u64, u64)> {
+    pub(crate) fn next_attack(&mut self) -> Option<(AttackKind, u64, u64)> {
         let u: f64 = self.rng.random();
         let r1: u64 = self.rng.random();
         let r2: u64 = self.rng.random();
@@ -616,7 +608,7 @@ impl Adversary {
     ///
     /// # Errors
     ///
-    /// Propagates [`AttackConfig::validate`] errors.
+    /// Propagates `AttackConfig::validate` errors.
     pub fn new(config: AttackConfig, seed: u64, victim_key_id: u8) -> Result<Self> {
         Ok(Self {
             plan: AttackPlan::new(config, seed)?,
@@ -628,7 +620,7 @@ impl Adversary {
 
     /// Counts of attacks launched so far.
     #[must_use]
-    pub fn counters(&self) -> AttackCounters {
+    pub(crate) fn counters(&self) -> AttackCounters {
         self.counters
     }
 
@@ -636,7 +628,7 @@ impl Adversary {
     /// accepted by the receiver) as replay/splice material. Non-sealed
     /// frames are ignored — the adversary only attacks the
     /// authenticated format.
-    pub fn remember(&mut self, wire: &[u8]) {
+    pub(crate) fn remember(&mut self, wire: &[u8]) {
         if wire.len() < MIN_SEALED_BYTES || wire[0..2] != AUTH_MAGIC.to_be_bytes() {
             return;
         }
@@ -650,7 +642,7 @@ impl Adversary {
     /// image `wire`, appending it to `out` after the legitimate
     /// deliveries. Vetoed attacks (no history yet, degenerate sizes)
     /// draw from the plan but count nothing.
-    pub fn raid(&mut self, wire: &[u8], out: &mut Vec<Vec<u8>>) {
+    pub(crate) fn raid(&mut self, wire: &[u8], out: &mut Vec<Vec<u8>>) {
         let Some((kind, r1, r2)) = self.plan.next_attack() else {
             return;
         };
@@ -743,7 +735,7 @@ impl Adversary {
 /// Push each outgoing packet; the injector appends what the channel
 /// actually delivers (zero, one, or more packets) to the caller's
 /// delivery list. A reordered packet is held back and delivered right
-/// after its successor; [`WireFaultInjector::flush`] releases a held
+/// after its successor; `WireFaultInjector::flush` releases a held
 /// packet at end of stream.
 ///
 /// With [`WireFaultInjector::with_adversary`], an active [`Adversary`]
@@ -780,20 +772,20 @@ impl WireFaultInjector {
 
     /// Counts of faults injected so far.
     #[must_use]
-    pub fn counters(&self) -> FaultCounters {
+    pub(crate) fn counters(&self) -> FaultCounters {
         self.plan.counters()
     }
 
     /// Counts of adversary attacks launched so far, if an adversary is
     /// attached.
     #[must_use]
-    pub fn attack_counters(&self) -> Option<AttackCounters> {
+    pub(crate) fn attack_counters(&self) -> Option<AttackCounters> {
         self.adversary.as_ref().map(Adversary::counters)
     }
 
     /// Transmits one packet through the faulty channel, appending the
     /// delivered packet images to `out`.
-    pub fn push(&mut self, wire: &[u8], out: &mut Vec<Vec<u8>>) {
+    pub(crate) fn push(&mut self, wire: &[u8], out: &mut Vec<Vec<u8>>) {
         let fault = self.plan.next_wire_fault(wire.len(), self.held.is_none());
         let mut delivered = false;
         let mut intact = false;
@@ -846,7 +838,7 @@ impl WireFaultInjector {
     }
 
     /// Delivers a held reordered packet at end of stream.
-    pub fn flush(&mut self, out: &mut Vec<Vec<u8>>) {
+    pub(crate) fn flush(&mut self, out: &mut Vec<Vec<u8>>) {
         if let Some(held) = self.held.take() {
             out.push(held);
         }

@@ -40,22 +40,22 @@ pub use error::{Result, RfError};
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
-    pub use crate::arq::{ArqConfig, ArqLink, ArqReceiver, ArqStats, Playout, TxWindow};
+    pub use crate::arq::{ArqConfig, ArqLink, ArqReceiver, ArqStats, Playout};
     pub use crate::auth::{
         AuthConfig, AuthKey, AuthReceiver, AuthSender, AuthStats, ReplayVerdict, ReplayWindow,
     };
     pub use crate::efficiency::{
-        max_channels_at_efficiency, qam_operating_point, QamOperatingPoint, CURRENT_QAM_EFFICIENCY,
+        max_channels_at_efficiency, qam_operating_point, CURRENT_QAM_EFFICIENCY,
         SHORT_TERM_QAM_EFFICIENCY,
     };
     pub use crate::fault::{
-        Adversary, AttackConfig, AttackCounters, AttackKind, AttackPlan, FaultConfig,
-        FaultCounters, FaultPlan, FrameFault, WireFault, WireFaultInjector,
+        Adversary, AttackConfig, AttackCounters, FaultConfig, FaultCounters, FaultPlan, FrameFault,
+        WireFaultInjector,
     };
     pub use crate::linkbudget::LinkBudget;
-    pub use crate::modem::{AwgnChannel, Modem, Symbol};
+    pub use crate::modem::Modem;
     pub use crate::modulation::Modulation;
-    pub use crate::ook::{OokTransmitter, DEFAULT_OOK_ENERGY_PER_BIT};
+    pub use crate::ook::OokTransmitter;
     pub use crate::packet::{
         depacketize, depacketize_into, packetize, packetize_into, Frame, FrameHeader,
     };

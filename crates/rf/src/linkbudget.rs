@@ -27,25 +27,25 @@ use crate::modulation::{Modulation, MAX_BITS_PER_SYMBOL};
 use crate::qfunc::from_db;
 
 /// Boltzmann constant in J/K.
-pub const BOLTZMANN: f64 = 1.380_649e-23;
+pub(crate) const BOLTZMANN: f64 = 1.380_649e-23;
 
 /// Body temperature in kelvin, used for the receiver noise floor.
-pub const BODY_TEMPERATURE_K: f64 = 310.0;
+pub(crate) const BODY_TEMPERATURE_K: f64 = 310.0;
 
-/// An implant-to-wearable link budget: target BER, path loss, margin
-/// and receiver noise temperature. [`LinkBudget::paper_nominal`] gives
+/// An implant-to-wearable link budget: target BER, path loss and
+/// margin, with the receiver at body temperature.
+/// [`LinkBudget::paper_nominal`] gives
 /// the paper's QAM link parameters: BER 1e-6, 60 dB path loss, 20 dB
 /// margin (Section 5.2 Evaluation).
 ///
 /// The budget carries the required Eb/N0 at its target BER for OOK and
-/// for QAM with 1..=[`MAX_BITS_PER_SYMBOL`] bits per symbol, solved once
+/// for QAM with 1..=`MAX_BITS_PER_SYMBOL` bits per symbol, solved once
 /// by [`Modulation::required_ebn0`] when the budget is built.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBudget {
     target_ber: f64,
     path_loss_db: f64,
     margin_db: f64,
-    noise_temperature_k: f64,
     /// Required Eb/N0 (linear) at `target_ber`: index 0 is OOK, index
     /// `k` is QAM with `k` bits per symbol.
     ebn0: [f64; 1 + MAX_BITS_PER_SYMBOL as usize],
@@ -57,9 +57,8 @@ impl LinkBudget {
     /// # Errors
     ///
     /// Returns [`RfError::InvalidBer`] for targets outside `(0, 0.5)` and
-    /// [`RfError::InvalidParameter`] for negative losses/margins or a
-    /// non-positive noise temperature.
-    pub fn new(target_ber: f64, path_loss_db: f64, margin_db: f64) -> Result<Self> {
+    /// [`RfError::InvalidParameter`] for negative losses/margins.
+    pub(crate) fn new(target_ber: f64, path_loss_db: f64, margin_db: f64) -> Result<Self> {
         if !(target_ber > 0.0 && target_ber < 0.5) {
             return Err(RfError::InvalidBer { ber: target_ber });
         }
@@ -85,7 +84,6 @@ impl LinkBudget {
             target_ber,
             path_loss_db,
             margin_db,
-            noise_temperature_k: BODY_TEMPERATURE_K,
             ebn0,
         })
     }
@@ -97,44 +95,10 @@ impl LinkBudget {
         Self::new(1e-6, 60.0, 20.0).expect("nominal parameters are valid")
     }
 
-    /// Overrides the receiver noise temperature (default: 310 K).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfError::InvalidParameter`] for a non-positive value.
-    pub fn with_noise_temperature(mut self, kelvin: f64) -> Result<Self> {
-        if !(kelvin > 0.0 && kelvin.is_finite()) {
-            return Err(RfError::InvalidParameter {
-                name: "noise temperature (K)",
-                value: kelvin,
-            });
-        }
-        self.noise_temperature_k = kelvin;
-        Ok(self)
-    }
-
-    /// Target bit error rate.
-    #[must_use]
-    pub fn target_ber(&self) -> f64 {
-        self.target_ber
-    }
-
-    /// Path loss in dB.
-    #[must_use]
-    pub fn path_loss_db(&self) -> f64 {
-        self.path_loss_db
-    }
-
-    /// Link margin in dB.
-    #[must_use]
-    pub fn margin_db(&self) -> f64 {
-        self.margin_db
-    }
-
     /// Receiver thermal-noise density `N0 = k_B · T` in J (per Hz).
     #[must_use]
-    pub fn noise_density(&self) -> Energy {
-        Energy::from_joules(BOLTZMANN * self.noise_temperature_k)
+    pub(crate) fn noise_density(&self) -> Energy {
+        Energy::from_joules(BOLTZMANN * BODY_TEMPERATURE_K)
     }
 
     /// The required Eb/N0 (linear) for `modulation` at the target BER:
@@ -212,7 +176,7 @@ impl LinkBudget {
     ///
     /// Returns [`RfError::InvalidParameter`] for a non-positive power
     /// cap, plus BER-solver errors.
-    pub fn minimum_efficiency(
+    pub(crate) fn minimum_efficiency(
         &self,
         modulation: Modulation,
         rate: DataRate,
@@ -241,7 +205,7 @@ impl fmt::Display for LinkBudget {
         write!(
             f,
             "link budget: BER {:.0e}, path loss {} dB, margin {} dB, T {} K",
-            self.target_ber, self.path_loss_db, self.margin_db, self.noise_temperature_k
+            self.target_ber, self.path_loss_db, self.margin_db, BODY_TEMPERATURE_K
         )
     }
 }
@@ -260,9 +224,9 @@ mod tests {
     #[test]
     fn nominal_parameters_match_paper() {
         let link = LinkBudget::paper_nominal();
-        assert!((link.target_ber() - 1e-6).abs() < 1e-18);
-        assert!((link.path_loss_db() - 60.0).abs() < 1e-12);
-        assert!((link.margin_db() - 20.0).abs() < 1e-12);
+        assert!((link.target_ber - 1e-6).abs() < 1e-18);
+        assert!((link.path_loss_db - 60.0).abs() < 1e-12);
+        assert!((link.margin_db - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -317,22 +281,19 @@ mod tests {
     /// The solver-backed energy per bit, the expression `energy_per_bit`
     /// evaluated before the budget carried its Eb/N0 table.
     fn solved_energy_per_bit(link: &LinkBudget, modulation: Modulation, eta: f64) -> Energy {
-        let ebn0 = modulation.required_ebn0(link.target_ber()).unwrap();
-        let losses = from_db(link.path_loss_db() + link.margin_db());
+        let ebn0 = modulation.required_ebn0(link.target_ber).unwrap();
+        let losses = from_db(link.path_loss_db + link.margin_db);
         link.noise_density() * (ebn0 * losses / eta)
     }
 
     #[test]
     fn table_lookup_is_bit_identical_to_the_solver() {
-        let hot = LinkBudget::new(1e-9, 45.0, 10.0)
-            .unwrap()
-            .with_noise_temperature(400.0)
-            .unwrap();
+        let strict = LinkBudget::new(1e-9, 45.0, 10.0).unwrap();
         let schemes: Vec<Modulation> = core::iter::once(Modulation::Ook)
             .chain((1..=MAX_BITS_PER_SYMBOL).map(|k| Modulation::qam(k).unwrap()))
             .collect();
         assert_eq!(schemes.len(), 21, "one table entry per scheme");
-        for link in [LinkBudget::paper_nominal(), hot] {
+        for link in [LinkBudget::paper_nominal(), strict] {
             for &modulation in &schemes {
                 for eta in [1.0, 0.2, 0.15] {
                     let table = link.energy_per_bit(modulation, eta).unwrap();
@@ -388,20 +349,6 @@ mod tests {
                 Power::ZERO
             )
             .is_err());
-        assert!(link.with_noise_temperature(-3.0).is_err());
-    }
-
-    #[test]
-    fn higher_noise_temperature_costs_energy() {
-        let cold = LinkBudget::paper_nominal()
-            .with_noise_temperature(100.0)
-            .unwrap();
-        let hot = LinkBudget::paper_nominal()
-            .with_noise_temperature(400.0)
-            .unwrap();
-        let ec = cold.energy_per_bit(Modulation::Ook, 1.0).unwrap();
-        let eh = hot.energy_per_bit(Modulation::Ook, 1.0).unwrap();
-        assert!((eh.joules() / ec.joules() - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -8,44 +8,32 @@
 //! measurements from this modem validate the closed forms used by the
 //! Fig. 7 analysis.
 //!
-//! Two Monte-Carlo paths are provided: [`Modem::measure_ber`] runs one
-//! serial trial (noise drawn in blocks rather than per symbol), and
-//! [`Modem::measure_ber_blocks`] splits the trial into independently
-//! seeded blocks fanned over a caller-supplied
-//! [`mindful_core::pool::Scheduler`], so large BER sweeps scale with
-//! cores while staying bit-identical for any worker count.
+//! [`Modem::measure_ber`] runs one serial Monte-Carlo trial, with the
+//! channel noise drawn in blocks rather than per symbol.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use mindful_core::pool::Scheduler;
 
 use crate::error::{Result, RfError};
 use crate::modulation::Modulation;
 
 /// Symbols per batched noise draw in the blocked AWGN path.
-pub const NOISE_BLOCK: usize = 1024;
+pub(crate) const NOISE_BLOCK: usize = 1024;
 
 /// One complex baseband symbol.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Symbol {
     /// In-phase component.
-    pub i: f64,
+    pub(crate) i: f64,
     /// Quadrature component.
-    pub q: f64,
+    pub(crate) q: f64,
 }
 
 impl Symbol {
     /// Creates a symbol from its I/Q components.
     #[must_use]
-    pub fn new(i: f64, q: f64) -> Self {
+    pub(crate) fn new(i: f64, q: f64) -> Self {
         Self { i, q }
-    }
-
-    /// The symbol energy `|s|² = i² + q²`.
-    #[must_use]
-    pub fn energy(&self) -> f64 {
-        self.i * self.i + self.q * self.q
     }
 }
 
@@ -87,15 +75,9 @@ impl Modem {
         })
     }
 
-    /// The modulation scheme.
-    #[must_use]
-    pub fn modulation(&self) -> Modulation {
-        self.modulation
-    }
-
     /// Bits consumed per symbol.
     #[must_use]
-    pub fn bits_per_symbol(&self) -> usize {
+    pub(crate) fn bits_per_symbol(&self) -> usize {
         usize::from(self.modulation.bits_per_symbol())
     }
 
@@ -201,61 +183,6 @@ impl Modem {
         Ok(errors as f64 / rounded as f64)
     }
 
-    /// Block-sampled Monte-Carlo BER: `blocks` independent trials of
-    /// `bits_per_block` bits each, fanned over `scheduler`.
-    ///
-    /// Each block derives its own seeds from `seed` and the block index
-    /// (splitmix64), so the aggregate error count — and therefore the
-    /// returned BER — is bit-identical for any worker count and equals
-    /// the serial evaluation of the same blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RfError::InvalidParameter`] for a non-positive noise
-    /// density or a zero block/bit count.
-    pub fn measure_ber_blocks(
-        &self,
-        n0: f64,
-        blocks: usize,
-        bits_per_block: usize,
-        seed: u64,
-        scheduler: &Scheduler,
-    ) -> Result<f64> {
-        if !(n0 > 0.0 && n0.is_finite()) {
-            return Err(RfError::InvalidParameter {
-                name: "noise density",
-                value: n0,
-            });
-        }
-        if blocks == 0 {
-            return Err(RfError::InvalidParameter {
-                name: "blocks",
-                value: 0.0,
-            });
-        }
-        if bits_per_block == 0 {
-            return Err(RfError::InvalidParameter {
-                name: "bits per block",
-                value: 0.0,
-            });
-        }
-        let indices: Vec<usize> = (0..blocks).collect();
-        let trials = scheduler.map_init(
-            &indices,
-            || (),
-            |(), _, &block| {
-                let bit_seed = splitmix64(seed.wrapping_add(block as u64).wrapping_mul(2) + 1);
-                let noise_seed = splitmix64(bit_seed ^ SEED_MIX);
-                self.ber_trial(n0, bits_per_block, bit_seed, noise_seed)
-                    .expect("parameters were validated before the fan-out")
-            },
-        );
-        let (errors, total) = trials
-            .iter()
-            .fold((0_usize, 0_usize), |(e, t), &(be, bt)| (e + be, t + bt));
-        Ok(errors as f64 / total as f64)
-    }
-
     /// One Monte-Carlo trial: random bits through the modem and a
     /// blocked AWGN channel, returning `(bit errors, bits compared)`.
     fn ber_trial(
@@ -282,22 +209,14 @@ impl Modem {
     }
 }
 
-/// Constant used to decorrelate bit and noise seeds (golden-ratio
-/// increment, as in splitmix64).
+/// Constant used to decorrelate bit and noise seeds (the golden-ratio
+/// increment).
 const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// splitmix64 finalizer — mixes a block index into decorrelated seeds.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(SEED_MIX);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Additive white Gaussian noise with density `N0` (variance `N0/2` per
 /// real dimension).
 #[derive(Debug)]
-pub struct AwgnChannel {
+pub(crate) struct AwgnChannel {
     sigma: f64,
     rng: StdRng,
 }
@@ -309,7 +228,7 @@ impl AwgnChannel {
     /// # Errors
     ///
     /// Returns [`RfError::InvalidParameter`] for a non-positive density.
-    pub fn new(n0: f64, seed: u64) -> Result<Self> {
+    pub(crate) fn new(n0: f64, seed: u64) -> Result<Self> {
         if !(n0 > 0.0 && n0.is_finite()) {
             return Err(RfError::InvalidParameter {
                 name: "noise density",
@@ -322,27 +241,18 @@ impl AwgnChannel {
         })
     }
 
-    /// Adds Gaussian noise to each symbol in place, one draw at a time.
-    pub fn apply(&mut self, symbols: &mut [Symbol]) {
-        for s in symbols {
-            let (n_i, n_q) = self.gaussian_pair();
-            s.i += self.sigma * n_i;
-            s.q += self.sigma * n_q;
-        }
-    }
-
-    /// [`AwgnChannel::apply`] with noise drawn in batches of `block`
-    /// symbols: all Gaussians for a block are generated into a reusable
-    /// buffer first, then added in a tight, branch-free pass.
+    /// Adds Gaussian noise to each symbol in place, drawn in batches of
+    /// `block` symbols: all Gaussians for a block are generated into a
+    /// reusable buffer first, then added in a tight, branch-free pass.
     ///
-    /// Draws come from the same RNG in the same order as the scalar
-    /// path, so the result is bit-identical to [`AwgnChannel::apply`]
-    /// under the same seed for any block size.
+    /// Draws come from the same RNG in the same order as one pair per
+    /// symbol would, so the result is bit-identical to a per-symbol
+    /// draw under the same seed for any block size.
     ///
     /// # Panics
     ///
     /// Panics if `block` is zero.
-    pub fn apply_blocked(&mut self, symbols: &mut [Symbol], block: usize) {
+    pub(crate) fn apply_blocked(&mut self, symbols: &mut [Symbol], block: usize) {
         assert!(block > 0, "noise block size must be positive");
         let mut noise: Vec<(f64, f64)> = Vec::with_capacity(block.min(symbols.len()));
         for chunk in symbols.chunks_mut(block) {
@@ -414,10 +324,20 @@ fn nearest_level(value: f64, half_bits: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::num::NonZeroUsize;
 
-    fn sched(workers: usize) -> Scheduler {
-        Scheduler::new(NonZeroUsize::new(workers).unwrap())
+    /// The symbol energy `|s|² = i² + q²`.
+    fn energy(s: &Symbol) -> f64 {
+        s.i * s.i + s.q * s.q
+    }
+
+    /// The per-symbol noise oracle: one Gaussian pair drawn per symbol,
+    /// in order, which the blocked path must match bit for bit.
+    fn apply_scalar(channel: &mut AwgnChannel, symbols: &mut [Symbol]) {
+        for s in symbols {
+            let (n_i, n_q) = channel.gaussian_pair();
+            s.i += channel.sigma * n_i;
+            s.q += channel.sigma * n_q;
+        }
     }
 
     const SEED_ROUND_TRIP: u64 = 7;
@@ -469,7 +389,7 @@ mod tests {
             let modem = Modem::new(Modulation::qam(k).unwrap(), 2.5).unwrap();
             let bits: Vec<bool> = (0..60_000).map(|_| rng.random()).collect();
             let symbols = modem.modulate(&bits);
-            let avg: f64 = symbols.iter().map(Symbol::energy).sum::<f64>() / symbols.len() as f64;
+            let avg: f64 = symbols.iter().map(energy).sum::<f64>() / symbols.len() as f64;
             let expected = f64::from(k) * 2.5;
             assert!(
                 (avg / expected - 1.0).abs() < 0.02,
@@ -483,7 +403,7 @@ mod tests {
         let modem = Modem::new(Modulation::Ook, 4.0).unwrap();
         let bits = [true, false, true, false];
         let symbols = modem.modulate(&bits);
-        let avg: f64 = symbols.iter().map(Symbol::energy).sum::<f64>() / symbols.len() as f64;
+        let avg: f64 = symbols.iter().map(energy).sum::<f64>() / symbols.len() as f64;
         assert!((avg - 4.0).abs() < 1e-12);
     }
 
@@ -558,57 +478,17 @@ mod tests {
             let mut blocked = AwgnChannel::new(1.5, SEED_CHANNEL_NOISE).unwrap();
             let mut a = vec![Symbol::new(0.25, -0.75); count];
             let mut b = a.clone();
-            scalar.apply(&mut a);
+            apply_scalar(&mut scalar, &mut a);
             blocked.apply_blocked(&mut b, block);
             assert_eq!(a, b, "block size {block}");
         }
     }
 
     #[test]
-    fn block_sampled_ber_is_thread_count_invariant() {
-        let modem = Modem::new(Modulation::qam(2).unwrap(), 4.0).unwrap();
-        let reference = modem
-            .measure_ber_blocks(1.0, 16, 5_000, SEED_BER_QPSK, &sched(1))
-            .unwrap();
-        for workers in [2_usize, 3, 8, 32] {
-            let got = modem
-                .measure_ber_blocks(1.0, 16, 5_000, SEED_BER_QPSK, &sched(workers))
-                .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn block_sampled_ber_matches_theory() {
-        // Eb/N0 = 4: QPSK theory Q(√8) ≈ 2.34e-3, same regime as the
-        // serial measure_ber test but sampled as 64 independent blocks.
-        let modulation = Modulation::qam(2).unwrap();
-        let modem = Modem::new(modulation, 4.0).unwrap();
-        let measured = modem
-            .measure_ber_blocks(1.0, 64, 31_250, SEED_BER_QPSK, &sched(4))
-            .unwrap();
-        let theory = modulation.ber(4.0);
-        assert!(
-            (measured / theory - 1.0).abs() < 0.15,
-            "measured {measured}, theory {theory}"
-        );
-    }
-
-    #[test]
-    fn block_sampled_ber_rejects_invalid_parameters() {
-        let modem = Modem::new(Modulation::Ook, 1.0).unwrap();
-        let one = sched(1);
-        assert!(modem.measure_ber_blocks(0.0, 4, 100, 1, &one).is_err());
-        assert!(modem.measure_ber_blocks(1.0, 0, 100, 1, &one).is_err());
-        assert!(modem.measure_ber_blocks(1.0, 4, 0, 1, &one).is_err());
-        assert_eq!(one.stats().tasks, 0, "refused before any dispatch");
-    }
-
-    #[test]
     fn channel_noise_has_expected_variance() {
         let mut channel = AwgnChannel::new(2.0, SEED_CHANNEL_NOISE).unwrap();
         let mut symbols = vec![Symbol::default(); 50_000];
-        channel.apply(&mut symbols);
+        channel.apply_blocked(&mut symbols, NOISE_BLOCK);
         let var_i: f64 = symbols.iter().map(|s| s.i * s.i).sum::<f64>() / symbols.len() as f64;
         let var_q: f64 = symbols.iter().map(|s| s.q * s.q).sum::<f64>() / symbols.len() as f64;
         // Each dimension has variance N0/2 = 1.0.

@@ -14,7 +14,7 @@ use crate::qfunc::q;
 
 /// Maximum bits per symbol supported by the QAM model (2^20-QAM is far
 /// beyond anything implementable; the bound keeps arithmetic exact).
-pub const MAX_BITS_PER_SYMBOL: u8 = 20;
+pub(crate) const MAX_BITS_PER_SYMBOL: u8 = 20;
 
 /// A digital modulation scheme used by the implant's transmitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,7 +37,7 @@ impl Modulation {
     /// # Errors
     ///
     /// Returns [`RfError::InvalidBitsPerSymbol`] when `bits_per_symbol`
-    /// is zero or exceeds [`MAX_BITS_PER_SYMBOL`].
+    /// is zero or exceeds `MAX_BITS_PER_SYMBOL`.
     pub fn qam(bits_per_symbol: u8) -> Result<Self> {
         if bits_per_symbol == 0 || bits_per_symbol > MAX_BITS_PER_SYMBOL {
             return Err(RfError::InvalidBitsPerSymbol {
@@ -49,7 +49,7 @@ impl Modulation {
 
     /// Bits carried per transmitted symbol.
     #[must_use]
-    pub fn bits_per_symbol(&self) -> u8 {
+    pub(crate) fn bits_per_symbol(&self) -> u8 {
         match *self {
             Self::Ook => 1,
             Self::Qam { bits_per_symbol } => bits_per_symbol,
@@ -58,7 +58,7 @@ impl Modulation {
 
     /// Constellation size `M = 2^k`.
     #[must_use]
-    pub fn constellation_size(&self) -> u64 {
+    pub(crate) fn constellation_size(&self) -> u64 {
         1_u64 << self.bits_per_symbol()
     }
 
@@ -142,7 +142,7 @@ impl Modulation {
     /// Spectral efficiency in bits/s/Hz assuming symbol rate = bandwidth
     /// (Nyquist signalling): equal to the bits per symbol.
     #[must_use]
-    pub fn spectral_efficiency(&self) -> f64 {
+    pub(crate) fn spectral_efficiency(&self) -> f64 {
         f64::from(self.bits_per_symbol())
     }
 }

@@ -11,7 +11,7 @@ use mindful_core::units::{DataRate, Energy, Frequency, Power};
 use crate::error::{Result, RfError};
 
 /// The paper's anchor OOK transmitter energy per bit: 50 pJ/bit.
-pub const DEFAULT_OOK_ENERGY_PER_BIT: Energy = Energy::from_picojoules(50.0);
+pub(crate) const DEFAULT_OOK_ENERGY_PER_BIT: Energy = Energy::from_picojoules(50.0);
 
 /// A customized constant-`E_b` OOK transmitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,12 +64,6 @@ impl OokTransmitter {
         self.energy_per_bit
     }
 
-    /// The maximum data rate the design supports at constant `E_b`.
-    #[must_use]
-    pub fn max_rate(&self) -> DataRate {
-        self.max_rate
-    }
-
     /// Communication power at a requested rate (Eq. 9):
     /// `P_comm = T · E_b`.
     ///
@@ -100,9 +94,13 @@ mod tests {
     fn paper_worked_example() {
         // 1024 ch × 10 b × 8 kHz = 81.92 Mbps at 50 pJ/bit → 4.096 mW.
         let tx = OokTransmitter::customized_for(1024, 10, Frequency::from_kilohertz(8.0)).unwrap();
-        assert!((tx.max_rate().megabits_per_second() - 81.92).abs() < 1e-9);
-        let p = tx.power_at(tx.max_rate()).unwrap();
+        let p = tx
+            .power_at(DataRate::from_megabits_per_second(81.92))
+            .unwrap();
         assert!((p.milliwatts() - 4.096).abs() < 1e-9);
+        assert!(tx
+            .power_at(DataRate::from_megabits_per_second(81.93))
+            .is_err());
     }
 
     #[test]

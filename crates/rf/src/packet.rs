@@ -10,7 +10,7 @@
 use crate::error::{Result, RfError};
 
 /// Frame marker that starts every packet.
-pub const PACKET_MAGIC: u16 = 0xBC1D;
+pub(crate) const PACKET_MAGIC: u16 = 0xBC1D;
 
 /// Header size in bytes: magic(2) + seq(2) + channels(2) + bits(1).
 pub const HEADER_BYTES: usize = 7;
@@ -267,16 +267,6 @@ pub fn crc16(data: &[u8]) -> u16 {
     crc
 }
 
-/// The wire overhead ratio of the format for a frame of `channels`
-/// samples at `sample_bits` bits: total wire bits / payload bits.
-#[must_use]
-pub fn overhead_ratio(channels: usize, sample_bits: u8) -> f64 {
-    let payload_bits = channels * usize::from(sample_bits);
-    let payload_bytes = payload_bits.div_ceil(8);
-    let total_bits = 8 * (HEADER_BYTES + payload_bytes + TRAILER_BYTES);
-    total_bits as f64 / payload_bits as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,7 +365,6 @@ mod tests {
         let samples = vec![0_u16; 1024];
         let wire = packetize(0, &samples, 10).unwrap();
         assert_eq!(wire.len(), 1280 + 9);
-        assert!(overhead_ratio(1024, 10) < 1.01);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 /// an asymptotic continued fraction (relative error below ~1e-10) in the
 /// tails, which is where BER computations live.
 #[must_use]
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     // Numerical Recipes erfcc polynomial.

@@ -18,10 +18,6 @@ use mindful_core::units::{DataRate, Frequency};
 use crate::error::{Result, RfError};
 use crate::modulation::Modulation;
 
-/// The ultimate Shannon limit on Eb/N0 (−1.59 dB) as spectral efficiency
-/// approaches zero.
-pub const ULTIMATE_EBN0: f64 = core::f64::consts::LN_2;
-
 /// Channel capacity `C = B·log2(1 + SNR)` for a bandwidth and linear
 /// SNR.
 ///
@@ -93,7 +89,7 @@ mod tests {
     #[test]
     fn min_ebn0_approaches_ln2_at_low_rate() {
         let low = min_ebn0_at_spectral_efficiency(1e-6).unwrap();
-        assert!((low - ULTIMATE_EBN0).abs() < 1e-3);
+        assert!((low - core::f64::consts::LN_2).abs() < 1e-3);
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl WptLink {
     /// Returns [`RfError::InvalidParameter`] for a coupling outside
     /// `(0, 1]`, non-positive quality factors, or a rectifier efficiency
     /// outside `(0, 1]`.
-    pub fn new(
+    pub(crate) fn new(
         coupling: f64,
         q_external: f64,
         q_implant: f64,
@@ -79,20 +79,20 @@ impl WptLink {
 
     /// The figure of merit `k²Q1Q2`.
     #[must_use]
-    pub fn figure_of_merit(&self) -> f64 {
+    pub(crate) fn figure_of_merit(&self) -> f64 {
         self.coupling * self.coupling * self.q_external * self.q_implant
     }
 
     /// Coil-to-coil link efficiency at the optimal load.
     #[must_use]
-    pub fn link_efficiency(&self) -> f64 {
+    pub(crate) fn link_efficiency(&self) -> f64 {
         let fom = self.figure_of_merit();
         fom / (1.0 + (1.0 + fom).sqrt()).powi(2)
     }
 
     /// End-to-end efficiency including the implant rectifier/regulator.
     #[must_use]
-    pub fn end_to_end_efficiency(&self) -> f64 {
+    pub(crate) fn end_to_end_efficiency(&self) -> f64 {
         self.link_efficiency() * self.rectifier_efficiency
     }
 

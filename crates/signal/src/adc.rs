@@ -34,22 +34,6 @@ impl Adc {
         Ok(Self { bits, full_scale })
     }
 
-    /// The paper's default: a 10-bit converter (`d = 10`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SignalError::InvalidParameter`] for a bad full
-    /// scale.
-    pub fn ten_bit(full_scale: f64) -> Result<Self> {
-        Self::new(10, full_scale)
-    }
-
-    /// Output code width in bits.
-    #[must_use]
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
     /// Number of output codes (`2^bits`).
     #[must_use]
     pub fn codes(&self) -> u32 {
@@ -90,12 +74,6 @@ impl Adc {
     pub fn reconstruct(&self, code: u16) -> f64 {
         (f64::from(code) + 0.5) * self.lsb() - self.full_scale
     }
-
-    /// Whether a code is at either saturation rail.
-    #[must_use]
-    pub fn is_saturated(&self, code: u16) -> bool {
-        code == 0 || u32::from(code) == self.codes() - 1
-    }
 }
 
 #[cfg(test)]
@@ -104,27 +82,23 @@ mod tests {
 
     #[test]
     fn ten_bit_has_1024_codes() {
-        let adc = Adc::ten_bit(1.0).unwrap();
-        assert_eq!(adc.bits(), 10);
+        let adc = Adc::new(10, 1.0).unwrap();
         assert_eq!(adc.codes(), 1024);
         assert!((adc.lsb() - 2.0 / 1024.0).abs() < 1e-15);
     }
 
     #[test]
     fn midscale_maps_to_middle_code() {
-        let adc = Adc::ten_bit(1.0).unwrap();
+        let adc = Adc::new(10, 1.0).unwrap();
         assert_eq!(adc.quantize(0.0), 512);
     }
 
     #[test]
     fn rails_saturate() {
-        let adc = Adc::ten_bit(1.0).unwrap();
+        let adc = Adc::new(10, 1.0).unwrap();
         assert_eq!(adc.quantize(10.0), 1023);
         assert_eq!(adc.quantize(-10.0), 0);
         assert_eq!(adc.quantize(f64::INFINITY), 1023);
-        assert!(adc.is_saturated(0));
-        assert!(adc.is_saturated(1023));
-        assert!(!adc.is_saturated(512));
     }
 
     #[test]
@@ -156,7 +130,7 @@ mod tests {
 
     #[test]
     fn frame_quantization_matches_scalar() {
-        let adc = Adc::ten_bit(1.0).unwrap();
+        let adc = Adc::new(10, 1.0).unwrap();
         let frame = [-0.7, -0.1, 0.0, 0.3, 0.99];
         let codes = adc.quantize_frame(&frame);
         for (v, c) in frame.iter().zip(&codes) {
@@ -166,7 +140,7 @@ mod tests {
 
     #[test]
     fn frame_quantization_into_matches_allocating_path() {
-        let adc = Adc::ten_bit(1.0).unwrap();
+        let adc = Adc::new(10, 1.0).unwrap();
         let frame = [-0.7, -0.1, 0.0, 0.3, 0.99];
         let mut codes = Vec::new();
         adc.quantize_frame_into(&frame, &mut codes);

@@ -16,7 +16,7 @@ const SENSING_DECAY: f64 = 0.08;
 
 /// A square microelectrode array sampling a population.
 #[derive(Debug, Clone)]
-pub struct ElectrodeArray {
+pub(crate) struct ElectrodeArray {
     /// `channels × neurons` sensitivity weights (row-major).
     weights: Vec<f64>,
     channels: usize,
@@ -40,7 +40,12 @@ impl ElectrodeArray {
     ///
     /// Returns [`SignalError::Empty`] for a zero grid and
     /// [`SignalError::InvalidParameter`] for a negative noise level.
-    pub fn grid(grid: usize, population: &Population, noise_sd: f64, seed: u64) -> Result<Self> {
+    pub(crate) fn grid(
+        grid: usize,
+        population: &Population,
+        noise_sd: f64,
+        seed: u64,
+    ) -> Result<Self> {
         if grid == 0 {
             return Err(SignalError::Empty { what: "grid" });
         }
@@ -75,38 +80,20 @@ impl ElectrodeArray {
 
     /// Number of channels.
     #[must_use]
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.channels
     }
 
-    /// Number of sensed neurons.
-    #[must_use]
-    pub fn neurons(&self) -> usize {
-        self.neurons
-    }
-
     /// Converts one population spike vector into per-channel analog
-    /// voltages (arbitrary units, roughly `[-1, 1]` plus spikes).
+    /// voltages (arbitrary units, roughly `[-1, 1]` plus spikes), written
+    /// into `out` (cleared first). Allocation-free once `out` has
+    /// capacity for the channel count.
     ///
     /// # Errors
     ///
     /// Returns [`SignalError::InvalidParameter`] if `spikes` does not
     /// match the neuron count.
-    pub fn sense(&mut self, spikes: &[bool]) -> Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.channels);
-        self.sense_into(spikes, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`ElectrodeArray::sense`], but writes the voltages into
-    /// `out` (cleared first). Allocation-free once `out` has capacity
-    /// for the channel count; draws the same RNG sequence as `sense`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SignalError::InvalidParameter`] if `spikes` does not
-    /// match the neuron count.
-    pub fn sense_into(&mut self, spikes: &[bool], out: &mut Vec<f64>) -> Result<()> {
+    pub(crate) fn sense_into(&mut self, spikes: &[bool], out: &mut Vec<f64>) -> Result<()> {
         if spikes.len() != self.neurons {
             return Err(SignalError::InvalidParameter {
                 name: "spike vector length",
@@ -144,12 +131,20 @@ mod tests {
     const SEED_NOISE: u64 = 4;
     const SEED_PIPELINE: u64 = 8;
 
+    impl ElectrodeArray {
+        /// Allocating form of [`ElectrodeArray::sense_into`].
+        fn sense(&mut self, spikes: &[bool]) -> Result<Vec<f64>> {
+            let mut out = Vec::with_capacity(self.channels);
+            self.sense_into(spikes, &mut out)?;
+            Ok(out)
+        }
+    }
+
     #[test]
     fn grid_produces_square_channel_count() {
         let p = Population::new(100, SEED_SHAPE).unwrap();
         let a = ElectrodeArray::grid(8, &p, 0.01, SEED_SHAPE).unwrap();
         assert_eq!(a.channels(), 64);
-        assert_eq!(a.neurons(), 100);
     }
 
     #[test]

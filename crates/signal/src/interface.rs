@@ -58,21 +58,8 @@ impl NeuralInterface {
 
     /// Number of underlying neurons.
     #[must_use]
-    pub fn neurons(&self) -> usize {
+    pub(crate) fn neurons(&self) -> usize {
         self.population.len()
-    }
-
-    /// The converter used for digitization.
-    #[must_use]
-    pub fn adc(&self) -> &Adc {
-        &self.adc
-    }
-
-    /// Preferred directions of the underlying neurons (ground truth for
-    /// decoder construction).
-    #[must_use]
-    pub fn preferred_directions(&self) -> Vec<f64> {
-        self.population.preferred_directions()
     }
 
     /// Advances one sample period under `intent` and returns the

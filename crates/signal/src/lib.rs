@@ -20,7 +20,7 @@
 //! ```
 
 pub mod adc;
-pub mod electrode;
+pub(crate) mod electrode;
 mod error;
 pub mod interface;
 pub mod neuron;
@@ -31,9 +31,8 @@ pub use error::{Result, SignalError};
 /// Convenient glob-import of the most used items.
 pub mod prelude {
     pub use crate::adc::Adc;
-    pub use crate::electrode::ElectrodeArray;
     pub use crate::interface::{NeuralFrame, NeuralInterface};
     pub use crate::neuron::{trajectory_intent, Intent, Neuron, Population};
-    pub use crate::stats::{count_correlation, fano_factor, train_stats, TrainStats};
+    pub use crate::stats::train_stats;
     pub use crate::{Result, SignalError};
 }

@@ -27,12 +27,6 @@ impl Intent {
     pub fn new(x: f64, y: f64) -> Self {
         Self { x, y }
     }
-
-    /// The intent magnitude.
-    #[must_use]
-    pub fn magnitude(&self) -> f64 {
-        self.x.hypot(self.y)
-    }
 }
 
 /// A leaky integrate-and-fire neuron with cosine directional tuning.
@@ -85,12 +79,6 @@ impl Neuron {
         })
     }
 
-    /// The neuron's preferred direction in radians.
-    #[must_use]
-    pub fn preferred_direction(&self) -> f64 {
-        self.preferred
-    }
-
     /// Instantaneous drive for an intent: `baseline + depth · (v⃗ · p⃗)`.
     #[must_use]
     pub fn drive(&self, intent: Intent) -> f64 {
@@ -101,7 +89,7 @@ impl Neuron {
     /// Advances one time step; returns `true` if the neuron spikes.
     ///
     /// `noise` is a standard-normal sample scaled internally.
-    pub fn step(&mut self, intent: Intent, noise: f64) -> bool {
+    pub(crate) fn step(&mut self, intent: Intent, noise: f64) -> bool {
         // AR(1) membrane: steady state sits at drive/leak just below
         // threshold; noise (sd 0.15 per step) carries it across.
         self.potential = self.potential * (1.0 - self.leak) + self.drive(intent) + 0.15 * noise;
@@ -156,29 +144,14 @@ impl Population {
 
     /// Number of neurons.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.neurons.len()
-    }
-
-    /// Whether the population is empty (never true once constructed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.neurons.is_empty()
     }
 
     /// Neuron positions in normalized cortical coordinates.
     #[must_use]
-    pub fn positions(&self) -> &[(f64, f64)] {
+    pub(crate) fn positions(&self) -> &[(f64, f64)] {
         &self.positions
-    }
-
-    /// Preferred directions of all neurons.
-    #[must_use]
-    pub fn preferred_directions(&self) -> Vec<f64> {
-        self.neurons
-            .iter()
-            .map(Neuron::preferred_direction)
-            .collect()
     }
 
     /// Advances the population one time step under `intent`; returns the
@@ -193,7 +166,7 @@ impl Population {
     /// `spikes` (cleared first). Allocation-free once `spikes` has
     /// capacity for the population; draws exactly the same RNG sequence
     /// as [`Population::step`].
-    pub fn step_into(&mut self, intent: Intent, spikes: &mut Vec<bool>) {
+    pub(crate) fn step_into(&mut self, intent: Intent, spikes: &mut Vec<bool>) {
         spikes.clear();
         for neuron in &mut self.neurons {
             let z = standard_normal(&mut self.rng);
@@ -336,7 +309,7 @@ mod tests {
     fn positions_are_normalized() {
         let p = Population::new(200, SEED_POSITIONS).unwrap();
         assert_eq!(p.positions().len(), 200);
-        assert!(!p.is_empty());
+        assert!(p.len() > 0);
         assert!(p
             .positions()
             .iter()

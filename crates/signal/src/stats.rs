@@ -14,15 +14,15 @@ use crate::error::{Result, SignalError};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainStats {
     /// Number of spikes observed.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Mean firing rate in spikes per sample.
     pub rate: f64,
     /// Mean inter-spike interval in samples (`NaN` with < 2 spikes).
-    pub mean_isi: f64,
+    pub(crate) mean_isi: f64,
     /// Coefficient of variation of the inter-spike intervals (`NaN`
     /// with < 3 spikes). ~1 for a Poisson process, < 1 for regular
     /// firing, > 1 for bursty firing.
-    pub cv_isi: f64,
+    pub(crate) cv_isi: f64,
 }
 
 /// Computes summary statistics of a binary spike train.

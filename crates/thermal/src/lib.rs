@@ -113,7 +113,7 @@ impl TissueProperties {
     ///
     /// Returns [`ThermalError::InvalidParameter`] for non-positive
     /// values.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         for (name, v) in [
             ("conductivity", self.conductivity),
             ("blood density", self.blood_density),
@@ -129,7 +129,7 @@ impl TissueProperties {
 
     /// The Pennes sink coefficient `ρ_b · c_b · ω` in W/(m³·K).
     #[must_use]
-    pub fn sink_coefficient(&self) -> f64 {
+    pub(crate) fn sink_coefficient(&self) -> f64 {
         self.blood_density * self.blood_specific_heat * self.perfusion
     }
 
@@ -155,7 +155,7 @@ pub enum FluxSplit {
 impl FluxSplit {
     /// Fraction of the total flux entering the cortex.
     #[must_use]
-    pub fn cortex_fraction(&self) -> f64 {
+    pub(crate) fn cortex_fraction(&self) -> f64 {
         match self {
             Self::CortexOnly => 1.0,
             Self::DualSided => 0.5,
