@@ -84,7 +84,7 @@ static LEVEL: AtomicU8 = AtomicU8::new(0);
 /// environment (the `MINDFUL_SWEEP_THREADS` pattern).
 ///
 /// `enabled` is the parsed `MINDFUL_SIMD` knob (default `true`;
-/// garbage defers to the default via [`mindful_core::env::parse_flag`])
+/// garbage defers to the default via `mindful_core::env::parse_flag`)
 /// and `detected` the host capability probe.
 #[must_use]
 pub(crate) fn resolve_level(enabled: bool, detected: SimdLevel) -> SimdLevel {

@@ -39,7 +39,7 @@
 mod error;
 mod fault;
 mod frame;
-pub mod obs;
+mod obs;
 mod secure;
 pub mod serve;
 mod stage;

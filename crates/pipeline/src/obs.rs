@@ -1,33 +1,14 @@
 //! Registry instrumentation for pipeline stages.
 //!
-//! `crate::Pipeline::instrument` registers one metric family per
-//! stage in a [`mindful_core::obs::Registry`] and stores the returned
-//! handles in the stage's slot; the pipeline then times every stage
+//! [`crate::Pipeline::with_instrumentation`] registers one metric
+//! family per stage in a [`mindful_core::obs::Registry`] and stores the
+//! returned handles in the stage's slot; the pipeline then times every stage
 //! call and records into them. Registration is the only allocating
 //! part — recording is relaxed atomics, so the pipeline's
 //! zero-allocation guarantee holds for instrumented runs (proven by
 //! the crate's counting-allocator test).
 //!
-//! Metric names follow `{prefix}.{index}.{stage}.{metric}`:
-//!
-//! | metric | kind | meaning |
-//! |---|---|---|
-//! | `frames_in` | counter | frames handed to the stage |
-//! | `frames_out` | counter | frames the stage emitted |
-//! | `bytes_out` | counter | wire bytes emitted (byte sinks only) |
-//! | `buffer_bytes` | gauge | output-buffer backing storage after the latest counted step (high water = peak) |
-//! | `latency_ns` | histogram | per-frame wall time inside the stage |
-//! | `faults.<field>` | gauge | fault-counter snapshot (fault-aware stages only) |
-//! | `secure.<field>` | gauge | security-counter snapshot (secure-aware stages only) |
-//!
-//! Fault and security counters are *absolute* snapshots maintained by
-//! the stages themselves ([`crate::Stage::fault_telemetry`],
-//! [`crate::Stage::secure_telemetry`]), so they surface as gauges
-//! mirroring the latest snapshot rather than re-counted deltas — a
-//! scrape is field-exact against [`crate::FaultTelemetry`] /
-//! [`crate::SecureTelemetry`]. The `secure.*` leaf names are the
-//! canonical constants in [`mindful_core::obs::names`], shared with
-//! the scoreboard and CI assertions that read snapshots back.
+//! The metric name table lives on that method's documentation.
 //!
 //! The counters, gauge and histogram record the same classified step
 //! as [`crate::StageTelemetry`] (the driver classifies it once), so a

@@ -164,6 +164,25 @@ impl FirewallConfig {
     }
 }
 
+/// `μ += α·d; σ² ← (1−α)(σ² + α·d²)` — the standard EW update that
+/// keeps the variance consistent with the shifting mean.
+#[inline]
+fn ew_update(mean: &mut f64, var: &mut f64, x: f64, alpha: f64) {
+    let d = x - *mean;
+    *mean += alpha * d;
+    *var = (1.0 - alpha) * (*var + alpha * d * d);
+}
+
+/// Squared deviation of `x` in units of the tracked variance, with a
+/// relative floor so a perfectly flat baseline (variance zero) does
+/// not turn measurement noise into infinities.
+#[inline]
+fn z_squared(mean: f64, var: f64, x: f64) -> f64 {
+    let eps = 1e-6 + 1e-4 * mean * mean;
+    let d = x - mean;
+    d * d / (var + eps)
+}
+
 /// One exponentially weighted mean/variance tracker.
 #[derive(Debug, Clone, Copy, Default)]
 struct EwStat {
@@ -172,23 +191,40 @@ struct EwStat {
 }
 
 impl EwStat {
-    /// `μ += α·d; σ² ← (1−α)(σ² + α·d²)` — the standard EW update that
-    /// keeps the variance consistent with the shifting mean.
     #[inline]
     fn update(&mut self, x: f64, alpha: f64) {
-        let d = x - self.mean;
-        self.mean += alpha * d;
-        self.var = (1.0 - alpha) * (self.var + alpha * d * d);
+        ew_update(&mut self.mean, &mut self.var, x, alpha);
     }
 
-    /// Squared deviation of `x` in units of the tracked variance, with
-    /// a relative floor so a perfectly flat baseline (variance zero)
-    /// does not turn measurement noise into infinities.
     #[inline]
     fn z_squared(&self, x: f64) -> f64 {
-        let eps = 1e-6 + 1e-4 * self.mean * self.mean;
-        let d = x - self.mean;
-        d * d / (self.var + eps)
+        z_squared(self.mean, self.var, x)
+    }
+}
+
+/// Per-channel level statistics (the γ term): one [`EwStat`] per
+/// channel, stored as an array of means and an array of variances so
+/// the per-channel passes vectorise.
+struct GainStats {
+    mean: Vec<f64>,
+    var: Vec<f64>,
+}
+
+impl GainStats {
+    fn new(channels: usize) -> Self {
+        Self {
+            mean: vec![0.0; channels],
+            var: vec![0.0; channels],
+        }
+    }
+
+    /// The per-channel trackers, in channel order.
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = EwStat> + '_ {
+        self.mean
+            .iter()
+            .zip(&self.var)
+            .map(|(&mean, &var)| EwStat { mean, var })
     }
 }
 
@@ -221,14 +257,22 @@ struct FrameStats {
 /// exception: a frame with a NaN or infinite channel scores zero and
 /// is quarantined whenever it arrives, so it can never poison the
 /// statistics. The frame's mean, variance and mean absolute step are
-/// computed once and shared by scoring and training. An empty input
-/// frame (a gap marker from upstream) passes through untouched and
-/// unscored.
+/// computed once and shared by scoring and training. The per-channel
+/// statistics are kept as one array of means and one of variances, so
+/// the γ penalties (written branch-free into a retained buffer) and the
+/// training update are straight-line passes the compiler vectorises;
+/// the γ, channel and step sums are then formed in channel order, so
+/// coherence scores and trained statistics are bit-identical to
+/// summing channel by channel, and no step allocates once the stage
+/// has seen one frame. An empty input frame (a gap marker from
+/// upstream) passes through untouched and unscored.
 pub struct FirewallStage {
     channels: usize,
     config: FirewallConfig,
     /// Per-channel level statistics (the γ term).
-    gain: Vec<EwStat>,
+    gain: GainStats,
+    /// Per-channel γ penalties of the frame being measured.
+    penalties: Vec<f64>,
     /// Frame-variance statistic (the φ term).
     power: EwStat,
     /// Mean-absolute-step statistic (the τ term).
@@ -267,7 +311,8 @@ impl FirewallStage {
         Ok(Self {
             channels,
             config,
-            gain: vec![EwStat::default(); channels],
+            gain: GainStats::new(channels),
+            penalties: vec![0.0; channels],
             power: EwStat::default(),
             rate: EwStat::default(),
             prev: vec![0.0; channels],
@@ -286,19 +331,33 @@ impl FirewallStage {
         ((z2 - tol) / tol).max(0.0)
     }
 
-    /// Measures the frame in `self.scratch` in two passes: one for
-    /// the γ penalty sum, the channel sum and the absolute-step sum
-    /// (each accumulated in channel order), one for the variance about
-    /// the mean. `None` if any channel is non-finite.
-    fn measure(&self) -> Option<FrameStats> {
+    /// Measures the frame in `self.scratch`. A branch-free pass writes
+    /// every channel's γ penalty into `self.penalties` and checks that
+    /// every channel is finite; a second pass accumulates the γ sum,
+    /// the channel sum and the absolute-step sum, each in channel
+    /// order; a third sums the variance about the mean. `None` if any
+    /// channel is non-finite.
+    fn measure(&mut self) -> Option<FrameStats> {
+        let tol = self.config.gain_tol;
+        let mut finite = true;
+        for (((penalty, &x), &mean), &var) in self
+            .penalties
+            .iter_mut()
+            .zip(&self.scratch)
+            .zip(&self.gain.mean)
+            .zip(&self.gain.var)
+        {
+            finite &= x.is_finite();
+            *penalty = Self::penalty(z_squared(mean, var, x), tol);
+        }
+        if !finite {
+            return None;
+        }
         let mut gamma = 0.0;
         let mut sum = 0.0;
         let mut step = 0.0;
-        for ((stat, &x), &p) in self.gain.iter().zip(&self.scratch).zip(&self.prev) {
-            if !x.is_finite() {
-                return None;
-            }
-            gamma += Self::penalty(stat.z_squared(x), self.config.gain_tol);
+        for ((&penalty, &x), &p) in self.penalties.iter().zip(&self.scratch).zip(&self.prev) {
+            gamma += penalty;
             sum += x;
             step += (x - p).abs();
         }
@@ -333,8 +392,14 @@ impl FirewallStage {
     /// and rolls it into the rate-of-change history.
     fn train(&mut self, stats: &FrameStats) {
         let alpha = self.config.alpha;
-        for (stat, &x) in self.gain.iter_mut().zip(&self.scratch) {
-            stat.update(x, alpha);
+        for ((mean, var), &x) in self
+            .gain
+            .mean
+            .iter_mut()
+            .zip(&mut self.gain.var)
+            .zip(&self.scratch)
+        {
+            ew_update(mean, var, x, alpha);
         }
         self.power.update(stats.var, alpha);
         if self.tau_valid {

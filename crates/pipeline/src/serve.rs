@@ -871,9 +871,7 @@ impl<'a> Fleet<'a> {
                 report.emitted += u64::from(state.epoch_emitted);
                 report.shed += u64::from(state.epoch_shed);
                 report.deadline_misses += u64::from(state.epoch_misses);
-                // A session frozen by a stage error this epoch is not
-                // starved — it was served and failed.
-                if state.epoch_steps == 0 && state.epoch_shed == 0 && !state.failed {
+                if state.epoch_steps == 0 && state.epoch_shed == 0 {
                     class.starved += 1;
                     report.starved += 1;
                 }

@@ -230,20 +230,7 @@ impl Pipeline {
         });
     }
 
-    /// Registers per-stage metrics in `registry` under
-    /// `{prefix}.{index}.{stage}` and records into them from every
-    /// subsequent step (see [`crate::obs`] for the metric table). It
-    /// also turns on the stage stopwatch behind
-    /// [`StageTelemetry::busy`]: two clock reads per stage call.
-    ///
-    /// Registration allocates (names, registry entries); the recording
-    /// it enables does not, so the warm pipeline stays allocation-free
-    /// with instrumentation on. Calling it again re-registers against
-    /// the (possibly different) registry; existing counts in the old
-    /// registry are left behind. Each step is counted once, by the same
-    /// rule as [`StageTelemetry`], so the scrape of a pipeline
-    /// instrumented before its first step matches [`Pipeline::telemetry`]
-    /// field for field.
+    /// In-place form of [`Pipeline::with_instrumentation`].
     pub(crate) fn instrument(&mut self, registry: &Registry, prefix: &str) {
         for (index, slot) in self.slots.iter_mut().enumerate() {
             let fault_aware = slot.stage.fault_telemetry().is_some();
@@ -259,7 +246,42 @@ impl Pipeline {
         }
     }
 
-    /// Builder-style `Pipeline::instrument`.
+    /// Registers per-stage metrics in `registry` and records into them
+    /// from every subsequent step. It also turns on the stage stopwatch
+    /// behind [`StageTelemetry::busy`]: two clock reads per stage call.
+    ///
+    /// Metric names follow `{prefix}.{index}.{stage}.{metric}` — the
+    /// contract registry scrapes (`obs_snapshot.jsonl`, the scoreboard)
+    /// read back:
+    ///
+    /// | metric | kind | meaning |
+    /// |---|---|---|
+    /// | `frames_in` | counter | frames handed to the stage |
+    /// | `frames_out` | counter | frames the stage emitted |
+    /// | `bytes_out` | counter | wire bytes emitted (byte sinks only) |
+    /// | `buffer_bytes` | gauge | output-buffer backing storage after the latest counted step (high water = peak) |
+    /// | `latency_ns` | histogram | per-frame wall time inside the stage |
+    /// | `faults.<field>` | gauge | fault-counter snapshot (fault-aware stages only) |
+    /// | `secure.<field>` | gauge | security-counter snapshot (secure-aware stages only) |
+    ///
+    /// Fault and security counters are *absolute* snapshots maintained
+    /// by the stages themselves ([`Stage::fault_telemetry`],
+    /// [`Stage::secure_telemetry`]), so they surface as gauges mirroring
+    /// the latest snapshot rather than re-counted deltas — a scrape is
+    /// field-exact against [`FaultTelemetry`] / [`SecureTelemetry`].
+    /// The `secure.*` leaf
+    /// names are the canonical constants in
+    /// [`mindful_core::obs::names`], shared with the scoreboard and CI
+    /// assertions that read snapshots back.
+    ///
+    /// Registration allocates (names, registry entries); the recording
+    /// it enables does not, so the warm pipeline stays allocation-free
+    /// with instrumentation on. Instrumenting again re-registers against
+    /// the (possibly different) registry; existing counts in the old
+    /// registry are left behind. Each step is counted once, by the same
+    /// rule as [`StageTelemetry`], so the scrape of a pipeline
+    /// instrumented before its first step matches [`Pipeline::telemetry`]
+    /// field for field.
     #[must_use]
     pub fn with_instrumentation(mut self, registry: &Registry, prefix: &str) -> Self {
         self.instrument(registry, prefix);

@@ -95,120 +95,99 @@ pub(crate) fn extend_sequence(anchor: u64, seq: u16) -> Option<u64> {
 // SipHash-2-4
 // ---------------------------------------------------------------------
 
-/// Incremental SipHash-2-4 keyed PRF (64-bit output).
+/// `L` SipHash-2-4 states stepped in lockstep, lane by lane, so the
+/// independent inputs of [`LinkMac`]'s pad expansion overlap in the
+/// pipeline. One lane is plain SipHash-2-4.
 ///
-/// Hand-rolled because the container bakes in no crypto crates; pinned
+/// Hand-rolled because the workspace takes no crypto crates; pinned
 /// against the reference vectors of the SipHash paper in this module's
 /// tests. Two compression rounds per 8-byte word, four finalization
-/// rounds. Inside the sealed-frame MAC it is only ever applied to
-/// *short, fixed-size* inputs — the NH pad expansion and the
-/// `nonce ‖ NH ‖ length` finalization of [`LinkMac`] — so its
-/// per-byte cost never touches the bulk payload path.
-#[derive(Debug, Clone)]
-pub(crate) struct SipMac {
-    v0: u64,
-    v1: u64,
-    v2: u64,
-    v3: u64,
-    buf: [u8; 8],
-    buf_len: usize,
-    len: u64,
+/// rounds. The MAC only ever applies it to short, fixed-size inputs —
+/// the NH pad expansion and the `nonce ‖ NH ‖ length` finalization of
+/// [`LinkMac`] — so its per-byte cost never touches the bulk payload.
+#[derive(Debug, Clone, Copy)]
+struct SipLanes<const L: usize> {
+    v0: [u64; L],
+    v1: [u64; L],
+    v2: [u64; L],
+    v3: [u64; L],
 }
 
-impl SipMac {
-    /// Starts a MAC under a 128-bit key.
-    #[must_use]
-    pub(crate) fn new(key: &[u8; 16]) -> Self {
+impl<const L: usize> SipLanes<L> {
+    fn new(key: &[u8; 16]) -> Self {
         let k0 = u64::from_le_bytes(key[0..8].try_into().expect("8 bytes"));
         let k1 = u64::from_le_bytes(key[8..16].try_into().expect("8 bytes"));
         Self {
-            v0: k0 ^ 0x736f_6d65_7073_6575,
-            v1: k1 ^ 0x646f_7261_6e64_6f6d,
-            v2: k0 ^ 0x6c79_6765_6e65_7261,
-            v3: k1 ^ 0x7465_6462_7974_6573,
-            buf: [0; 8],
-            buf_len: 0,
-            len: 0,
+            v0: [k0 ^ 0x736f_6d65_7073_6575; L],
+            v1: [k1 ^ 0x646f_7261_6e64_6f6d; L],
+            v2: [k0 ^ 0x6c79_6765_6e65_7261; L],
+            v3: [k1 ^ 0x7465_6462_7974_6573; L],
         }
     }
 
     #[inline]
     fn round(&mut self) {
-        self.v0 = self.v0.wrapping_add(self.v1);
-        self.v1 = self.v1.rotate_left(13);
-        self.v1 ^= self.v0;
-        self.v0 = self.v0.rotate_left(32);
-        self.v2 = self.v2.wrapping_add(self.v3);
-        self.v3 = self.v3.rotate_left(16);
-        self.v3 ^= self.v2;
-        self.v0 = self.v0.wrapping_add(self.v3);
-        self.v3 = self.v3.rotate_left(21);
-        self.v3 ^= self.v0;
-        self.v2 = self.v2.wrapping_add(self.v1);
-        self.v1 = self.v1.rotate_left(17);
-        self.v1 ^= self.v2;
-        self.v2 = self.v2.rotate_left(32);
+        for i in 0..L {
+            let (v0, v1, v2, v3) = (
+                &mut self.v0[i],
+                &mut self.v1[i],
+                &mut self.v2[i],
+                &mut self.v3[i],
+            );
+            *v0 = v0.wrapping_add(*v1);
+            *v1 = v1.rotate_left(13);
+            *v1 ^= *v0;
+            *v0 = v0.rotate_left(32);
+            *v2 = v2.wrapping_add(*v3);
+            *v3 = v3.rotate_left(16);
+            *v3 ^= *v2;
+            *v0 = v0.wrapping_add(*v3);
+            *v3 = v3.rotate_left(21);
+            *v3 ^= *v0;
+            *v2 = v2.wrapping_add(*v1);
+            *v1 = v1.rotate_left(17);
+            *v1 ^= *v2;
+            *v2 = v2.rotate_left(32);
+        }
     }
 
     #[inline]
-    fn compress(&mut self, word: u64) {
-        self.v3 ^= word;
+    fn compress(&mut self, words: [u64; L]) {
+        for (v3, w) in self.v3.iter_mut().zip(words) {
+            *v3 ^= w;
+        }
         self.round();
         self.round();
-        self.v0 ^= word;
+        for (v0, w) in self.v0.iter_mut().zip(words) {
+            *v0 ^= w;
+        }
     }
 
-    /// Absorbs `data`.
-    pub(crate) fn write(&mut self, data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        if self.buf_len > 0 {
-            let take = rest.len().min(8 - self.buf_len);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len < 8 {
-                return;
-            }
-            let word = u64::from_le_bytes(self.buf);
-            self.compress(word);
-            self.buf_len = 0;
+    /// Compresses the final (length-tagged) words and runs the four
+    /// finalization rounds.
+    #[inline]
+    fn finish(mut self, last: [u64; L]) -> [u64; L] {
+        self.compress(last);
+        for v2 in &mut self.v2 {
+            *v2 ^= 0xFF;
         }
-        let mut chunks = rest.chunks_exact(8);
-        for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-            self.compress(word);
+        for _ in 0..4 {
+            self.round();
         }
-        let tail = chunks.remainder();
-        self.buf[..tail.len()].copy_from_slice(tail);
-        self.buf_len = tail.len();
-    }
-
-    /// Finishes the MAC and returns the 64-bit tag.
-    #[must_use]
-    pub(crate) fn finish(mut self) -> u64 {
-        let mut last = [0_u8; 8];
-        last[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
-        last[7] = (self.len & 0xFF) as u8;
-        let word = u64::from_le_bytes(last);
-        self.compress(word);
-        self.v2 ^= 0xFF;
-        self.round();
-        self.round();
-        self.round();
-        self.round();
-        self.v0 ^ self.v1 ^ self.v2 ^ self.v3
+        std::array::from_fn(|i| self.v0[i] ^ self.v1[i] ^ self.v2[i] ^ self.v3[i])
     }
 }
 
-/// One-shot SipHash-2-4 PRF over `nonce ‖ data` — the keyed primitive
-/// behind [`LinkMac`]'s pad expansion and tag finalization.
-#[must_use]
-pub(crate) fn mac64(key: &[u8; 16], nonce: u64, data: &[u8]) -> u64 {
-    let mut mac = SipMac::new(key);
-    mac.write(&nonce.to_le_bytes());
-    mac.write(data);
-    mac.finish()
+/// SipHash-2-4 over `N` little-endian words (an `8·N`-byte input), in
+/// `L` lanes at once: the words are compressed directly, with no byte
+/// buffer, and each lane's tag equals SipHash-2-4 of the same bytes.
+#[inline]
+fn sip_words<const L: usize, const N: usize>(key: &[u8; 16], words: [[u64; L]; N]) -> [u64; L] {
+    let mut state = SipLanes::<L>::new(key);
+    for w in words {
+        state.compress(w);
+    }
+    state.finish([((8 * N) as u64 & 0xFF) << 56; L])
 }
 
 /// Constant-time tag comparison: every byte is examined regardless of
@@ -263,6 +242,17 @@ const NH_PAD_LABEL: &[u8; 16] = b"MINDFUL-NH-PAD-1";
 /// authenticated ARQ path in single digits (`crates/bench/benches/
 /// secure.rs` pins the budget).
 ///
+/// NH folds runs of four 16-byte blocks into four independent `u128`
+/// accumulators (one per block position) that are summed at the end —
+/// the same sum, since addition mod 2¹²⁸ is associative — so the
+/// multiplies overlap rather than wait on one add chain. The tag's
+/// PRF compresses its four words `nonce ‖ NH ‖ length` directly, with
+/// no byte buffer, and the pad is expanded four counters at a time in
+/// four interleaved SipHash lanes. Tags and pad words equal those of a
+/// one-accumulator NH over per-counter byte-wise SipHash calls (a test
+/// oracle pins every data length up to 1400 bytes and pad words
+/// 0..300).
+///
 /// The pad grows lazily to the longest frame seen and is retained, so
 /// steady-state sealing and opening are allocation-free — the same
 /// warm-path contract as the rest of the link layer.
@@ -284,58 +274,74 @@ impl LinkMac {
         }
     }
 
-    /// Extends the pad to at least `words` entries (counter-mode
-    /// SipHash-2-4 of the key — deterministic, so lazy growth never
-    /// changes existing entries).
+    /// Extends the pad to at least `words` entries, four counters at
+    /// a time: entry `i` is SipHash-2-4 of `i ‖ NH_PAD_LABEL`, so lazy
+    /// growth is deterministic and never changes existing entries.
     fn ensure_pad(&mut self, words: usize) {
+        let label = |half: usize| {
+            u64::from_le_bytes(
+                NH_PAD_LABEL[8 * half..8 * half + 8]
+                    .try_into()
+                    .expect("8 bytes"),
+            )
+        };
+        let (l0, l1) = (label(0), label(1));
         while self.pad.len() < words {
-            let counter = self.pad.len() as u64;
-            self.pad.push(mac64(&self.key, counter, NH_PAD_LABEL));
+            let c = self.pad.len() as u64;
+            let counters = [c, c + 1, c + 2, c + 3];
+            self.pad
+                .extend(sip_words(&self.key, [counters, [l0; 4], [l1; 4]]));
         }
     }
 
     /// NH universal hash of `data` (zero-padded to a 16-byte block)
-    /// against the first `⌈len/8⌉` pad words.
+    /// against the first `⌈len/8⌉` pad words. Runs of four blocks fold
+    /// into four independent accumulators, one per block position, so
+    /// the multiplies overlap instead of queueing on one 128-bit add
+    /// chain; addition mod 2¹²⁸ is associative, so the sum is that of
+    /// a single accumulator.
     #[inline]
     fn nh(pad: &[u64], data: &[u8]) -> u128 {
-        let mut acc = 0_u128;
-        let mut chunks = data.chunks_exact(16);
-        let mut i = 0_usize;
-        for chunk in &mut chunks {
-            let m0 = u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes"));
-            let m1 = u64::from_le_bytes(chunk[8..16].try_into().expect("8 bytes"));
-            let a = m0.wrapping_add(pad[i]);
-            let b = m1.wrapping_add(pad[i + 1]);
-            acc = acc.wrapping_add(u128::from(a) * u128::from(b));
-            i += 2;
+        let product = |m: &[u8; 16], k: &[u64; 2]| {
+            let a = u64::from_le_bytes(m[..8].try_into().expect("8 bytes")).wrapping_add(k[0]);
+            let b = u64::from_le_bytes(m[8..].try_into().expect("8 bytes")).wrapping_add(k[1]);
+            u128::from(a) * u128::from(b)
+        };
+        let pairs = pad.as_chunks::<2>().0;
+        let (blocks, rem) = data.as_chunks::<16>();
+        let (quads, rest) = blocks.as_chunks::<4>();
+        let mut lanes = [0_u128; 4];
+        for (quad, keys) in quads.iter().zip(pairs.as_chunks::<4>().0) {
+            for lane in 0..4 {
+                lanes[lane] = lanes[lane].wrapping_add(product(&quad[lane], &keys[lane]));
+            }
         }
-        let rem = chunks.remainder();
+        let mut nh = lanes
+            .iter()
+            .fold(0_u128, |sum, &lane| sum.wrapping_add(lane));
+        let mut keys = pairs[4 * quads.len()..].iter();
+        for (block, k) in rest.iter().zip(&mut keys) {
+            nh = nh.wrapping_add(product(block, k));
+        }
         if !rem.is_empty() {
             let mut last = [0_u8; 16];
             last[..rem.len()].copy_from_slice(rem);
-            let m0 = u64::from_le_bytes(last[0..8].try_into().expect("8 bytes"));
-            let m1 = u64::from_le_bytes(last[8..16].try_into().expect("8 bytes"));
-            let a = m0.wrapping_add(pad[i]);
-            let b = m1.wrapping_add(pad[i + 1]);
-            acc = acc.wrapping_add(u128::from(a) * u128::from(b));
+            let k = keys.next().expect("the pad covers the tail block");
+            nh = nh.wrapping_add(product(&last, k));
         }
-        acc
+        nh
     }
 
-    /// The 64-bit tag over `nonce ‖ data`. Takes `&mut self` only for
-    /// lazy pad growth; tags are a pure function of `(key, nonce,
-    /// data)`.
+    /// The 64-bit tag over `nonce ‖ data`: SipHash-2-4 of the four
+    /// words `nonce ‖ NH ‖ length`, compressed directly. Takes
+    /// `&mut self` only for lazy pad growth; tags are a pure function
+    /// of `(key, nonce, data)`.
     #[must_use]
     pub(crate) fn tag(&mut self, nonce: u64, data: &[u8]) -> u64 {
-        let words = data.len().div_ceil(16) * 2;
-        self.ensure_pad(words);
+        self.ensure_pad(data.len().div_ceil(16) * 2);
         let nh = Self::nh(&self.pad, data);
-        let mut prf = SipMac::new(&self.key);
-        prf.write(&nonce.to_le_bytes());
-        prf.write(&(nh as u64).to_le_bytes());
-        prf.write(&((nh >> 64) as u64).to_le_bytes());
-        prf.write(&(data.len() as u64).to_le_bytes());
-        prf.finish()
+        let words = [nonce, nh as u64, (nh >> 64) as u64, data.len() as u64];
+        sip_words(&self.key, words.map(|w| [w]))[0]
     }
 }
 
@@ -789,6 +795,71 @@ mod tests {
     use super::*;
     use crate::packet::packetize;
 
+    /// Byte-wise incremental SipHash-2-4 over the same rounds as
+    /// `sip_words`: the form the MAC used before it compressed whole
+    /// words, kept as the oracle for the reference vectors, pad and
+    /// tags.
+    #[derive(Debug, Clone)]
+    struct SipMac {
+        state: SipLanes<1>,
+        buf: [u8; 8],
+        buf_len: usize,
+        len: u64,
+    }
+
+    impl SipMac {
+        /// Starts a MAC under a 128-bit key.
+        fn new(key: &[u8; 16]) -> Self {
+            Self {
+                state: SipLanes::new(key),
+                buf: [0; 8],
+                buf_len: 0,
+                len: 0,
+            }
+        }
+
+        /// Absorbs `data`.
+        fn write(&mut self, data: &[u8]) {
+            self.len = self.len.wrapping_add(data.len() as u64);
+            let mut rest = data;
+            if self.buf_len > 0 {
+                let take = rest.len().min(8 - self.buf_len);
+                self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
+                self.buf_len += take;
+                rest = &rest[take..];
+                if self.buf_len < 8 {
+                    return;
+                }
+                self.state.compress([u64::from_le_bytes(self.buf)]);
+                self.buf_len = 0;
+            }
+            let mut chunks = rest.chunks_exact(8);
+            for chunk in &mut chunks {
+                let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+                self.state.compress([word]);
+            }
+            let tail = chunks.remainder();
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
+        }
+
+        /// Finishes the MAC and returns the 64-bit tag.
+        fn finish(self) -> u64 {
+            let mut last = [0_u8; 8];
+            last[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+            last[7] = (self.len & 0xFF) as u8;
+            self.state.finish([u64::from_le_bytes(last)])[0]
+        }
+    }
+
+    /// One-shot SipHash-2-4 over `nonce ‖ data`.
+    fn mac64(key: &[u8; 16], nonce: u64, data: &[u8]) -> u64 {
+        let mut mac = SipMac::new(key);
+        mac.write(&nonce.to_le_bytes());
+        mac.write(data);
+        mac.finish()
+    }
+
     fn key() -> AuthKey {
         AuthKey::from_seed(0x5EA1, 7)
     }
@@ -829,6 +900,51 @@ mod tests {
             let mut mac = SipMac::new(&k);
             mac.write(&input[..len]);
             assert_eq!(mac.finish(), tag, "siphash-2-4 of {len} bytes");
+        }
+        let word = u64::from_le_bytes(input[..8].try_into().unwrap());
+        assert_eq!(sip_words(&k, [[word]]), [0x93f5_f579_9a93_2462]);
+        assert_eq!(sip_words(&k, [[word; 4]]), [0x93f5_f579_9a93_2462; 4]);
+    }
+
+    /// `LinkMac::tag` as it was built before the four-lane NH: one NH
+    /// accumulator over the pad `mac64(key, i, NH_PAD_LABEL)`, finished
+    /// through the byte-wise `SipMac`.
+    fn tag_oracle(key: &[u8; 16], pad: &[u64], nonce: u64, data: &[u8]) -> u64 {
+        let mut padded = data.to_vec();
+        padded.resize(data.len().div_ceil(16) * 16, 0);
+        let mut nh = 0_u128;
+        for (i, block) in padded.chunks_exact(16).enumerate() {
+            let m0 = u64::from_le_bytes(block[..8].try_into().unwrap());
+            let m1 = u64::from_le_bytes(block[8..].try_into().unwrap());
+            let a = m0.wrapping_add(pad[2 * i]);
+            let b = m1.wrapping_add(pad[2 * i + 1]);
+            nh = nh.wrapping_add(u128::from(a) * u128::from(b));
+        }
+        let mut prf = SipMac::new(key);
+        prf.write(&nonce.to_le_bytes());
+        prf.write(&(nh as u64).to_le_bytes());
+        prf.write(&((nh >> 64) as u64).to_le_bytes());
+        prf.write(&(data.len() as u64).to_le_bytes());
+        prf.finish()
+    }
+
+    #[test]
+    fn link_mac_matches_the_one_lane_oracle_bit_for_bit() {
+        let k = key().key;
+        let pad: Vec<u64> = (0..300).map(|i| mac64(&k, i, NH_PAD_LABEL)).collect();
+        let mut warm = LinkMac::new(&k);
+        warm.ensure_pad(300);
+        assert_eq!(warm.pad[..300], pad[..], "pad words 0..300");
+        // A second instance grows its pad lazily, one length at a time.
+        let mut lazy = LinkMac::new(&k);
+        let data: Vec<u8> = (0..1400_u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 0..=data.len() {
+            let nonce = (len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let want = tag_oracle(&k, &pad, nonce, &data[..len]);
+            assert_eq!(warm.tag(nonce, &data[..len]), want, "len {len}");
+            assert_eq!(lazy.tag(nonce, &data[..len]), want, "len {len}");
         }
     }
 

@@ -18,6 +18,33 @@ pub const HEADER_BYTES: usize = 7;
 /// Trailer size in bytes: CRC-16.
 pub const TRAILER_BYTES: usize = 2;
 
+/// Calls `$group::<BITS>($args…)` with `BITS` the constant equal to
+/// `$bits` (validated to lie in `1..=16`), so every shift inside the
+/// group codec is by a constant.
+macro_rules! with_const_bits {
+    ($bits:expr, $group:ident($($arg:expr),*)) => {
+        match $bits {
+            1 => $group::<1>($($arg),*),
+            2 => $group::<2>($($arg),*),
+            3 => $group::<3>($($arg),*),
+            4 => $group::<4>($($arg),*),
+            5 => $group::<5>($($arg),*),
+            6 => $group::<6>($($arg),*),
+            7 => $group::<7>($($arg),*),
+            8 => $group::<8>($($arg),*),
+            9 => $group::<9>($($arg),*),
+            10 => $group::<10>($($arg),*),
+            11 => $group::<11>($($arg),*),
+            12 => $group::<12>($($arg),*),
+            13 => $group::<13>($($arg),*),
+            14 => $group::<14>($($arg),*),
+            15 => $group::<15>($($arg),*),
+            16 => $group::<16>($($arg),*),
+            _ => unreachable!("sample width validated to 1..=16"),
+        }
+    };
+}
+
 /// Packs one frame of per-channel samples into a wire packet.
 ///
 /// `samples[c]` is the digitized value of channel `c`; each must fit in
@@ -54,10 +81,16 @@ pub fn packetize(sequence: u16, samples: &[u16], sample_bits: u8) -> Result<Vec<
 /// Like [`packetize`], but writes the wire packet into `out` (cleared
 /// first). Allocation-free once `out` has capacity for the wire size.
 ///
-/// The payload is sized once and packed in place, 32 bits per store,
-/// rather than pushed a byte at a time; the wire bytes are those of
-/// the byte-at-a-time packer (pinned by a test oracle for every width
-/// and tail length).
+/// The payload is sized once and packed in place a group at a time:
+/// 8 samples of `d` bits fill exactly `d` bytes, so every 8-sample
+/// group starts on a byte boundary and is packed by a helper whose
+/// width is a compile-time constant (one per `d` in `1..=16`, picked
+/// by a single `match`), making every shift a constant one. A tail of
+/// fewer than 8 samples is packed as a zero-extended group. The wire
+/// bytes are those of the byte-at-a-time packer (pinned by a test
+/// oracle for every width and tail length). The range check ORs the
+/// whole frame without an early exit and rescans for the first
+/// offender only when a sample is out of range.
 ///
 /// # Errors
 ///
@@ -86,7 +119,11 @@ pub fn packetize_into(
     } else {
         (1_u16 << sample_bits) - 1
     };
-    if let Some(&bad) = samples.iter().find(|&&s| s > limit) {
+    // A sample fits iff it sets no bit above `limit`, so one OR over the
+    // frame (no early exit, so it vectorises) decides the common case;
+    // only a failing frame is scanned again for its first offender.
+    if samples.iter().fold(0, |bits, &s| bits | s) > limit {
+        let bad = samples.iter().find(|&&s| s > limit).map_or(0, |&s| s);
         return Err(RfError::InvalidParameter {
             name: "sample value",
             value: f64::from(bad),
@@ -100,7 +137,7 @@ pub fn packetize_into(
     out.extend_from_slice(&(samples.len() as u16).to_be_bytes());
     out.push(sample_bits);
     out.resize(HEADER_BYTES + payload_bytes, 0);
-    pack_msb_first(samples, sample_bits, &mut out[HEADER_BYTES..]);
+    with_const_bits!(sample_bits, pack_groups(samples, &mut out[HEADER_BYTES..]));
 
     let crc = crc16(out);
     out.extend_from_slice(&crc.to_be_bytes());
@@ -108,33 +145,56 @@ pub fn packetize_into(
 }
 
 /// Bit-packs `samples` MSB-first into `payload`, which must be exactly
-/// `ceil(len · bits / 8)` bytes. Samples shift into a u64 accumulator
-/// that is written out 32 bits at a time; the bytes the last partial
-/// word touches follow, its final bits zero-padded.
-fn pack_msb_first(samples: &[u16], sample_bits: u8, payload: &mut [u8]) {
-    let bits = u32::from(sample_bits);
-    let full_words = samples.len() * usize::from(sample_bits) / 32;
-    let (body, tail) = payload.split_at_mut(4 * full_words);
-    let mut words = body.chunks_exact_mut(4);
-    let mut acc: u64 = 0;
-    let mut acc_bits: u32 = 0;
-    for &s in samples {
-        // At most 31 + 16 bits are pending, so nothing is lost.
-        acc = (acc << bits) | u64::from(s);
-        acc_bits += bits;
-        if acc_bits >= 32 {
-            acc_bits -= 32;
-            // `body` holds one word per 32 bits shifted in, so this
-            // is always `Some`.
-            if let Some(word) = words.next() {
-                word.copy_from_slice(&((acc >> acc_bits) as u32).to_be_bytes());
-            }
-        }
+/// `ceil(len · BITS / 8)` bytes: whole groups of 8 samples, each into
+/// exactly `BITS` bytes. The tail of fewer than 8 samples is packed as
+/// a group zero-extended to 8 samples, of which only the bytes it
+/// touches are written, so its final bits are zero-padded.
+fn pack_groups<const BITS: usize>(samples: &[u16], payload: &mut [u8]) {
+    let (groups, rest) = samples.as_chunks::<8>();
+    let (body, tail) = payload.split_at_mut(BITS * groups.len());
+    for (group, out) in groups.iter().zip(body.as_chunks_mut::<BITS>().0) {
+        out.copy_from_slice(&pack_group::<BITS>(group)[16 - BITS..]);
     }
-    // Fewer than 32 bits remain: left-align them in a word and write
-    // the bytes they touch.
-    let last = ((acc << (32 - acc_bits)) as u32).to_be_bytes();
-    tail.copy_from_slice(&last[..tail.len()]);
+    if !rest.is_empty() {
+        let mut group = [0; 8];
+        group[..rest.len()].copy_from_slice(rest);
+        tail.copy_from_slice(&pack_group::<BITS>(&group)[16 - BITS..][..tail.len()]);
+    }
+}
+
+/// One group shifted into a `u128`, sample 0 highest, and stored
+/// big-endian: the group's `BITS` wire bytes are the last `BITS`.
+#[inline]
+fn pack_group<const BITS: usize>(group: &[u16; 8]) -> [u8; 16] {
+    group
+        .iter()
+        .fold(0_u128, |acc, &s| (acc << BITS) | u128::from(s))
+        .to_be_bytes()
+}
+
+/// Unpacks `samples.len()` MSB-first `BITS`-bit samples from `payload`
+/// (exactly `ceil(len · BITS / 8)` bytes), a whole 8-sample group —
+/// `BITS` bytes — at a time; the tail group is read zero-extended.
+fn unpack_groups<const BITS: usize>(payload: &[u8], samples: &mut [u16]) {
+    let (groups, rest) = samples.as_chunks_mut::<8>();
+    let (body, tail) = payload.split_at(BITS * groups.len());
+    for (group, bytes) in groups.iter_mut().zip(body.as_chunks::<BITS>().0) {
+        let mut be = [0; 16];
+        be[16 - BITS..].copy_from_slice(bytes);
+        *group = unpack_group::<BITS>(be);
+    }
+    if !rest.is_empty() {
+        let mut be = [0; 16];
+        be[16 - BITS..][..tail.len()].copy_from_slice(tail);
+        rest.copy_from_slice(&unpack_group::<BITS>(be)[..rest.len()]);
+    }
+}
+
+/// The inverse of [`pack_group`].
+#[inline]
+fn unpack_group<const BITS: usize>(be: [u8; 16]) -> [u16; 8] {
+    let acc = u128::from_be_bytes(be);
+    std::array::from_fn(|i| ((acc >> (BITS * (7 - i))) & ((1 << BITS) - 1)) as u16)
 }
 
 /// A decoded neural-data frame.
@@ -177,6 +237,12 @@ pub fn depacketize(wire: &[u8]) -> Result<Frame> {
 /// Like [`depacketize`], but writes the samples into `samples` (cleared
 /// after full validation) and returns only the fixed-size header.
 /// Allocation-free once `samples` has capacity for the channel count.
+///
+/// Samples are read back a whole 8-sample, `d`-byte group at a time
+/// with constant shifts, the same layout [`packetize_into`] writes; a
+/// tail of fewer than 8 samples is read as a zero-extended group. A
+/// test oracle pins the samples to the byte-at-a-time reader for every
+/// width and length up to 1100.
 ///
 /// Validation runs to completion — truncation, magic, header, length,
 /// CRC — before a single byte of `samples` is touched, so a rejected
@@ -224,26 +290,9 @@ pub fn depacketize_into(wire: &[u8], samples: &mut Vec<u16>) -> Result<FrameHead
         });
     }
 
-    let payload = &body[HEADER_BYTES..];
     samples.clear();
-    samples.reserve(channels);
-    let mut acc: u32 = 0;
-    let mut acc_bits: u32 = 0;
-    let mut byte_idx = 0;
-    for _ in 0..channels {
-        while acc_bits < u32::from(sample_bits) {
-            acc = (acc << 8) | u32::from(payload[byte_idx]);
-            byte_idx += 1;
-            acc_bits += 8;
-        }
-        acc_bits -= u32::from(sample_bits);
-        let mask = if sample_bits == 16 {
-            0xFFFF
-        } else {
-            (1_u32 << sample_bits) - 1
-        };
-        samples.push(((acc >> acc_bits) & mask) as u16);
-    }
+    samples.resize(channels, 0);
+    with_const_bits!(sample_bits, unpack_groups(&body[HEADER_BYTES..], samples));
     Ok(FrameHeader {
         sequence,
         sample_bits,
@@ -278,7 +327,7 @@ mod tests {
         assert_eq!(crc16(b""), 0xFFFF);
     }
 
-    /// The byte-at-a-time MSB-first packer the word writer replaced,
+    /// The byte-at-a-time MSB-first packer the group packer replaced,
     /// kept as the oracle for its wire bytes.
     fn packetize_bytewise(sequence: u16, samples: &[u16], sample_bits: u8) -> Vec<u8> {
         let mut out = Vec::new();
@@ -328,6 +377,62 @@ mod tests {
                 assert_eq!(
                     wire,
                     packetize_bytewise(len as u16, frame, bits),
+                    "bits {bits}, len {len}"
+                );
+            }
+        }
+    }
+
+    /// The byte-at-a-time MSB-first unpacker the group reader replaced,
+    /// kept as the oracle for its samples.
+    fn unpack_bytewise(payload: &[u8], channels: usize, sample_bits: u8) -> Vec<u16> {
+        let mask = (1_u32 << sample_bits) - 1;
+        let mut samples = Vec::with_capacity(channels);
+        let mut acc: u32 = 0;
+        let mut acc_bits: u32 = 0;
+        let mut byte_idx = 0;
+        for _ in 0..channels {
+            while acc_bits < u32::from(sample_bits) {
+                acc = (acc << 8) | u32::from(payload[byte_idx]);
+                byte_idx += 1;
+                acc_bits += 8;
+            }
+            acc_bits -= u32::from(sample_bits);
+            samples.push(((acc >> acc_bits) & mask) as u16);
+        }
+        samples
+    }
+
+    #[test]
+    fn group_unpacker_matches_the_bytewise_oracle_for_every_width_and_tail() {
+        // Random payload bytes, pad bits included, framed with a valid
+        // header and CRC: the reader must agree with the oracle on every
+        // byte a well-formed frame of that width and length can carry.
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut payload = [0_u8; 2200];
+        for byte in &mut payload {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *byte = (state >> 56) as u8;
+        }
+        let mut wire = Vec::new();
+        let mut samples = Vec::new();
+        for bits in 1..=16_u8 {
+            for len in 1..=1100_usize {
+                let bytes = &payload[..(len * usize::from(bits)).div_ceil(8)];
+                wire.clear();
+                wire.extend_from_slice(&PACKET_MAGIC.to_be_bytes());
+                wire.extend_from_slice(&(len as u16).to_be_bytes());
+                wire.extend_from_slice(&(len as u16).to_be_bytes());
+                wire.push(bits);
+                wire.extend_from_slice(bytes);
+                let crc = crc16(&wire);
+                wire.extend_from_slice(&crc.to_be_bytes());
+                depacketize_into(&wire, &mut samples).unwrap();
+                assert_eq!(
+                    samples,
+                    unpack_bytewise(bytes, len, bits),
                     "bits {bits}, len {len}"
                 );
             }
@@ -431,6 +536,21 @@ mod tests {
             }
         ));
         assert!(packetize(0, &[1023], 10).is_ok());
+    }
+
+    #[test]
+    fn the_first_out_of_range_sample_is_reported() {
+        let mut samples = vec![1023_u16; 1024];
+        samples[700] = 4095;
+        samples[300] = 1024;
+        samples[900] = u16::MAX;
+        let err = packetize(0, &samples, 10).unwrap_err();
+        assert!(
+            matches!(err, RfError::InvalidParameter { name: "sample value", value } if value == 1024.0),
+            "{err:?}"
+        );
+        assert!(packetize(0, &[0, 2], 1).is_err());
+        assert!(packetize(0, &[u16::MAX; 9], 16).is_ok());
     }
 
     #[test]
